@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from dataclasses import dataclass, fields
@@ -90,7 +91,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
         if key == "config_version":
-            if int(val) != CONFIG_FORMAT_VERSION:
+            if _parse_typed(key, val, int) != CONFIG_FORMAT_VERSION:
                 raise ConfigError(f"unsupported config_version {val}")
             seen_version = True
             continue
@@ -109,6 +110,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"config field 'protocol': must be one of {PROTOCOLS}, got {cfg.protocol!r}")
     if cfg.head not in ("dgkd", "mlp", "groupkan"):
         raise ConfigError(f"config field 'head': must be dgkd, mlp or groupkan, got {cfg.head!r}")
+    for name in ("tau", "main_lr", "proj_lr", "lambda_sc", "lambda_kd", "jitter_scale"):
+        if not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(f"config field {name!r}: must be finite, got {getattr(cfg, name)!r}")
     for name in ("tau", "main_lr", "proj_lr"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"config field {name!r}: must be > 0")
@@ -124,8 +128,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.head == "groupkan" and cfg.mlp_hidden < cfg.d_f:
         # the hidden groupkan layer splits its mlp_hidden inputs into d_f groups
         raise ConfigError("config field 'mlp_hidden': the groupkan head needs at least d_f")
-    if cfg.d_x % 4 != 0:
-        raise ConfigError("config field 'd_x': protocol geometry requires a multiple of 4")
+    if cfg.d_x % 8 != 0:
+        raise ConfigError("config field 'd_x': protocol geometry requires a multiple of 8")
 
 
 def config_lines(cfg: ExperimentConfig) -> list[str]:

@@ -229,25 +229,52 @@ class AugmentConfig:
             raise ContractViolation("samples_per_feature must be >= 1")
 
 
+def _label_stds(features: np.ndarray, domain_class: np.ndarray) -> np.ndarray:
+    """Per-label, per-column std of ``features`` as an (L, d_f) table, L =
+    max label + 1; labels absent from ``domain_class`` get a zero row.
+
+    One pass over the rows: two ``np.bincount`` reductions over flattened
+    (domain_class, column) bins, first the sums and then the squared
+    deviations from the label mean.  Both add rows in row order, as
+    ``np.std(axis=0)`` does for each label when d_f >= 2, so the table holds
+    the same bytes.  (For d_f = 1 np.std sums the single column pairwise, and
+    the last bits can differ.)
+    """
+    d_f = features.shape[1]
+    n_labels = int(domain_class.max()) + 1
+    bins = np.add.outer(domain_class * d_f, np.arange(d_f)).ravel()
+    counts = np.maximum(np.bincount(domain_class, minlength=n_labels), 1)[:, None]
+    mean = np.bincount(bins, weights=features.ravel(),
+                       minlength=n_labels * d_f).reshape(n_labels, d_f) / counts
+    dev = np.take(mean, domain_class, axis=0)
+    np.subtract(features, dev, out=dev)              # in place: one (m, d_f) temporary
+    dev *= dev
+    var = np.bincount(bins, weights=dev.ravel(),
+                      minlength=n_labels * d_f).reshape(n_labels, d_f) / counts
+    return np.sqrt(var)
+
+
 def augment_features(mem: FeatureMemory, cfg: AugmentConfig, rng: RngStream,
                      n_samples: int | None = None) -> DomainLabeledBatch:
     """Draw a replay batch: pick stored rows uniformly (so uniformly within
-    each label) and jitter them with that label's scaled diagonal std."""
+    each label) and jitter them with that label's scaled diagonal std, read
+    from the ``_label_stds`` table of the whole memory."""
     m = len(mem)
     if m == 0:
         raise ContractViolation("augment_features on empty memory")
+    dc = mem.domain_class
+    if dc.min() < 0:
+        raise ContractViolation("augment_features: domain-class labels must be >= 0")
     if n_samples is None:
         n_samples = cfg.samples_per_feature * m
-    labels = np.unique(mem.domain_class)
-    stds = {int(l): mem.features[mem.domain_class == l].std(axis=0) for l in labels}
     idx = rng.integers(0, m, size=n_samples)
-    feats = mem.features[idx].copy()
+    feats = mem.features[idx]
+    drawn_dc = dc[idx]
     if cfg.jitter_scale > 0.0:
         noise = rng.normal(size=feats.shape)
-        scale = np.stack([stds[int(l)] for l in mem.domain_class[idx]])
+        scale = np.take(_label_stds(mem.features, dc), drawn_dc, axis=0)
         feats += cfg.jitter_scale * scale * noise
-    return DomainLabeledBatch(features=feats, domain_class=mem.domain_class[idx].copy(),
-                              label=mem.label[idx].copy())
+    return DomainLabeledBatch(features=feats, domain_class=drawn_dc, label=mem.label[idx])
 
 
 def save_memory(mem: FeatureMemory, path) -> None:

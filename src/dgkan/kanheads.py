@@ -163,9 +163,18 @@ class DgLayer:
 class DgkdHead:
     """Detector head: elementwise sum of one grouped-RBF layer per domain.
 
-    Layer k carries task-id k; every layer below the active task is frozen,
-    so training touches only the newest layer's parameters while the frozen
-    Gaussians keep responding in their own regions.
+    Layer k carries task-id k; every layer below the active (last) one is
+    frozen, so training touches only the newest layer's parameters while the
+    frozen Gaussians keep responding in their own regions.
+
+    The frozen layers never change, so their parameters are stacked once,
+    when the head is built (``add_task_layer`` builds one per task): W as
+    (T-1, d_out, d_in) and the per-dimension centers and widths as
+    (T-1, 1, d_in).  Forward and backward evaluate every frozen Gaussian
+    with one broadcast exp and every frozen layer with one batched matmul.
+    Per-layer outputs and input gradients are then added in layer order
+    with the active layer last, which gives the same bytes as a loop over
+    ``layers``.  Parameter gradients are computed for the active layer only.
     """
 
     def __init__(self, d_in: int, d_out: int, groups: int, layers: list[DgLayer] | None = None):
@@ -178,6 +187,12 @@ class DgkdHead:
                 raise ContractViolation("head layers must carry consecutive task ids from 1")
             if (layer.d_in, layer.d_out, layer.groups) != (self.d_in, self.d_out, self.groups):
                 raise ContractViolation("all head layers must share (d_in, d_out, groups)")
+        frozen = self.layers[:-1]
+        # W (T-1, d_out, d_in); per-dimension centers and widths (T-1, 1, d_in)
+        self._frozen = None if not frozen else (
+            np.stack([l.W for l in frozen]),
+            np.stack([l.centers[l.group_of] for l in frozen])[:, None, :],
+            np.stack([l.widths[l.group_of] for l in frozen])[:, None, :])
 
     @property
     def active_task(self) -> int:
@@ -192,36 +207,38 @@ class DgkdHead:
         if not self.layers:
             raise ContractViolation("head has no layers; add a task layer first")
 
+    def _forward(self, X: np.ndarray):
+        y, cache_active = self.active_layer.forward_cached(X)
+        if self._frozen is None:
+            return y, (None, None, cache_active)
+        W, c, s = self._frozen
+        z = (X - c) / s                                # DgLayer._phi, (T-1, N, d_in)
+        phi = np.exp(-0.5 * z * z)
+        Y = _sum_in_layer_order(phi @ W.transpose(0, 2, 1), y)
+        return Y, (phi, z, cache_active)
+
     def forward(self, X: np.ndarray) -> np.ndarray:
         self._require_nonempty()
         X, squeeze = _as_batch(X, self.d_in, "DgkdHead input")
-        Y = np.zeros((X.shape[0], self.d_out))
-        for layer in self.layers:
-            Y += layer.forward(X)
+        Y, _ = self._forward(X)
         return Y[0] if squeeze else Y
 
     def forward_cached(self, X: np.ndarray):
         self._require_nonempty()
         X, _ = _as_batch(X, self.d_in, "DgkdHead input")
-        Y = np.zeros((X.shape[0], self.d_out))
-        caches = []
-        for layer in self.layers:
-            yk, ck = layer.forward_cached(X)
-            Y += yk
-            caches.append(ck)
-        return Y, caches
+        return self._forward(X)
 
-    def backward(self, dY: np.ndarray, caches) -> tuple[np.ndarray, np.ndarray]:
+    def backward(self, dY: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray]:
         """Input gradient flows through every layer; parameter gradients are
         returned for the active (unfrozen) layer only."""
         self._require_nonempty()
-        dX = None
-        active_grads = None
-        for layer, cache in zip(self.layers, caches):
-            dx_k, g_k = layer.backward(dY, cache)
-            dX = dx_k if dX is None else dX + dx_k
-            if layer is self.layers[-1]:
-                active_grads = g_k
+        phi, z, cache_active = cache
+        dX, active_grads = self.active_layer.backward(dY, cache_active)
+        if phi is not None:
+            W, _, s = self._frozen
+            dY = np.asarray(dY, dtype=np.float64).reshape(phi.shape[1], self.d_out)
+            common = (dY @ W) * phi
+            dX = _sum_in_layer_order(common * (-z / s), dX)
         return dX, active_grads
 
     def param_vector(self) -> np.ndarray:
@@ -234,6 +251,16 @@ class DgkdHead:
 
     def snapshot(self) -> "DgkdHead":
         return copy.deepcopy(self)
+
+
+def _sum_in_layer_order(frozen_terms: np.ndarray, active_term: np.ndarray) -> np.ndarray:
+    """frozen_terms[0] + ... + frozen_terms[-1] + active_term, added left to
+    right: the order of a loop over the head's layers.  (np.sum may add
+    pairwise, and np.add.accumulate is several times slower.)"""
+    total = frozen_terms[0].copy()
+    for term in frozen_terms[1:]:
+        total += term
+    return total + active_term
 
 
 def add_task_layer(head: DgkdHead, features: np.ndarray, rng: RngStream) -> DgkdHead:
@@ -281,8 +308,8 @@ def activation_profile(head: DgkdHead, group_index: int, xs) -> np.ndarray:
 
 def _silu(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sigmoid-weighted linear unit and its derivative."""
-    sig = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                   np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    e = np.exp(-np.abs(z))
+    sig = np.where(z >= 0, 1.0, e) / (1.0 + e)
     return z * sig, sig * (1.0 + z * (1.0 - sig))
 
 

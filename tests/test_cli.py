@@ -65,6 +65,23 @@ class TestConfig:
             validate_config(ExperimentConfig(head="groupkan", mlp_hidden=8))
         validate_config(ExperimentConfig(head="mlp", mlp_hidden=8))
 
+    def test_config_version_not_an_integer(self):
+        with pytest.raises(ConfigError, match="config_version"):
+            parse_config_text("config_version = x\nseed = 1\n")
+
+    @pytest.mark.parametrize("name", ["tau", "main_lr", "proj_lr", "lambda_sc", "lambda_kd",
+                                      "jitter_scale"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            parse_config_text(f"config_version = 1\n{name} = {value}\n")
+
+    def test_d_x_multiple_of_eight(self):
+        for d_x in (4, 12):
+            with pytest.raises(ConfigError, match="d_x"):
+                validate_config(ExperimentConfig(d_x=d_x))
+        validate_config(ExperimentConfig(d_x=16))
+
     def test_hash_changes_iff_any_field_changes(self):
         base = ExperimentConfig()
         assert config_hash(base) == config_hash(ExperimentConfig())
@@ -142,6 +159,16 @@ class TestCliVerbs:
         cfg_path = tmp_path / "bad.txt"
         cfg_path.write_text("config_version = 1\nbogus = 1\n")
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("bad", [TINY.replace("config_version = 1", "config_version = x"),
+                                     TINY + "tau = nan\n", TINY + "main_lr = inf\n",
+                                     TINY + "d_x = 4\n"],
+                             ids=["version-x", "tau-nan", "main_lr-inf", "d_x-4"])
+    def test_rejected_at_parse_exit_code(self, bad, tmp_path):
+        cfg_path = tmp_path / "bad.txt"
+        cfg_path.write_text(bad)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_ablate_flag(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"

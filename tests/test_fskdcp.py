@@ -246,6 +246,42 @@ class TestAugment:
         assert np.array_equal(a.features, b.features)
 
 
+def _augment_reference(mem, cfg, rng, n_samples):
+    """augment_features with one np.std call per label and a per-row stack."""
+    stds = {int(l): mem.features[mem.domain_class == l].std(axis=0)
+            for l in np.unique(mem.domain_class)}
+    idx = rng.integers(0, len(mem), size=n_samples)
+    feats = mem.features[idx].copy()
+    noise = rng.normal(size=feats.shape)
+    feats += cfg.jitter_scale * np.stack([stds[int(l)] for l in mem.domain_class[idx]]) * noise
+    return feats, mem.domain_class[idx]
+
+
+class TestAugmentMatchesPerLabelStd:
+    @pytest.mark.parametrize("rows,labels,d_f", [(41, 6, 4), (500, 8, 16), (4000, 20, 16),
+                                                 (4000, 2, 3)])
+    def test_exact_bytes(self, rows, labels, d_f, rng):
+        r = rng.substream("mem", rows, labels)
+        dc = r.integers(0, labels, rows)
+        dc[dc == 1] = 0                       # a gap: label 1 never occurs
+        dc[0] = labels + 1                    # a one-row label beyond the gap
+        F = r.normal(loc=r.uniform(-50, 50), scale=r.uniform(0.1, 20), size=(rows, d_f))
+        mem = FeatureMemory(features=F, domain_class=dc, label=dc % 2,
+                            source_task=dc // 2 + 1, budget=rows, space_task=1)
+        cfg = AugmentConfig(jitter_scale=0.7)
+        batch = augment_features(mem, cfg, RngStream(9), n_samples=256)
+        feats, drawn_dc = _augment_reference(mem, cfg, RngStream(9), 256)
+        assert batch.features.tobytes() == feats.tobytes()
+        assert np.array_equal(batch.domain_class, drawn_dc)
+
+    def test_negative_domain_class_rejected(self, rng):
+        dc = np.array([0, -1, 1])
+        mem = FeatureMemory(features=rng.normal(size=(3, 4)), domain_class=dc, label=dc % 2,
+                            source_task=dc // 2 + 1, budget=3, space_task=1)
+        with pytest.raises(ContractViolation, match="domain-class"):
+            augment_features(mem, AugmentConfig(), rng, n_samples=4)
+
+
 class TestMemorySnapshot:
     def test_round_trip(self, rng, tmp_path):
         F = rng.normal(size=(9, 5))

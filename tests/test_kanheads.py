@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dgkan.kanheads import (DgkdHead, DgLayer, FeatureExtractor, GroupKanHead, MlpHead,
-                            RbfParams, activation_profile, add_task_layer, baseline_forward,
+                            RbfParams, _silu, activation_profile, add_task_layer, baseline_forward,
                             dg_layer_forward, dgkd_forward, extractor_forward,
                             group_index_map, make_baseline_head, rbf_eval, rbf_grad)
 from dgkan.numcore import AdamState, ContractViolation, RngStream, adam_step, finite_diff_grad, max_rel_err
@@ -208,6 +208,71 @@ class TestDgkdHead:
         without = l1.forward(X)
         bound = 1 * 6 * np.abs(l2.W).max() * math.exp(-18.0)
         assert np.abs(with_l2 - without).max() <= bound
+
+
+def _layer_loop_reference(layers, X, dY):
+    """The head as a loop over its layers: outputs summed from zero, input
+    gradients summed from the first layer, parameter gradients of the last."""
+    Y = np.zeros((X.shape[0], layers[0].d_out))
+    caches = []
+    for layer in layers:
+        y, cache = layer.forward_cached(X)
+        Y += y
+        caches.append(cache)
+    dX = None
+    for layer, cache in zip(layers, caches):
+        dx, grads = layer.backward(dY, cache)
+        dX = dx if dX is None else dX + dx
+    return Y, dX, grads
+
+
+class TestStackedHeadMatchesLayerLoop:
+    @pytest.mark.parametrize("d_out", [1, 3])
+    def test_exact_bytes_for_one_to_ten_layers(self, d_out, rng):
+        grown = DgkdHead(16, d_out, 4)
+        for T in range(1, 11):
+            r = rng.substream("T", T, d_out)
+            grown = add_task_layer(grown, r.normal(loc=T, scale=0.5 + 0.1 * T, size=(40, 16)),
+                                   r.substream("init"))
+            # the same layers, unfrozen, handed to the constructor directly
+            direct = DgkdHead(16, d_out, 4, [DgLayer(l.task_id, 16, d_out, 4, l.W, l.centers,
+                                                     l.widths) for l in grown.layers])
+            for N in (1, 64):
+                X = r.normal(loc=T / 2, scale=3.0, size=(N, 16))
+                dY = r.normal(size=(N, d_out))
+                Y_ref, dX_ref, g_ref = _layer_loop_reference(grown.layers, X, dY)
+                for head in (grown, direct):
+                    Y, cache = head.forward_cached(X)
+                    dX, grads = head.backward(dY, cache)
+                    assert Y.tobytes() == Y_ref.tobytes()
+                    assert head.forward(X).tobytes() == Y_ref.tobytes()
+                    if N == 1:
+                        assert head.forward(X[0]).tobytes() == Y_ref[0].tobytes()
+                    assert dX.tobytes() == dX_ref.tobytes()
+                    assert grads.tobytes() == g_ref.tobytes()
+
+    def test_exact_bytes_after_active_layer_update(self, rng):
+        feats = rng.normal(size=(30, 5))
+        head = add_task_layer(DgkdHead(5, 1, 2), feats, rng.substream("a"))
+        head = add_task_layer(head, feats + 1.0, rng.substream("b"))
+        head.set_param_vector(head.param_vector() + 0.25)
+        X = rng.normal(size=(9, 5))
+        dY = rng.normal(size=(9, 1))
+        Y_ref, dX_ref, g_ref = _layer_loop_reference(head.layers, X, dY)
+        Y, cache = head.forward_cached(X)
+        dX, grads = head.backward(dY, cache)
+        assert Y.tobytes() == Y_ref.tobytes() and dX.tobytes() == dX_ref.tobytes()
+        assert grads.tobytes() == g_ref.tobytes()
+
+
+def test_silu_matches_three_exp_formula(rng):
+    for scale in (0.1, 1.0, 10.0, 100.0, 800.0):
+        z = np.concatenate([[0.0, -0.0], rng.normal(scale=scale, size=500)])
+        e3 = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
+                      np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+        value, slope = _silu(z)
+        assert value.tobytes() == (z * e3).tobytes()
+        assert slope.tobytes() == (e3 * (1.0 + z * (1.0 - e3))).tobytes()
 
 
 class TestActivationProfile:
