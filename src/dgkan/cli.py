@@ -212,6 +212,13 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _write_manifest(out: Path, manifest: dict, written: list[str]) -> None:
+    """Hash exactly the artifacts this run wrote (never other files in
+    ``out``), then write the manifest next to them."""
+    manifest["artifacts"] = {name: _sha256_file(out / name) for name in written}
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir) -> ScoreMatrix:
     """Train through the configured stream and write all artifacts.
 
@@ -220,28 +227,30 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ScoreMatrix:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config_resolved.txt").write_text("\n".join(config_lines(cfg)) + "\n")
+    written: list[str] = []
+
+    def write(name: str, text: str) -> None:
+        (out / name).write_text(text)
+        written.append(name)
+
+    write("config_resolved.txt", "\n".join(config_lines(cfg)) + "\n")
     manifest = {"schema_version": SUMMARY_SCHEMA_VERSION, "config_hash": config_hash(cfg),
                 "seed": cfg.seed, "status": "running", "artifacts": {}}
     try:
         stream = build_stream(cfg)
-        matrix, trainer = run_stream(stream, trainer_config(cfg), seed=cfg.seed)
-        (out / "scores.csv").write_text(scores_csv_text(matrix))
-        (out / "summary.json").write_text(
-            json.dumps(summary_dict(matrix, cfg), indent=2, sort_keys=True) + "\n")
+        matrix, trainer = run_stream(stream, trainer_config(cfg))
+        write("scores.csv", scores_csv_text(matrix))
+        write("summary.json", json.dumps(summary_dict(matrix, cfg), indent=2, sort_keys=True) + "\n")
         if trainer.memory is not None:
             save_memory(trainer.memory, out / "memory_final.csv")
+            written.append("memory_final.csv")
         manifest["status"] = "complete"
     except Exception as exc:
         manifest["status"] = "failed"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
-        manifest["artifacts"] = {p.name: _sha256_file(p) for p in sorted(out.iterdir())
-                                 if p.name != "manifest.json"}
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _write_manifest(out, manifest, written)
         raise
-    manifest["artifacts"] = {p.name: _sha256_file(p) for p in sorted(out.iterdir())
-                             if p.name != "manifest.json"}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_manifest(out, manifest, written)
     return matrix
 
 
@@ -331,16 +340,17 @@ def report(results_dir) -> str:
 
 
 def verify(results_dir) -> bool:
-    """Re-run from the stored config and compare artifact hashes."""
+    """Re-run from the stored config and compare artifact hashes: the stored
+    files must still match the manifest, and the re-run must write the same
+    artifacts with the same hashes."""
     out = Path(results_dir)
     cfg = parse_config_text((out / "config_resolved.txt").read_text())
-    manifest = json.loads((out / "manifest.json").read_text())
+    listed = json.loads((out / "manifest.json").read_text())["artifacts"]
+    stored = {name: _sha256_file(out / name) for name in listed if (out / name).is_file()}
     with tempfile.TemporaryDirectory() as tmp:
         run_experiment(cfg, tmp)
-        for name in ("scores.csv", "summary.json"):
-            if _sha256_file(Path(tmp) / name) != manifest["artifacts"].get(name):
-                return False
-    return True
+        rerun = json.loads((Path(tmp) / "manifest.json").read_text())["artifacts"]
+    return stored == listed == rerun
 
 
 # -- command line --------------------------------------------------------------
@@ -411,18 +421,16 @@ def main(argv=None) -> int:
         if args.verb == "report":
             print(report(args.dir))
             return 0
-        if args.verb == "dump-profile":
+        if args.verb in ("dump-profile", "dump-embeddings"):
             cfg = _load_cfg(args)
             stream = build_stream(cfg)
-            _, trainer = run_stream(stream, trainer_config(cfg), seed=cfg.seed)
+            _, trainer = run_stream(stream, trainer_config(cfg))
+        if args.verb == "dump-profile":
             dump_profile(trainer, args.out, group_index=args.group,
                          x_min=args.x_min, x_max=args.x_max, points=args.points)
             print(f"profile written to {args.out}")
             return 0
         if args.verb == "dump-embeddings":
-            cfg = _load_cfg(args)
-            stream = build_stream(cfg)
-            _, trainer = run_stream(stream, trainer_config(cfg), seed=cfg.seed)
             n = dump_embeddings(trainer, stream, args.out)
             print(f"{n} embedding rows written to {args.out}")
             return 0

@@ -15,12 +15,12 @@ baseline heads keep one global parameter set):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .fskdcp import (AugmentConfig, FeatureMemory, KdcpProjection, augment_features,
-                     project_memory, select_indices, train_projection_step)
+                     project_memory, select_features, train_projection_step)
 from .kanheads import (DgkdHead, FeatureExtractor, add_task_layer, make_baseline_head)
 from .losses import (DomainLabeledBatch, LossConfig, bce_loss, kd_loss, overall_loss,
                      supcon_loss)
@@ -44,7 +44,6 @@ class TrainerConfig:
     groups: int = 4
     head_kind: str = "dgkd"              # dgkd | mlp | groupkan
     mlp_hidden: int = 32                 # hidden width of both baseline heads
-    gk_groups: int | None = None         # rational groups in both groupkan layers (defaults to d_f)
     loss: LossConfig = field(default_factory=LossConfig)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     switches: AblationSwitches = field(default_factory=AblationSwitches)
@@ -53,9 +52,6 @@ class TrainerConfig:
     epochs: int = 20
     main_lr: float = 2e-4
     proj_lr: float = 5e-4
-    proj_groups: int | None = None       # defaults to d_f (one RBF per feature dim)
-    feature_scale: float = 1.0           # extractor output-layer init multiplier
-    replay_batch: int | None = None      # replay rows per step (defaults to batch_size)
 
 
 class Trainer:
@@ -65,16 +61,14 @@ class Trainer:
         self.cfg = cfg
         self.rng = RngStream(seed).substream("trainer")
         self.extractor = FeatureExtractor.init(cfg.d_x, cfg.d_f, cfg.hidden,
-                                               self.rng.substream("extractor-init"),
-                                               feature_scale=cfg.feature_scale)
+                                               self.rng.substream("extractor-init"))
         self.teacher: FeatureExtractor | None = None
         if cfg.head_kind == "dgkd":
             self.head = DgkdHead(cfg.d_f, 1, cfg.groups)
-        else:
-            gk_groups = cfg.gk_groups if cfg.gk_groups is not None else cfg.d_f
+        else:   # groupkan: one rational group per feature dimension in both layers
             self.head = make_baseline_head(cfg.head_kind, cfg.d_f, 1,
                                            self.rng.substream("head-init"),
-                                           hidden=cfg.mlp_hidden, groups=gk_groups)
+                                           hidden=cfg.mlp_hidden, groups=cfg.d_f)
         self.memory: FeatureMemory | None = None
         self.raw_memory: np.ndarray | None = None
         self.projection: KdcpProjection | None = None
@@ -82,15 +76,9 @@ class Trainer:
 
     # -- helpers -------------------------------------------------------------
 
-    def _proj_groups(self) -> int:
-        return self.cfg.proj_groups if self.cfg.proj_groups is not None else self.cfg.d_f
-
     def _trains_projection(self) -> bool:
         sw = self.cfg.switches
         return self.task >= 2 and sw.use_kdcp and not sw.use_raw_replay
-
-    def _uses_replay(self) -> bool:
-        return self.cfg.switches.use_sc and self.memory is not None and len(self.memory) > 0
 
     def _replay_view(self) -> FeatureMemory:
         """Memory as seen by the replay path this step.
@@ -99,24 +87,18 @@ class Trainer:
         (evolving) feature space by the live projection; the permanent
         exactly-once re-projection still happens at the transition.
         """
-        if self._trains_projection() and self.projection is not None:
-            return FeatureMemory(features=self.projection.apply(self.memory.features),
-                                 domain_class=self.memory.domain_class, label=self.memory.label,
-                                 source_task=self.memory.source_task, budget=self.memory.budget,
-                                 space_task=self.memory.space_task)
+        if self._trains_projection():
+            return replace(self.memory, features=self.projection.apply(self.memory.features))
         return self.memory
 
     # -- training ------------------------------------------------------------
 
-    def train_task(self, X: np.ndarray, y: np.ndarray, epochs: int | None = None,
-                   batch_size: int | None = None) -> None:
+    def train_task(self, X: np.ndarray, y: np.ndarray) -> None:
         """Train on one task's data and run the transition bookkeeping."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         if np.unique(y).size < 2:
             raise ContractViolation("task data must contain both classes")
-        epochs = self.cfg.epochs if epochs is None else epochs
-        batch_size = self.cfg.batch_size if batch_size is None else batch_size
         self.task += 1
         t = self.task
         rng_task = self.rng.substream("task", t)
@@ -127,20 +109,23 @@ class Trainer:
 
         proj_opt = None
         if self._trains_projection():
-            pool = [self.extractor.forward(X) if self.teacher is None else self.teacher.forward(X)]
-            if self.memory is not None and len(self.memory) > 0:
-                pool.append(self.memory.features)
-            self.projection = KdcpProjection.init(np.vstack(pool), self._proj_groups(),
+            # RBFs over the old space, one group per feature dimension.  ``pool``
+            # keeps the teacher features alive through the task: freeing them
+            # here let glibc trim and regrow the heap on every training step
+            # (tens of times the page faults of a four-task-mlp run).
+            pool = [self.teacher.forward(X), self.memory.features]
+            self.projection = KdcpProjection.init(np.vstack(pool), self.cfg.d_f,
                                                   source_task=t - 1, target_task=t)
             proj_opt = AdamState.init(self.projection.layer.n_params(), lr=self.cfg.proj_lr)
 
         opt_ext = AdamState.init(self.extractor.n_params(), lr=self.cfg.main_lr)
-        opt_head = AdamState.init(_head_param_count(self.head), lr=self.cfg.main_lr)
+        opt_head = AdamState.init(self.head.n_params(), lr=self.cfg.main_lr)
 
         n = X.shape[0]
+        batch_size = self.cfg.batch_size
         rng_batch = rng_task.substream("batches")
         rng_replay = rng_task.substream("replay")
-        for _ in range(epochs):
+        for _ in range(self.cfg.epochs):
             order = rng_batch.permutation(n)
             for start in range(0, n, batch_size):
                 idx = order[start:start + batch_size]
@@ -156,8 +141,7 @@ class Trainer:
         nb = xb.shape[0]
 
         raw_replay = None
-        if sw.use_raw_replay and self.raw_memory is not None and self.memory is not None \
-                and len(self.memory) > 0:
+        if sw.use_raw_replay and self.raw_memory is not None:
             ridx = rng_replay.integers(0, len(self.memory), size=nb)
             raw_replay = (self.raw_memory[ridx], self.memory.domain_class[ridx])
 
@@ -172,7 +156,7 @@ class Trainer:
         if t >= 2 and (sw.use_kd or self._trains_projection()):
             teacher_F = self.teacher.forward(xb)
 
-        if self._trains_projection() and proj_opt is not None:
+        if proj_opt is not None:
             _, proj_opt = train_projection_step(self.projection, teacher_F, F, proj_opt)
 
         logits, cache_head = self.head.forward_cached(F)
@@ -187,9 +171,8 @@ class Trainer:
             if raw_replay is not None:
                 sc_feats = F_full
                 sc_dc = np.concatenate([dc_now, raw_replay[1]])
-            elif self._uses_replay():
-                n_rep = cfg.replay_batch if cfg.replay_batch is not None else nb
-                rb = augment_features(self._replay_view(), cfg.augment, rng_replay, n_samples=n_rep)
+            elif self.memory is not None:
+                rb = augment_features(self._replay_view(), cfg.augment, rng_replay, n_samples=nb)
                 sc_feats = np.vstack([F, rb.features])
                 sc_dc = np.concatenate([dc_now, rb.domain_class])
             else:
@@ -224,38 +207,23 @@ class Trainer:
         return proj_opt, opt_ext, opt_head
 
     def _end_of_task(self, X: np.ndarray, y: np.ndarray, t: int) -> None:
-        cfg = self.cfg
-        sw = cfg.switches
-        feats = self.extractor.forward(X)
-        dc = 2 * (t - 1) + y
-
-        if t >= 2 and self.memory is not None and self._trains_projection():
+        """Keep the herding selection of one pool: old memory rows, then this
+        task's.  The old rows are the stored features (re-projected first
+        when the projection trained), or with raw replay the stored inputs
+        through the current extractor, whose raw rows follow the selection."""
+        raw_replay = self.cfg.switches.use_raw_replay
+        pool_F, pool_dc, pool_X = self.extractor.forward(X), 2 * (t - 1) + y, X
+        if self._trains_projection():
             self.memory = project_memory(self.memory, self.projection)
-
-        if sw.use_raw_replay:
-            if self.memory is not None and len(self.memory) > 0:
-                old_feats = self.extractor.forward(self.raw_memory)
-                pool_F = np.vstack([old_feats, feats])
-                pool_dc = np.concatenate([self.memory.domain_class, dc])
-                pool_raw = np.vstack([self.raw_memory, X])
-            else:
-                pool_F, pool_dc, pool_raw = feats, dc, X
-            idx = select_indices(pool_F, pool_dc, cfg.memory_budget)
-            self.memory = FeatureMemory(features=pool_F[idx], domain_class=pool_dc[idx],
-                                        label=pool_dc[idx] % 2, source_task=pool_dc[idx] // 2 + 1,
-                                        budget=cfg.memory_budget, space_task=t)
-            self.raw_memory = pool_raw[idx]
-        else:
-            if self.memory is not None and len(self.memory) > 0:
-                pool_F = np.vstack([self.memory.features, feats])
-                pool_dc = np.concatenate([self.memory.domain_class, dc])
-            else:
-                pool_F, pool_dc = feats, dc
-            idx = select_indices(pool_F, pool_dc, cfg.memory_budget)
-            self.memory = FeatureMemory(features=pool_F[idx], domain_class=pool_dc[idx],
-                                        label=pool_dc[idx] % 2, source_task=pool_dc[idx] // 2 + 1,
-                                        budget=cfg.memory_budget, space_task=t)
-
+        if self.memory is not None:
+            old_F = self.extractor.forward(self.raw_memory) if raw_replay else self.memory.features
+            pool_F = np.vstack([old_F, pool_F])
+            pool_dc = np.concatenate([self.memory.domain_class, pool_dc])
+            if raw_replay:
+                pool_X = np.vstack([self.raw_memory, X])
+        self.memory, idx = select_features(pool_F, pool_dc, self.cfg.memory_budget, space_task=t)
+        if raw_replay:
+            self.raw_memory = pool_X[idx]
         self.teacher = self.extractor.snapshot()
 
     # -- evaluation ----------------------------------------------------------
@@ -276,12 +244,6 @@ class Trainer:
             accs.append(accuracy(logits, ye))
             aucs.append(auc(probs, ye))
         return accs, aucs
-
-
-def _head_param_count(head) -> int:
-    if isinstance(head, DgkdHead):
-        return head.active_layer.n_params()
-    return head.n_params()
 
 
 # -- metrics ------------------------------------------------------------------
@@ -383,16 +345,16 @@ def average_accuracy(matrix: ScoreMatrix, t: int, metric: str = "acc") -> float:
     return float(np.mean(rows[t - 1]))
 
 
-def run_stream(stream: TaskStream, cfg: TrainerConfig, seed: int | None = None,
-               epochs: int | None = None) -> tuple[ScoreMatrix, Trainer]:
-    """Train through a task stream, evaluating all seen tasks after each one."""
-    trainer = Trainer(cfg, stream.seed if seed is None else seed)
+def run_stream(stream: TaskStream, cfg: TrainerConfig) -> tuple[ScoreMatrix, Trainer]:
+    """Train through a task stream, evaluating all seen tasks after each one;
+    the trainer is seeded with the stream's seed."""
+    trainer = Trainer(cfg, stream.seed)
     matrix = ScoreMatrix()
     eval_sets = []
     for t in range(len(stream)):
         Xtr, ytr = dataset(stream, t, "train")
         eval_sets.append(dataset(stream, t, "eval"))
-        trainer.train_task(Xtr, ytr, epochs=epochs)
+        trainer.train_task(Xtr, ytr)
         accs, aucs = trainer.evaluate_all(eval_sets)
         matrix.add_row(accs, aucs)
     return matrix, trainer

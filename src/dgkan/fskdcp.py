@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kanheads import DgLayer, group_index_map
+from .kanheads import DgLayer, group_stats
 from .losses import DomainLabeledBatch, align_loss
 from .numcore import AdamState, ContractViolation, RngStream, adam_step, check_finite
 
@@ -113,8 +113,10 @@ def select_indices(features: np.ndarray, domain_class: np.ndarray, budget: int) 
 
 
 def select_features(features: np.ndarray, domain_class: np.ndarray, budget: int,
-                    space_task: int = 0) -> FeatureMemory:
-    """Build a FeatureMemory from the herding selection.
+                    space_task: int = 0) -> tuple[FeatureMemory, np.ndarray]:
+    """Herding selection as a FeatureMemory tagged with ``space_task``, plus
+    the selected row indices (so rows stored alongside, such as raw inputs,
+    can be carried through the same selection).
 
     Binary labels and source tasks are recovered from the 2T domain-class
     coding (label = dc % 2, task = dc // 2 + 1).
@@ -122,8 +124,9 @@ def select_features(features: np.ndarray, domain_class: np.ndarray, budget: int,
     idx = select_indices(features, domain_class, budget)
     F = np.asarray(features, dtype=np.float64)[idx]
     dc = np.asarray(domain_class, dtype=np.int64)[idx]
-    return FeatureMemory(features=F, domain_class=dc, label=dc % 2,
-                         source_task=dc // 2 + 1, budget=budget, space_task=space_task)
+    mem = FeatureMemory(features=F, domain_class=dc, label=dc % 2,
+                        source_task=dc // 2 + 1, budget=budget, space_task=space_task)
+    return mem, idx
 
 
 class KdcpProjection:
@@ -151,17 +154,9 @@ class KdcpProjection:
         the residual correction smooth over the whole occupied region (narrow
         bumps cannot even represent a constant offset).
         """
-        feats = np.asarray(init_features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[0] == 0:
-            raise ContractViolation("projection init requires a non-empty feature sample")
-        d_f = feats.shape[1]
-        gmap = group_index_map(d_f, groups)
-        centers = np.empty(groups)
-        widths = np.empty(groups)
-        for g in range(groups):
-            block = feats[:, gmap == g]
-            centers[g] = block.mean()
-            widths[g] = min(max(4.0 * block.std(), 0.5), 10.0)
+        centers, spread = group_stats(init_features, groups)
+        d_f = np.shape(init_features)[1]
+        widths = np.clip(4.0 * spread, 0.5, 10.0)
         layer = DgLayer(task_id=max(target_task, 1), d_in=d_f, d_out=d_f, groups=groups,
                         W=np.zeros((d_f, d_f)), centers=centers, widths=widths)
         return cls(layer, source_task, target_task)
@@ -220,13 +215,10 @@ class AugmentConfig:
     """
 
     jitter_scale: float = 0.5
-    samples_per_feature: int = 1
 
     def __post_init__(self):
         if self.jitter_scale < 0.0:
             raise ContractViolation("jitter_scale must be >= 0")
-        if self.samples_per_feature < 1:
-            raise ContractViolation("samples_per_feature must be >= 1")
 
 
 def _label_stds(features: np.ndarray, domain_class: np.ndarray) -> np.ndarray:
@@ -255,18 +247,16 @@ def _label_stds(features: np.ndarray, domain_class: np.ndarray) -> np.ndarray:
 
 
 def augment_features(mem: FeatureMemory, cfg: AugmentConfig, rng: RngStream,
-                     n_samples: int | None = None) -> DomainLabeledBatch:
-    """Draw a replay batch: pick stored rows uniformly (so uniformly within
-    each label) and jitter them with that label's scaled diagonal std, read
-    from the ``_label_stds`` table of the whole memory."""
+                     n_samples: int) -> DomainLabeledBatch:
+    """Draw a replay batch of ``n_samples`` rows: pick stored rows uniformly
+    (so uniformly within each label) and jitter them with that label's scaled
+    diagonal std, read from the ``_label_stds`` table of the whole memory."""
     m = len(mem)
     if m == 0:
         raise ContractViolation("augment_features on empty memory")
     dc = mem.domain_class
     if dc.min() < 0:
         raise ContractViolation("augment_features: domain-class labels must be >= 0")
-    if n_samples is None:
-        n_samples = cfg.samples_per_feature * m
     idx = rng.integers(0, m, size=n_samples)
     feats = mem.features[idx]
     drawn_dc = dc[idx]

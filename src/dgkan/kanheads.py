@@ -16,7 +16,6 @@ Layer conventions used throughout:
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +63,20 @@ def group_index_map(d_in: int, groups: int) -> np.ndarray:
     return np.minimum(np.arange(d_in) // d_g, groups - 1)
 
 
+def group_stats(features: np.ndarray, groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group mean and std of an (N, d_in) sample, each over all rows and
+    the group's dimensions (``group_index_map``), as two (groups,) arrays."""
+    feats = np.asarray(features, dtype=np.float64)
+    if feats.ndim != 2 or feats.shape[0] == 0:
+        raise ContractViolation("group statistics require a non-empty (N, d_in) feature sample")
+    gmap = group_index_map(feats.shape[1], groups)
+    mean, std = np.empty(groups), np.empty(groups)
+    for g in range(groups):
+        block = feats[:, gmap == g]          # one block at a time keeps the peak small
+        mean[g], std[g] = block.mean(), block.std()
+    return mean, std
+
+
 class DgLayer:
     """One domain's grouped-RBF layer: y = W @ [phi_group(i)(x_i)]_i.
 
@@ -95,18 +108,10 @@ class DgLayer:
         Centers are per-group feature means, widths per-group feature
         standard deviations clamped to [0.05, 2.0], W uniform in (-0.1, 0.1).
         """
-        feats = np.asarray(features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[0] == 0:
-            raise ContractViolation("from_features requires a non-empty (N, d_in) sample")
-        d_in = feats.shape[1]
-        gmap = group_index_map(d_in, groups)
-        centers = np.empty(groups)
-        widths = np.empty(groups)
-        for g in range(groups):
-            block = feats[:, gmap == g]
-            centers[g] = block.mean()
-            widths[g] = min(max(block.std(), SIGMA_INIT_LO), SIGMA_INIT_HI)
+        centers, spread = group_stats(features, groups)
+        d_in = np.shape(features)[1]
         W = rng.uniform(-0.1, 0.1, size=(d_out, d_in))
+        widths = np.clip(spread, SIGMA_INIT_LO, SIGMA_INIT_HI)
         return cls(task_id, d_in, d_out, groups, W, centers, widths)
 
     # -- parameter plumbing -------------------------------------------------
@@ -241,6 +246,9 @@ class DgkdHead:
             dX = _sum_in_layer_order(common * (-z / s), dX)
         return dX, active_grads
 
+    def n_params(self) -> int:
+        return self.active_layer.n_params()
+
     def param_vector(self) -> np.ndarray:
         return self.active_layer.param_vector()
 
@@ -248,9 +256,6 @@ class DgkdHead:
         if self.active_layer.frozen:
             raise ContractViolation("active layer is frozen")
         self.active_layer.set_param_vector(vec)
-
-    def snapshot(self) -> "DgkdHead":
-        return copy.deepcopy(self)
 
 
 def _sum_in_layer_order(frozen_terms: np.ndarray, active_term: np.ndarray) -> np.ndarray:
@@ -265,27 +270,22 @@ def _sum_in_layer_order(frozen_terms: np.ndarray, active_term: np.ndarray) -> np
 
 def add_task_layer(head: DgkdHead, features: np.ndarray, rng: RngStream) -> DgkdHead:
     """Freeze every existing layer and append a fresh one for the new domain,
-    initialized over the supplied feature sample."""
+    initialized over the supplied feature sample.
+
+    The layers are frozen in place and shared with the returned head, which
+    stacks their parameters in its constructor.  ``head`` itself must not be
+    trained any further: its active layer is now frozen, so its
+    ``set_param_vector`` raises.
+    """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] == 0:
         raise ContractViolation("add_task_layer requires a non-empty feature sample")
     if feats.shape[1] != head.d_in:
         raise ContractViolation(f"feature dim {feats.shape[1]} != head d_in {head.d_in}")
-    frozen = []
-    for layer in head.layers:
-        cp = copy.deepcopy(layer)
-        cp.frozen = True
-        frozen.append(cp)
     new = DgLayer.from_features(head.active_task + 1, feats, head.d_out, head.groups, rng)
-    return DgkdHead(head.d_in, head.d_out, head.groups, frozen + [new])
-
-
-def dg_layer_forward(x: np.ndarray, layer: DgLayer) -> np.ndarray:
-    return layer.forward(x)
-
-
-def dgkd_forward(x: np.ndarray, head: DgkdHead) -> np.ndarray:
-    return head.forward(x)
+    for layer in head.layers:
+        layer.frozen = True
+    return DgkdHead(head.d_in, head.d_out, head.groups, head.layers + [new])
 
 
 def activation_profile(head: DgkdHead, group_index: int, xs) -> np.ndarray:
@@ -536,10 +536,6 @@ def make_baseline_head(kind: str, d_in: int, d_out: int, rng: RngStream,
     raise ContractViolation(f"unknown baseline head kind: {kind!r}")
 
 
-def baseline_forward(x: np.ndarray, head: BaselineHead) -> np.ndarray:
-    return head.forward(x)
-
-
 class FeatureExtractor:
     """Two affine layers with a silu in between; the trainable stand-in for a
     large frozen-vision backbone at desk scale."""
@@ -553,13 +549,10 @@ class FeatureExtractor:
         self.d_f = self.W2.shape[0]
 
     @classmethod
-    def init(cls, d_x: int, d_f: int, hidden: int, rng: RngStream,
-             feature_scale: float = 1.0) -> "FeatureExtractor":
-        """Glorot-uniform init; ``feature_scale`` multiplies the output layer
-        so the feature magnitude (and with it the balance between absolute
-        anchoring losses and direction-based losses) can be set per experiment."""
+    def init(cls, d_x: int, d_f: int, hidden: int, rng: RngStream) -> "FeatureExtractor":
+        """Glorot-uniform init."""
         a1 = np.sqrt(6.0 / (d_x + hidden))
-        a2 = feature_scale * np.sqrt(6.0 / (hidden + d_f))
+        a2 = np.sqrt(6.0 / (hidden + d_f))
         return cls(rng.uniform(-a1, a1, (hidden, d_x)), np.zeros(hidden),
                    rng.uniform(-a2, a2, (d_f, hidden)), np.zeros(d_f))
 
@@ -602,10 +595,6 @@ class FeatureExtractor:
     def snapshot(self) -> "FeatureExtractor":
         """Deep, independent copy (used for the frozen teacher)."""
         return FeatureExtractor(self.W1.copy(), self.b1.copy(), self.W2.copy(), self.b2.copy())
-
-
-def extractor_forward(x: np.ndarray, f: FeatureExtractor) -> np.ndarray:
-    return f.forward(x)
 
 
 def _as_batch(X: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:

@@ -14,7 +14,7 @@ import pytest
 
 from dgkan.cli import parse_config_text, run_experiment
 from dgkan.continual import (AblationSwitches, ScoreMatrix, Trainer, TrainerConfig, accuracy,
-                             auc, average_accuracy, average_forgetting)
+                             auc, average_accuracy, average_forgetting, run_stream)
 from dgkan.fskdcp import (AugmentConfig, KdcpProjection, herd_indices, train_projection_step)
 from dgkan.kanheads import (DgkdHead, FeatureExtractor, GroupKanHead, MlpHead, RbfParams,
                             DgLayer, make_baseline_head, rbf_eval, rbf_grad)
@@ -51,15 +51,7 @@ def bench_run(protocol: str, seed: int, head: str = "dgkd", use_sc=True, use_kd=
                         switches=AblationSwitches(use_sc=use_sc, use_kd=use_kd,
                                                   use_kdcp=use_kdcp,
                                                   use_raw_replay=use_raw_replay))
-    trainer = Trainer(cfg, seed)
-    matrix = ScoreMatrix()
-    eval_sets = []
-    for t in range(len(stream)):
-        Xtr, ytr = dataset(stream, t, "train")
-        eval_sets.append(dataset(stream, t, "eval"))
-        trainer.train_task(Xtr, ytr)
-        accs, aucs = trainer.evaluate_all(eval_sets)
-        matrix.add_row(accs, aucs)
+    matrix, _ = run_stream(stream, cfg)
     _RUN_CACHE[key] = matrix
     return matrix
 

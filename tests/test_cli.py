@@ -155,6 +155,28 @@ class TestCliVerbs:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert main(["verify", "--dir", str(out)]) == 0
 
+    def test_verify_fails_after_memory_edit(self, tmp_path):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(TINY)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        mem = out / "memory_final.csv"
+        mem.write_text(mem.read_text().replace(",", ", ", 1))
+        assert main(["verify", "--dir", str(out)]) == 3
+
+    def test_manifest_lists_only_this_runs_artifacts(self, tmp_path):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(TINY)
+        out = tmp_path / "out"
+        (out / "subdir").mkdir(parents=True)
+        (out / "stale.csv").write_text("left by an earlier run\n")
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "complete"
+        assert sorted(manifest["artifacts"]) == ["config_resolved.txt", "memory_final.csv",
+                                                 "scores.csv", "summary.json"]
+        assert main(["verify", "--dir", str(out)]) == 0
+
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.txt"
         cfg_path.write_text("config_version = 1\nbogus = 1\n")
@@ -204,7 +226,7 @@ class TestEmbeddings:
         cfg = parse_config_text(TINY)
         stream = gen_sequence(cfg.protocol, cfg.seed, train_n=cfg.train_samples,
                               eval_n=cfg.eval_samples)
-        matrix, trainer = run_stream(stream, trainer_config(cfg), seed=cfg.seed)
+        matrix, trainer = run_stream(stream, trainer_config(cfg))
         n = dump_embeddings(trainer, stream, tmp_path / "emb.csv")
         assert n == 4 * cfg.eval_samples
         lines = (tmp_path / "emb.csv").read_text().splitlines()

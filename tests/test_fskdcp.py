@@ -73,7 +73,7 @@ class TestSelection:
     def test_quotas_differ_by_at_most_one(self, rng):
         F = rng.normal(size=(40, 2))
         d = np.repeat([0, 1, 2], [14, 13, 13])
-        mem = select_features(F, d, budget=10)
+        mem, _ = select_features(F, d, budget=10)
         counts = [int((mem.domain_class == l).sum()) for l in (0, 1, 2)]
         assert sum(counts) == 10
         assert max(counts) - min(counts) <= 1
@@ -82,7 +82,7 @@ class TestSelection:
     def test_budget_never_exceeded(self, rng):
         F = rng.normal(size=(100, 2))
         d = rng.integers(0, 4, 100)
-        mem = select_features(F, d, budget=17)
+        mem, _ = select_features(F, d, budget=17)
         assert len(mem) <= 17
 
     def test_quota_redistribution_when_label_small(self):
@@ -101,7 +101,7 @@ class TestSelection:
     def test_label_decoding(self, rng):
         F = rng.normal(size=(8, 2))
         d = np.array([0, 1, 2, 3, 4, 5, 6, 7])
-        mem = select_features(F, d, budget=8, space_task=4)
+        mem, _ = select_features(F, d, budget=8, space_task=4)
         assert np.array_equal(mem.label, d % 2)
         assert np.array_equal(mem.source_task, d // 2 + 1)
         assert mem.space_task == 4
@@ -233,11 +233,6 @@ class TestAugment:
         mem = self._memory(rng)
         batch = augment_features(mem, AugmentConfig(), rng.substream("c"), n_samples=64)
         assert set(np.unique(batch.domain_class)) <= set(np.unique(mem.domain_class))
-
-    def test_default_sample_count(self, rng):
-        mem = self._memory(rng)
-        batch = augment_features(mem, AugmentConfig(samples_per_feature=2), rng.substream("d"))
-        assert batch.features.shape[0] == 2 * len(mem)
 
     def test_deterministic_given_stream(self, rng):
         mem = self._memory(rng)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dgkan.kanheads import (DgkdHead, DgLayer, FeatureExtractor, GroupKanHead, MlpHead,
-                            RbfParams, _silu, activation_profile, add_task_layer, baseline_forward,
-                            dg_layer_forward, dgkd_forward, extractor_forward,
+                            RbfParams, _silu, activation_profile, add_task_layer,
                             group_index_map, make_baseline_head, rbf_eval, rbf_grad)
 from dgkan.numcore import AdamState, ContractViolation, RngStream, adam_step, finite_diff_grad, max_rel_err
 from dgkan.losses import bce_loss
@@ -67,8 +66,8 @@ def _random_layer(rng, d_in=5, d_out=3, groups=2, task_id=1):
 class TestDgLayer:
     def test_hand_value(self):
         layer = DgLayer(1, 2, 1, 1, W=[[1.0, 1.0]], centers=[0.0], widths=[1.0])
-        assert dg_layer_forward(np.array([0.0, 0.0]), layer)[0] == pytest.approx(2.0)
-        out = dg_layer_forward(np.array([0.0, 10.0]), layer)[0]
+        assert layer.forward(np.array([0.0, 0.0]))[0] == pytest.approx(2.0)
+        out = layer.forward(np.array([0.0, 10.0]))[0]
         assert out == pytest.approx(1.0 + math.exp(-50.0), abs=1e-20)
 
     def test_zero_weights(self, rng):
@@ -129,7 +128,7 @@ class TestDgkdHead:
         layer = _random_layer(rng)
         head = DgkdHead(5, 3, 2, [layer])
         X = rng.normal(size=(7, 5))
-        assert np.allclose(dgkd_forward(X, head), dg_layer_forward(X, layer))
+        assert np.allclose(head.forward(X), layer.forward(X))
 
     def test_zero_weight_layer_adds_nothing(self, rng):
         l1 = _random_layer(rng, task_id=1)
@@ -158,6 +157,19 @@ class TestDgkdHead:
         assert head.active_task == 2
         assert head.layers[0].frozen and not head.layers[1].frozen
         assert [l.task_id for l in head.layers] == [1, 2]
+
+    def test_stale_head_cannot_train_after_add_task_layer(self, rng):
+        # the layers are frozen in place and shared, so the head that was
+        # current before the new layer must refuse further updates
+        feats = rng.normal(size=(30, 5))
+        stale = add_task_layer(DgkdHead(5, 1, 2), feats, rng.substream("a"))
+        vec = stale.param_vector()
+        stale.set_param_vector(vec)
+        head = add_task_layer(stale, feats + 1.0, rng.substream("b"))
+        assert head.layers[0] is stale.layers[0] and stale.layers[0].frozen
+        with pytest.raises(ContractViolation, match="frozen"):
+            stale.set_param_vector(vec + 0.25)
+        assert head.layers[0].param_vector().tobytes() == vec.tobytes()
 
     def test_add_task_layer_centers_match_group_means(self, rng):
         head = DgkdHead(6, 1, 3)
@@ -308,7 +320,7 @@ class TestActivationProfile:
 class TestBaselineHeads:
     def test_mlp_zero_weights(self):
         head = MlpHead(np.zeros((6, 4)), np.zeros(6), np.zeros((1, 6)), np.zeros(1))
-        assert np.array_equal(baseline_forward(np.ones(4), head), np.zeros(1))
+        assert np.array_equal(head.forward(np.ones(4)), np.zeros(1))
 
     def test_groupkan_identity_activation_is_linear(self, rng):
         # P(x) = x, Q(x) = 1 reduces to an affine layer
@@ -356,7 +368,7 @@ class TestBaselineHeads:
 class TestFeatureExtractor:
     def test_zero_weights_give_bias_image(self):
         ext = FeatureExtractor(np.zeros((6, 4)), np.zeros(6), np.zeros((3, 6)), np.full(3, 0.7))
-        out = extractor_forward(np.ones(4), ext)
+        out = ext.forward(np.ones(4))
         assert np.array_equal(out, np.full(3, 0.7))
 
     def test_deterministic(self, rng):
@@ -385,9 +397,3 @@ class TestFeatureExtractor:
         before = snap.param_vector().copy()
         ext.W1 += 1.0
         assert np.array_equal(snap.param_vector(), before)
-
-    def test_feature_scale(self, rng):
-        base = FeatureExtractor.init(4, 3, 6, RngStream(9))
-        scaled = FeatureExtractor.init(4, 3, 6, RngStream(9), feature_scale=3.0)
-        assert np.allclose(scaled.W2, 3.0 * base.W2)
-        assert np.array_equal(scaled.W1, base.W1)
