@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import tempfile
 from dataclasses import dataclass, fields
@@ -17,12 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .continual import (ScoreMatrix, Trainer, TrainerConfig, average_accuracy,
-                        average_forgetting, run_stream)
-from .continual import AblationSwitches
-from .fskdcp import AugmentConfig, save_memory
+from .continual import (HEADS, ConfigError, ScoreMatrix, Trainer, TrainerConfig,
+                        average_accuracy, average_forgetting, run_stream)
+from .fskdcp import save_memory
 from .kanheads import DgkdHead, activation_profile
-from .losses import LossConfig
 from .numcore import ContractViolation
 from .synthbench import PROTOCOLS, TaskStream, dataset, gen_sequence
 
@@ -30,36 +27,15 @@ CONFIG_FORMAT_VERSION = 1
 SUMMARY_SCHEMA_VERSION = 1
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration (maps to exit code 2)."""
-
-
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(TrainerConfig):
+    """A run's trainer knobs plus the stream it trains on; with every field
+    at its default this is the reference run."""
+
     protocol: str = "four-task"
     seed: int = 11
-    head: str = "dgkd"
-    use_sc: bool = True
-    use_kd: bool = True
-    use_kdcp: bool = True
-    use_raw_replay: bool = False
-    lambda_sc: float = 2.0
-    lambda_kd: float = 1.0
-    tau: float = 0.1
-    sc_normalize: bool = True
-    d_x: int = 8
-    d_f: int = 16
-    groups: int = 4
-    hidden: int = 64
-    mlp_hidden: int = 32
-    memory_budget: int = 500
-    epochs: int = 20
-    batch_size: int = 64
-    train_samples: int = 512
-    eval_samples: int = 256
-    jitter_scale: float = 0.5
-    main_lr: float = 2e-4
-    proj_lr: float = 5e-4
+    train_samples: int = 1024
+    eval_samples: int = 512
 
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -106,30 +82,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    """Raise ConfigError (exit code 2) for an unknown protocol or any value
+    that breaks a ``TrainerConfig.validate`` rule."""
     if cfg.protocol not in PROTOCOLS:
         raise ConfigError(f"config field 'protocol': must be one of {PROTOCOLS}, got {cfg.protocol!r}")
-    if cfg.head not in ("dgkd", "mlp", "groupkan"):
-        raise ConfigError(f"config field 'head': must be dgkd, mlp or groupkan, got {cfg.head!r}")
-    for name in ("tau", "main_lr", "proj_lr", "lambda_sc", "lambda_kd", "jitter_scale"):
-        if not math.isfinite(getattr(cfg, name)):
-            raise ConfigError(f"config field {name!r}: must be finite, got {getattr(cfg, name)!r}")
-    for name in ("tau", "main_lr", "proj_lr"):
-        if getattr(cfg, name) <= 0:
-            raise ConfigError(f"config field {name!r}: must be > 0")
-    for name in ("lambda_sc", "lambda_kd", "jitter_scale"):
-        if getattr(cfg, name) < 0:
-            raise ConfigError(f"config field {name!r}: must be >= 0")
-    for name in ("d_x", "d_f", "groups", "hidden", "mlp_hidden", "memory_budget",
-                 "epochs", "batch_size", "train_samples", "eval_samples"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"config field {name!r}: must be >= 1")
-    if cfg.groups > cfg.d_f:
-        raise ConfigError("config field 'groups': must not exceed d_f")
-    if cfg.head == "groupkan" and cfg.mlp_hidden < cfg.d_f:
-        # the hidden groupkan layer splits its mlp_hidden inputs into d_f groups
-        raise ConfigError("config field 'mlp_hidden': the groupkan head needs at least d_f")
-    if cfg.d_x % 8 != 0:
-        raise ConfigError("config field 'd_x': protocol geometry requires a multiple of 8")
+    cfg.validate()
 
 
 def config_lines(cfg: ExperimentConfig) -> list[str]:
@@ -150,16 +107,8 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def trainer_config(cfg: ExperimentConfig) -> TrainerConfig:
-    return TrainerConfig(
-        d_x=cfg.d_x, d_f=cfg.d_f, hidden=cfg.hidden, groups=cfg.groups,
-        head_kind=cfg.head, mlp_hidden=cfg.mlp_hidden,
-        loss=LossConfig(lambda_sc=cfg.lambda_sc, lambda_kd=cfg.lambda_kd, tau=cfg.tau,
-                        sc_normalize=cfg.sc_normalize),
-        augment=AugmentConfig(jitter_scale=cfg.jitter_scale),
-        switches=AblationSwitches(use_sc=cfg.use_sc, use_kd=cfg.use_kd,
-                                  use_kdcp=cfg.use_kdcp, use_raw_replay=cfg.use_raw_replay),
-        memory_budget=cfg.memory_budget, batch_size=cfg.batch_size, epochs=cfg.epochs,
-        main_lr=cfg.main_lr, proj_lr=cfg.proj_lr)
+    """The trainer's fields of an experiment config."""
+    return TrainerConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainerConfig)})
 
 
 def build_stream(cfg: ExperimentConfig) -> TaskStream:
@@ -386,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, out_required=True):
         p.add_argument("--config", help="path to a flat key = value config file")
         p.add_argument("--seed", type=int)
-        p.add_argument("--head", choices=["dgkd", "mlp", "groupkan"])
+        p.add_argument("--head", choices=HEADS)
         p.add_argument("--protocol", choices=list(PROTOCOLS))
         p.add_argument("--ablate", help="comma list from {sc, kd, kdcp} to switch off")
         p.add_argument("--replay-raw", action="store_true", dest="replay_raw")

@@ -15,58 +15,102 @@ baseline heads keep one global parameter set):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .fskdcp import (AugmentConfig, FeatureMemory, KdcpProjection, augment_features,
-                     project_memory, select_features, train_projection_step)
+from .fskdcp import (FeatureMemory, KdcpProjection, augment_features, project_memory,
+                     select_features, train_projection_step)
 from .kanheads import (DgkdHead, FeatureExtractor, add_task_layer, make_baseline_head)
-from .losses import (DomainLabeledBatch, LossConfig, bce_loss, kd_loss, overall_loss,
-                     supcon_loss)
+from .losses import (DomainLabeledBatch, bce_loss, kd_loss, overall_loss, supcon_loss)
 from .numcore import AdamState, ContractViolation, RngStream, adam_step
 from .synthbench import TaskStream, dataset
 
+HEADS = ("dgkd", "mlp", "groupkan")
 
-@dataclass
-class AblationSwitches:
-    use_sc: bool = True
-    use_kd: bool = True
-    use_kdcp: bool = True
-    use_raw_replay: bool = False
+
+class ConfigError(ContractViolation):
+    """A config value breaks one of ``TrainerConfig.validate``'s rules."""
 
 
 @dataclass
 class TrainerConfig:
+    """Every knob of one training run; the defaults are the reference run.
+
+    ``validate`` holds every rule on the values; ``Trainer`` runs it before it
+    builds anything, and the CLI runs it on a parsed config.
+    """
+
+    head: str = "dgkd"                   # dgkd | mlp | groupkan
+    use_sc: bool = True
+    use_kd: bool = True
+    use_kdcp: bool = True
+    use_raw_replay: bool = False
+    lambda_sc: float = 2.0
+    lambda_kd: float = 1.0
+    tau: float = 0.1
+    # L2-normalize features inside the contrastive loss: on by default, and a
+    # knob so that ablations of the convention are reproducible
+    sc_normalize: bool = True
     d_x: int = 8
     d_f: int = 16
-    hidden: int = 64
     groups: int = 4
-    head_kind: str = "dgkd"              # dgkd | mlp | groupkan
+    hidden: int = 64
     mlp_hidden: int = 32                 # hidden width of both baseline heads
-    loss: LossConfig = field(default_factory=LossConfig)
-    augment: AugmentConfig = field(default_factory=AugmentConfig)
-    switches: AblationSwitches = field(default_factory=AblationSwitches)
     memory_budget: int = 500
+    epochs: int = 40
     batch_size: int = 64
-    epochs: int = 20
+    # replay jitter std per label, as a multiple of that label's std over the
+    # stored rows; 0 replays stored rows exactly
+    jitter_scale: float = 0.5
     main_lr: float = 2e-4
     proj_lr: float = 5e-4
+
+    def validate(self) -> None:
+        """Raise ConfigError naming the first field that breaks its rule.
+
+        The type rules cover a subclass's fields too: every float must be
+        finite, and every int except ``seed`` counts something, so it must be
+        at least 1.
+        """
+        if self.head not in HEADS:
+            raise ConfigError(f"config field 'head': must be one of {HEADS}, got {self.head!r}")
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(val):
+                raise ConfigError(f"config field {f.name!r}: must be finite, got {val!r}")
+            if f.type == "int" and f.name != "seed" and val < 1:
+                raise ConfigError(f"config field {f.name!r}: must be >= 1")
+        for name in ("tau", "main_lr", "proj_lr"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"config field {name!r}: must be > 0")
+        for name in ("lambda_sc", "lambda_kd", "jitter_scale"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"config field {name!r}: must be >= 0")
+        if self.groups > self.d_f:
+            raise ConfigError("config field 'groups': must not exceed d_f")
+        if self.head == "groupkan" and self.mlp_hidden < self.d_f:
+            # the hidden groupkan layer splits its mlp_hidden inputs into d_f groups
+            raise ConfigError("config field 'mlp_hidden': the groupkan head needs at least d_f")
+        if self.d_x % 8 != 0:
+            raise ConfigError("config field 'd_x': protocol geometry requires a multiple of 8")
 
 
 class Trainer:
     """Single-writer trainer state for one domain-incremental run."""
 
     def __init__(self, cfg: TrainerConfig, seed: int):
+        cfg.validate()
         self.cfg = cfg
         self.rng = RngStream(seed).substream("trainer")
         self.extractor = FeatureExtractor.init(cfg.d_x, cfg.d_f, cfg.hidden,
                                                self.rng.substream("extractor-init"))
         self.teacher: FeatureExtractor | None = None
-        if cfg.head_kind == "dgkd":
+        if cfg.head == "dgkd":
             self.head = DgkdHead(cfg.d_f, 1, cfg.groups)
         else:   # groupkan: one rational group per feature dimension in both layers
-            self.head = make_baseline_head(cfg.head_kind, cfg.d_f, 1,
+            self.head = make_baseline_head(cfg.head, cfg.d_f, 1,
                                            self.rng.substream("head-init"),
                                            hidden=cfg.mlp_hidden, groups=cfg.d_f)
         self.memory: FeatureMemory | None = None
@@ -77,8 +121,7 @@ class Trainer:
     # -- helpers -------------------------------------------------------------
 
     def _trains_projection(self) -> bool:
-        sw = self.cfg.switches
-        return self.task >= 2 and sw.use_kdcp and not sw.use_raw_replay
+        return self.task >= 2 and self.cfg.use_kdcp and not self.cfg.use_raw_replay
 
     def _replay_view(self) -> FeatureMemory:
         """Memory as seen by the replay path this step.
@@ -137,11 +180,10 @@ class Trainer:
     def _train_step(self, xb: np.ndarray, yb: np.ndarray, t: int, proj_opt,
                     opt_ext: AdamState, opt_head: AdamState, rng_replay: RngStream):
         cfg = self.cfg
-        sw = cfg.switches
         nb = xb.shape[0]
 
         raw_replay = None
-        if sw.use_raw_replay and self.raw_memory is not None:
+        if cfg.use_raw_replay and self.raw_memory is not None:
             ridx = rng_replay.integers(0, len(self.memory), size=nb)
             raw_replay = (self.raw_memory[ridx], self.memory.domain_class[ridx])
 
@@ -153,7 +195,7 @@ class Trainer:
         F = F_full[:nb]
 
         teacher_F = None
-        if t >= 2 and (sw.use_kd or self._trains_projection()):
+        if t >= 2 and (cfg.use_kd or self._trains_projection()):
             teacher_F = self.teacher.forward(xb)
 
         if proj_opt is not None:
@@ -166,13 +208,13 @@ class Trainer:
         dF_total = dF_head.copy()
         sc = 0.0
         dF_sc_replay = None
-        if sw.use_sc:
+        if cfg.use_sc:
             dc_now = 2 * (t - 1) + yb
             if raw_replay is not None:
                 sc_feats = F_full
                 sc_dc = np.concatenate([dc_now, raw_replay[1]])
             elif self.memory is not None:
-                rb = augment_features(self._replay_view(), cfg.augment, rng_replay, n_samples=nb)
+                rb = augment_features(self._replay_view(), cfg.jitter_scale, rng_replay, n_samples=nb)
                 sc_feats = np.vstack([F, rb.features])
                 sc_dc = np.concatenate([dc_now, rb.domain_class])
             else:
@@ -181,17 +223,17 @@ class Trainer:
             if np.unique(sc_dc).size >= 2:
                 batch = DomainLabeledBatch(features=sc_feats, domain_class=sc_dc,
                                            label=np.zeros(sc_feats.shape[0], dtype=np.int64))
-                sc, dF_sc = supcon_loss(batch, cfg.loss.tau, normalize=cfg.loss.sc_normalize)
-                dF_total += cfg.loss.lambda_sc * dF_sc[:nb]
+                sc, dF_sc = supcon_loss(batch, cfg.tau, normalize=cfg.sc_normalize)
+                dF_total += cfg.lambda_sc * dF_sc[:nb]
                 if raw_replay is not None:
-                    dF_sc_replay = cfg.loss.lambda_sc * dF_sc[nb:]
+                    dF_sc_replay = cfg.lambda_sc * dF_sc[nb:]
 
         kd = 0.0
-        if sw.use_kd and t >= 2:
+        if cfg.use_kd and t >= 2:
             kd, dF_kd = kd_loss(teacher_F, F)
-            dF_total += cfg.loss.lambda_kd * dF_kd
+            dF_total += cfg.lambda_kd * dF_kd
 
-        overall_loss(cls, sc, kd, cfg.loss)   # raises ContractViolation on a non-finite total
+        overall_loss(cls, sc, kd, cfg.lambda_sc, cfg.lambda_kd)   # raises ContractViolation on a non-finite total
 
         if raw_replay is not None:
             dF_full = np.vstack([dF_total, dF_sc_replay if dF_sc_replay is not None
@@ -211,7 +253,7 @@ class Trainer:
         task's.  The old rows are the stored features (re-projected first
         when the projection trained), or with raw replay the stored inputs
         through the current extractor, whose raw rows follow the selection."""
-        raw_replay = self.cfg.switches.use_raw_replay
+        raw_replay = self.cfg.use_raw_replay
         pool_F, pool_dc, pool_X = self.extractor.forward(X), 2 * (t - 1) + y, X
         if self._trains_projection():
             self.memory = project_memory(self.memory, self.projection)

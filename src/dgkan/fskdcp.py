@@ -4,7 +4,7 @@ at task transitions, and jittered replay-batch augmentation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -205,22 +205,6 @@ def project_memory(mem: FeatureMemory, proj: KdcpProjection) -> FeatureMemory:
                          budget=mem.budget, space_task=proj.target_task)
 
 
-@dataclass
-class AugmentConfig:
-    """Label-conditional Gaussian jitter for replay batches.
-
-    ``jitter_scale`` = 0 reproduces stored rows exactly; otherwise the noise
-    std per label is jitter_scale times that label's per-dimension std over
-    the stored rows.
-    """
-
-    jitter_scale: float = 0.5
-
-    def __post_init__(self):
-        if self.jitter_scale < 0.0:
-            raise ContractViolation("jitter_scale must be >= 0")
-
-
 def _label_stds(features: np.ndarray, domain_class: np.ndarray) -> np.ndarray:
     """Per-label, per-column std of ``features`` as an (L, d_f) table, L =
     max label + 1; labels absent from ``domain_class`` get a zero row.
@@ -246,11 +230,12 @@ def _label_stds(features: np.ndarray, domain_class: np.ndarray) -> np.ndarray:
     return np.sqrt(var)
 
 
-def augment_features(mem: FeatureMemory, cfg: AugmentConfig, rng: RngStream,
+def augment_features(mem: FeatureMemory, jitter_scale: float, rng: RngStream,
                      n_samples: int) -> DomainLabeledBatch:
     """Draw a replay batch of ``n_samples`` rows: pick stored rows uniformly
-    (so uniformly within each label) and jitter them with that label's scaled
-    diagonal std, read from the ``_label_stds`` table of the whole memory."""
+    (so uniformly within each label) and jitter them with that label's
+    diagonal std, read from the ``_label_stds`` table of the whole memory,
+    times ``jitter_scale``.  A scale of 0 reproduces the stored rows."""
     m = len(mem)
     if m == 0:
         raise ContractViolation("augment_features on empty memory")
@@ -260,10 +245,10 @@ def augment_features(mem: FeatureMemory, cfg: AugmentConfig, rng: RngStream,
     idx = rng.integers(0, m, size=n_samples)
     feats = mem.features[idx]
     drawn_dc = dc[idx]
-    if cfg.jitter_scale > 0.0:
+    if jitter_scale > 0.0:
         noise = rng.normal(size=feats.shape)
         scale = np.take(_label_stds(mem.features, dc), drawn_dc, axis=0)
-        feats += cfg.jitter_scale * scale * noise
+        feats += jitter_scale * scale * noise
     return DomainLabeledBatch(features=feats, domain_class=drawn_dc, label=mem.label[idx])
 
 

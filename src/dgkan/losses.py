@@ -14,27 +14,6 @@ from .numcore import ContractViolation, check_finite
 
 
 @dataclass
-class LossConfig:
-    """Loss weights and contrastive temperature.
-
-    ``sc_normalize`` switches the L2 normalization applied to features inside
-    the contrastive loss; it is on by default and recorded here so ablations
-    of the convention are reproducible.
-    """
-
-    lambda_sc: float = 2.0
-    lambda_kd: float = 1.0
-    tau: float = 0.1
-    sc_normalize: bool = True
-
-    def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ContractViolation("tau must be positive")
-        if self.lambda_sc < 0.0 or self.lambda_kd < 0.0:
-            raise ContractViolation("loss weights must be >= 0")
-
-
-@dataclass
 class DomainLabeledBatch:
     """Features with per-sample domain-class labels (2T coding) and binary labels."""
 
@@ -170,9 +149,10 @@ def align_loss(projected: np.ndarray, current: np.ndarray) -> tuple[float, np.nd
     return loss, grad
 
 
-def overall_loss(cls_loss: float, sc_loss: float, kd_loss_value: float, cfg: LossConfig) -> float:
+def overall_loss(cls_loss: float, sc_loss: float, kd_loss_value: float, lambda_sc: float,
+                 lambda_kd: float) -> float:
     """Weighted training objective: cls + lambda_sc * sc + lambda_kd * kd."""
-    total = cls_loss + cfg.lambda_sc * sc_loss + cfg.lambda_kd * kd_loss_value
+    total = cls_loss + lambda_sc * sc_loss + lambda_kd * kd_loss_value
     if not np.isfinite(total):
         raise ContractViolation("overall_loss: non-finite component")
     return float(total)

@@ -1,4 +1,4 @@
-"""Dense float64 numerics: Adam, a finite-difference gradient oracle, and
+"""Float64 numerics: Adam, a finite-difference gradient oracle, and
 counter-based random streams.
 
 Everything downstream computes gradients analytically, layer by layer; the
@@ -25,33 +25,6 @@ def check_finite(a: np.ndarray, name: str = "array") -> np.ndarray:
         bad = np.argwhere(~np.isfinite(np.atleast_1d(a)))
         raise ContractViolation(f"{name} contains non-finite entries (first at index {tuple(bad[0])})")
     return a
-
-
-def dense(values, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Build a validated float64 matrix from row-major values.
-
-    If ``rows``/``cols`` are given, ``values`` may be flat and is reshaped;
-    a length mismatch is a contract violation.
-    """
-    a = np.asarray(values, dtype=np.float64)
-    if rows is not None and cols is not None:
-        if a.size != rows * cols:
-            raise ContractViolation(f"expected {rows}x{cols}={rows * cols} values, got {a.size}")
-        a = a.reshape(rows, cols)
-    if a.ndim != 2:
-        raise ContractViolation(f"matrix must be 2-D, got ndim={a.ndim}")
-    return check_finite(a, "matrix")
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact dense product with dimension checking."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ContractViolation("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ContractViolation(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 @dataclass
@@ -179,6 +152,3 @@ class RngStream:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def choice(self, a, size=None, replace: bool = True):
-        return self._gen.choice(a, size=size, replace=replace)

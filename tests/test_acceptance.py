@@ -12,10 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from dgkan.cli import parse_config_text, run_experiment
-from dgkan.continual import (AblationSwitches, ScoreMatrix, Trainer, TrainerConfig, accuracy,
-                             auc, average_accuracy, average_forgetting, run_stream)
-from dgkan.fskdcp import (AugmentConfig, KdcpProjection, herd_indices, train_projection_step)
+from dgkan.cli import (ExperimentConfig, build_stream, config_hash, parse_config_text,
+                       run_experiment, trainer_config)
+from dgkan.continual import (ScoreMatrix, Trainer, TrainerConfig, accuracy, auc,
+                             average_accuracy, average_forgetting, run_stream)
+from dgkan.fskdcp import (KdcpProjection, herd_indices, train_projection_step)
 from dgkan.kanheads import (DgkdHead, FeatureExtractor, GroupKanHead, MlpHead, RbfParams,
                             DgLayer, make_baseline_head, rbf_eval, rbf_grad)
 from dgkan.losses import (DomainLabeledBatch, align_loss, bce_loss, kd_loss, supcon_loss)
@@ -27,7 +28,6 @@ from test_fskdcp import herding_oracle
 from test_continual import auc_pair_oracle
 
 GRAD_TOL = 1e-4
-BENCH_EPOCHS = 40
 
 
 def _announce(num: int, ok: bool, detail: str):
@@ -41,19 +41,14 @@ def _announce(num: int, ok: bool, detail: str):
 _RUN_CACHE: dict = {}
 
 
-def bench_run(protocol: str, seed: int, head: str = "dgkd", use_sc=True, use_kd=True,
-              use_kdcp=True, use_raw_replay=False) -> ScoreMatrix:
-    key = (protocol, seed, head, use_sc, use_kd, use_kdcp, use_raw_replay)
-    if key in _RUN_CACHE:
-        return _RUN_CACHE[key]
-    stream = gen_sequence(protocol, seed)
-    cfg = TrainerConfig(epochs=BENCH_EPOCHS, head_kind=head,
-                        switches=AblationSwitches(use_sc=use_sc, use_kd=use_kd,
-                                                  use_kdcp=use_kdcp,
-                                                  use_raw_replay=use_raw_replay))
-    matrix, _ = run_stream(stream, cfg)
-    _RUN_CACHE[key] = matrix
-    return matrix
+def bench_run(protocol: str, seed: int, **knobs) -> ScoreMatrix:
+    """The reference run (every other config field at its CLI default) with
+    ``knobs`` set, e.g. ``head="mlp"`` or ``use_kdcp=False``."""
+    cfg = ExperimentConfig(protocol=protocol, seed=seed, **knobs)
+    key = config_hash(cfg)
+    if key not in _RUN_CACHE:
+        _RUN_CACHE[key], _ = run_stream(build_stream(cfg), trainer_config(cfg))
+    return _RUN_CACHE[key]
 
 
 def mean_final_af(protocol: str, **kw) -> float:
@@ -199,8 +194,7 @@ def test_c03_locality_on_separated_protocol():
     stream = gen_sequence("two-task-separated", seed)
     # locality isolated from the separation machinery: the stream is already
     # separated, so the contrastive term is off and distillation anchors drift
-    cfg = TrainerConfig(epochs=BENCH_EPOCHS,
-                        switches=AblationSwitches(use_sc=False, use_kd=True, use_kdcp=False))
+    cfg = TrainerConfig(use_sc=False, use_kd=True, use_kdcp=False)
     tr = Trainer(cfg, seed)
     X1, y1 = dataset(stream, 0, "train")
     X1e, y1e = dataset(stream, 0, "eval")

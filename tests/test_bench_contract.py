@@ -1,19 +1,32 @@
-"""The benchmark's tracing contract: every entry of ``perfbench/tracing.py``'s
-``TRACED`` table must resolve in dgkan, in the place the tracer patches it.
+"""The benchmark's contract with dgkan.
+
+Every entry of ``perfbench/tracing.py``'s ``TRACED`` table must resolve in
+dgkan, in the place the tracer patches it.
 
 Methods must sit in their own class's ``__dict__`` (the tracer reads
 ``cls.__dict__[attr]``) and functions must be module attributes (the tracer
 rebinds every module-level name bound to the same object).  A rename, a
 merge into a base class or a deleted function breaks ``Tracer.install``;
 this test catches that before a benchmark run does.
+
+Every workload's set-up (``worker.py setup``: config parse, the TINY
+overrides set by ``setattr``, ``validate_config``, ``trainer_config`` and a
+fresh ``Trainer``) must run, so a config change that breaks it fails here
+rather than in a benchmark run.
 """
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dgkan
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+WORKLOADS = sorted(json.loads((PERFBENCH / "workloads.json").read_text())["workloads"])
 
 
 def _load_tracing():
@@ -66,3 +79,13 @@ def test_install_wraps_and_uninstall_restores():
     after = _package_bindings()
     for name, bindings in before.items():
         assert all(after[name].get(key) is val for key, val in bindings.items()), name
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_worker_setup_runs(workload):
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "worker.py"), "setup", "--workload",
+                           workload, "--data-seed", "0", "--tiny"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    setup_s = json.loads(proc.stdout.strip().splitlines()[-1])["setup_s"]
+    assert isinstance(setup_s, float) and setup_s >= 0.0

@@ -1,15 +1,25 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dgkan.cli import (ConfigError, ExperimentConfig, config_hash, config_lines, dump_embeddings,
-                       dump_profile, main, parse_config_text, parse_scores_csv, pca_2d, report,
-                       run_experiment, scores_csv_text, trainer_config, validate_config)
-from dgkan.continual import Trainer, average_forgetting, run_stream
+from dgkan.cli import (ConfigError, ExperimentConfig, build_stream, config_hash, config_lines,
+                       dump_embeddings, dump_profile, main, parse_config_text, parse_scores_csv,
+                       pca_2d, report, run_experiment, trainer_config, validate_config)
+from dgkan.continual import ScoreMatrix, TrainerConfig, average_forgetting, run_stream
 from dgkan.numcore import ContractViolation, RngStream
-from dgkan.synthbench import gen_sequence
+from dgkan.synthbench import REFERENCE_SEEDS, gen_sequence, save_stream
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# a value other than the default, per field type
+_OTHER = {"bool": lambda v: not v, "int": lambda v: v + 8, "float": lambda v: 3.0 * v,
+          "str": lambda v: "groupkan"}
 
 TINY = """\
 config_version = 1
@@ -36,7 +46,30 @@ class TestConfig:
         assert cfg.lambda_sc == 2.0 and cfg.lambda_kd == 1.0 and cfg.tau == 0.1
         assert cfg.batch_size == 64 and cfg.memory_budget == 500
         assert cfg.main_lr == 2e-4 and cfg.proj_lr == 5e-4
-        assert cfg.epochs == 20
+        assert cfg.epochs == 40
+        assert cfg.train_samples == 1024 and cfg.eval_samples == 512
+
+    @pytest.mark.parametrize("protocol", ["four-task", "ten-task"])
+    def test_defaults_are_the_acceptance_reference_run(self, protocol, monkeypatch, tmp_path):
+        import test_acceptance
+        used = []
+        monkeypatch.setattr(test_acceptance, "_RUN_CACHE", {})
+        monkeypatch.setattr(test_acceptance, "run_stream",
+                            lambda stream, cfg: used.append((stream, cfg)) or (ScoreMatrix(), None))
+        for seed in REFERENCE_SEEDS:
+            test_acceptance.bench_run(protocol, seed)
+            stream, tcfg = used.pop()
+            cfg = ExperimentConfig(protocol=protocol, seed=seed)
+            assert tcfg == trainer_config(cfg)
+            save_stream(stream, tmp_path / "bench.txt")
+            save_stream(build_stream(cfg), tmp_path / "cli.txt")
+            assert (tmp_path / "bench.txt").read_text() == (tmp_path / "cli.txt").read_text()
+
+    def test_every_trainer_field_reaches_trainer_config(self):
+        for f in fields(TrainerConfig):
+            value = _OTHER[f.type](getattr(TrainerConfig(), f.name))
+            cfg = ExperimentConfig(**{f.name: value})
+            assert trainer_config(cfg) == replace(TrainerConfig(), **{f.name: value}), f.name
 
     def test_parse_round_trip(self):
         cfg = parse_config_text(TINY)
@@ -207,6 +240,14 @@ class TestCliVerbs:
         cfg_path.write_text(TINY)
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
                      "--ablate", "banana"]) == 2
+
+    def test_module_entry_point_runs_without_warnings(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "dgkan.cli", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_report_verb_missing_dir(self, tmp_path):
         assert main(["report", "--dir", str(tmp_path / "nope")]) == 3

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgkan.continual import (AblationSwitches, ScoreMatrix, Trainer, TrainerConfig, accuracy,
-                             auc, average_accuracy, average_forgetting, run_stream)
+from dgkan.continual import (ConfigError, ScoreMatrix, Trainer, TrainerConfig, accuracy, auc,
+                             average_accuracy, average_forgetting, run_stream)
 from dgkan.numcore import ContractViolation, RngStream
 from dgkan.synthbench import dataset, gen_sequence
 
@@ -134,6 +134,16 @@ class TestTrainer:
         with pytest.raises(ContractViolation):
             tr.train_task(X, np.zeros(10, dtype=int))
 
+    @pytest.mark.parametrize("field,value", [("tau", 0.0), ("lambda_sc", -1.0),
+                                             ("lambda_kd", -0.5), ("jitter_scale", -0.1)])
+    def test_bad_config_rejected_before_training(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            Trainer(TrainerConfig(**{field: value}), 0)
+        cfg = TrainerConfig()
+        setattr(cfg, field, value)           # a value set after construction is caught too
+        with pytest.raises(ConfigError, match=field):
+            Trainer(cfg, 0)
+
     def test_teacher_immutable_during_task(self):
         stream = tiny_stream()
         tr = Trainer(tiny_config(), 11)
@@ -191,7 +201,7 @@ class TestTrainer:
 
     def test_raw_replay_mode(self):
         stream = tiny_stream()
-        cfg = tiny_config(switches=AblationSwitches(use_raw_replay=True, use_kdcp=False))
+        cfg = tiny_config(use_raw_replay=True, use_kdcp=False)
         m, tr = run_stream(stream, cfg)
         assert tr.raw_memory is not None
         assert tr.raw_memory.shape[0] == len(tr.memory)
@@ -200,7 +210,7 @@ class TestTrainer:
     def test_baseline_head_modes(self):
         stream = tiny_stream()
         for kind in ("mlp", "groupkan"):
-            cfg = tiny_config(head_kind=kind, epochs=2)
+            cfg = tiny_config(head=kind, epochs=2)
             m, tr = run_stream(stream, cfg)
             assert m.num_steps == 4
             assert tr.head.kind == kind
@@ -210,7 +220,7 @@ class TestTrainer:
         # reverse tasks 1 and 2, and a head too narrow to turn its decision
         # round ends them below chance; seed 17 at reference sizes showed it
         stream = gen_sequence("four-task", 17)
-        m, _ = run_stream(stream, TrainerConfig(epochs=40, head_kind="groupkan"))
+        m, _ = run_stream(stream, TrainerConfig(head="groupkan"))
         diag = [m.entry(t, t) for t in range(1, 5)]
         assert min(diag) >= 90.0, diag
 
@@ -218,7 +228,7 @@ class TestTrainer:
         # well-separated domains: task-1 accuracy survives task 2 (>= 99%);
         # run with the anchoring losses only, as in the locality criterion
         stream = gen_sequence("two-task-separated", 11)
-        cfg = TrainerConfig(epochs=40, switches=AblationSwitches(use_sc=False, use_kdcp=False))
+        cfg = TrainerConfig(use_sc=False, use_kdcp=False)
         tr = Trainer(cfg, 11)
         X1, y1 = dataset(stream, 0, "train")
         X1e, y1e = dataset(stream, 0, "eval")

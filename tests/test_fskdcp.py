@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from dgkan.fskdcp import (AugmentConfig, FeatureMemory, KdcpProjection, augment_features,
-                          herd_indices, label_quotas, load_memory, project_memory,
-                          save_memory, select_features, select_indices,
-                          train_projection_step)
+from dgkan.fskdcp import (FeatureMemory, KdcpProjection, augment_features, herd_indices,
+                          label_quotas, load_memory, project_memory, save_memory,
+                          select_features, select_indices, train_projection_step)
 from dgkan.kanheads import FeatureExtractor
 from dgkan.numcore import AdamState, ContractViolation, RngStream, finite_diff_grad, max_rel_err
 
@@ -213,7 +212,7 @@ class TestAugment:
 
     def test_zero_jitter_reproduces_rows(self, rng):
         mem = self._memory(rng)
-        batch = augment_features(mem, AugmentConfig(jitter_scale=0.0), rng.substream("a"),
+        batch = augment_features(mem, 0.0, rng.substream("a"),
                                  n_samples=30)
         for i in range(30):
             match = np.any(np.all(mem.features == batch.features[i], axis=1))
@@ -221,7 +220,7 @@ class TestAugment:
 
     def test_sample_mean_near_label_mean(self, rng):
         mem = self._memory(rng)
-        batch = augment_features(mem, AugmentConfig(jitter_scale=0.5), rng.substream("b"),
+        batch = augment_features(mem, 0.5, rng.substream("b"),
                                  n_samples=10_000)
         for label in (0, 1):
             stored = mem.features[mem.domain_class == label]
@@ -231,24 +230,24 @@ class TestAugment:
 
     def test_labels_subset_of_memory(self, rng):
         mem = self._memory(rng)
-        batch = augment_features(mem, AugmentConfig(), rng.substream("c"), n_samples=64)
+        batch = augment_features(mem, 0.5, rng.substream("c"), n_samples=64)
         assert set(np.unique(batch.domain_class)) <= set(np.unique(mem.domain_class))
 
     def test_deterministic_given_stream(self, rng):
         mem = self._memory(rng)
-        a = augment_features(mem, AugmentConfig(), RngStream(5), n_samples=16)
-        b = augment_features(mem, AugmentConfig(), RngStream(5), n_samples=16)
+        a = augment_features(mem, 0.5, RngStream(5), n_samples=16)
+        b = augment_features(mem, 0.5, RngStream(5), n_samples=16)
         assert np.array_equal(a.features, b.features)
 
 
-def _augment_reference(mem, cfg, rng, n_samples):
+def _augment_reference(mem, jitter_scale, rng, n_samples):
     """augment_features with one np.std call per label and a per-row stack."""
     stds = {int(l): mem.features[mem.domain_class == l].std(axis=0)
             for l in np.unique(mem.domain_class)}
     idx = rng.integers(0, len(mem), size=n_samples)
     feats = mem.features[idx].copy()
     noise = rng.normal(size=feats.shape)
-    feats += cfg.jitter_scale * np.stack([stds[int(l)] for l in mem.domain_class[idx]]) * noise
+    feats += jitter_scale * np.stack([stds[int(l)] for l in mem.domain_class[idx]]) * noise
     return feats, mem.domain_class[idx]
 
 
@@ -263,9 +262,8 @@ class TestAugmentMatchesPerLabelStd:
         F = r.normal(loc=r.uniform(-50, 50), scale=r.uniform(0.1, 20), size=(rows, d_f))
         mem = FeatureMemory(features=F, domain_class=dc, label=dc % 2,
                             source_task=dc // 2 + 1, budget=rows, space_task=1)
-        cfg = AugmentConfig(jitter_scale=0.7)
-        batch = augment_features(mem, cfg, RngStream(9), n_samples=256)
-        feats, drawn_dc = _augment_reference(mem, cfg, RngStream(9), 256)
+        batch = augment_features(mem, 0.7, RngStream(9), n_samples=256)
+        feats, drawn_dc = _augment_reference(mem, 0.7, RngStream(9), 256)
         assert batch.features.tobytes() == feats.tobytes()
         assert np.array_equal(batch.domain_class, drawn_dc)
 
@@ -274,7 +272,7 @@ class TestAugmentMatchesPerLabelStd:
         mem = FeatureMemory(features=rng.normal(size=(3, 4)), domain_class=dc, label=dc % 2,
                             source_task=dc // 2 + 1, budget=3, space_task=1)
         with pytest.raises(ContractViolation, match="domain-class"):
-            augment_features(mem, AugmentConfig(), rng, n_samples=4)
+            augment_features(mem, 0.5, rng, n_samples=4)
 
 
 class TestMemorySnapshot:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgkan.losses import (DomainLabeledBatch, LossConfig, align_loss, bce_loss, kd_loss,
-                          overall_loss, supcon_loss)
+from dgkan.continual import TrainerConfig
+from dgkan.losses import (DomainLabeledBatch, align_loss, bce_loss, kd_loss, overall_loss,
+                          supcon_loss)
 from dgkan.numcore import ContractViolation, RngStream, finite_diff_grad, max_rel_err
 
 from conftest import gradcheck
@@ -200,18 +201,17 @@ class TestKdAlign:
 
 class TestOverall:
     def test_weighted_sum(self):
-        cfg = LossConfig(lambda_sc=2.0, lambda_kd=1.0, tau=0.1)
-        assert overall_loss(0.5, 0.2, 0.1, cfg) == pytest.approx(1.0)
+        assert overall_loss(0.5, 0.2, 0.1, 2.0, 1.0) == pytest.approx(1.0)
 
     def test_cls_only_ablation(self):
-        cfg = LossConfig(lambda_sc=0.0, lambda_kd=0.0, tau=0.1)
-        assert overall_loss(0.7, 123.0, -5.0, cfg) == pytest.approx(0.7)
+        assert overall_loss(0.7, 123.0, -5.0, 0.0, 0.0) == pytest.approx(0.7)
 
     def test_zero_components(self):
-        assert overall_loss(0.3, 0.0, 0.0, LossConfig()) == pytest.approx(0.3)
+        cfg = TrainerConfig()
+        assert overall_loss(0.3, 0.0, 0.0, cfg.lambda_sc, cfg.lambda_kd) == pytest.approx(0.3)
 
     def test_config_validation(self):
-        with pytest.raises(ContractViolation):
-            LossConfig(tau=0.0)
-        with pytest.raises(ContractViolation):
-            LossConfig(lambda_sc=-1.0)
+        with pytest.raises(ContractViolation, match="tau"):
+            TrainerConfig(tau=0.0).validate()
+        with pytest.raises(ContractViolation, match="lambda_sc"):
+            TrainerConfig(lambda_sc=-1.0).validate()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dgkan.numcore import (AdamState, ContractViolation, RngStream, adam_step, dense,
-                           finite_diff_grad, matmul, max_rel_err)
+from dgkan.numcore import (AdamState, ContractViolation, RngStream, adam_step, finite_diff_grad,
+                           max_rel_err)
 
 
 class TestAdam:
@@ -74,36 +74,6 @@ class TestFiniteDiff:
             return float("nan") if v[1] > 0.5 else 0.0
         with pytest.raises(ContractViolation, match="coordinate 1"):
             finite_diff_grad(f, np.array([0.0, 0.5]), h=1e-2)
-
-
-class TestMatmul:
-    def test_identity(self, rng):
-        m = rng.normal(size=(3, 4))
-        assert np.array_equal(matmul(np.eye(3), m), m)
-
-    def test_hand_value(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
-        assert np.array_equal(out, np.array([[3.0], [7.0]]))
-
-    def test_zero_annihilates(self, rng):
-        m = rng.normal(size=(2, 5))
-        assert np.array_equal(matmul(np.zeros((4, 2)), m), np.zeros((4, 5)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractViolation):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
-class TestDense:
-    def test_reshape_and_length_check(self):
-        m = dense([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], rows=2, cols=3)
-        assert m.shape == (2, 3)
-        with pytest.raises(ContractViolation):
-            dense([1.0, 2.0, 3.0], rows=2, cols=2)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ContractViolation):
-            dense([[1.0, np.inf]])
 
 
 class TestRngStream:
