@@ -71,8 +71,8 @@ class TrainerConfig:
         """Raise ConfigError naming the first field that breaks its rule.
 
         The type rules cover a subclass's fields too: every float must be
-        finite, and every int except ``seed`` counts something, so it must be
-        at least 1.
+        finite, a ``seed`` must be >= 0 (numpy seeds take no negative), and
+        every other int counts something, so it must be at least 1.
         """
         if self.head not in HEADS:
             raise ConfigError(f"config field 'head': must be one of {HEADS}, got {self.head!r}")
@@ -80,8 +80,9 @@ class TrainerConfig:
             val = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(val):
                 raise ConfigError(f"config field {f.name!r}: must be finite, got {val!r}")
-            if f.type == "int" and f.name != "seed" and val < 1:
-                raise ConfigError(f"config field {f.name!r}: must be >= 1")
+            least = 0 if f.name == "seed" else 1
+            if f.type == "int" and val < least:
+                raise ConfigError(f"config field {f.name!r}: must be >= {least}")
         for name in ("tau", "main_lr", "proj_lr"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"config field {name!r}: must be > 0")
@@ -319,18 +320,12 @@ def auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ContractViolation("auc requires both classes present")
     order = np.argsort(s, kind="stable")
-    ranks = np.empty(s.size, dtype=np.float64)
     sorted_s = s[order]
-    i = 0
-    rank_base = 1
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        avg = (rank_base + rank_base + (j - i)) / 2.0
-        ranks[order[i:j + 1]] = avg
-        rank_base += j - i + 1
-        i = j + 1
+    # runs of equal scores span sorted positions [start, end); their 1-based
+    # ranks start + 1 .. end average to (start + end + 1) / 2, exact in float64
+    bounds = np.concatenate(([0], np.flatnonzero(sorted_s[1:] != sorted_s[:-1]) + 1, [s.size]))
+    ranks = np.empty(s.size, dtype=np.float64)
+    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0, np.diff(bounds))
     r_pos = ranks[y == 1].sum()
     u = r_pos - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg) * 100.0)

@@ -4,6 +4,7 @@ at task transitions, and jittered replay-batch augmentation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,24 +73,65 @@ def herd_indices(features: np.ndarray, quota: int) -> np.ndarray:
     """Greedy mean-matching selection within one label.
 
     Step k picks the unselected row whose inclusion brings the selected-set
-    mean closest to the full mean; ties resolve to the lowest index.
+    mean closest to the full mean; ties resolve to the lowest index.  The
+    result is exactly that of the direct loop, which scores every free row r
+    as d2(r) = ||(s + r)/K - mu||^2 (K = k + 1, s the sum of the rows taken
+    so far) and takes the first argmin.
+
+    Filter: with v = s - K*mu, K^2 * d2(r) = ||v||^2 + g(r) where
+    g(r) = 2 r.v + ||r||^2, so one mat-vec ``rows @ 2v`` plus the row norms,
+    computed once, ranks every row.  A taken row's norm is set to inf.
+
+    Error bound: let u = eps/2 and B = max||r|| + ||s|| + K*||mu||.  The
+    computed g (v, a dot product summed in any order, the norm, one add) is
+    off by at most E1 = (d_f + 3)*u*B^2 to first order.  The direct
+    expression rounds each component (s_j + r_j)/K - mu_j three times and
+    then squares and sums it; as |s_j| + |r_j| + K*|mu_j| has norm <= B, K^2
+    times its error is at most E2 = (d_f + 6)*u*B^2.  If p is the direct
+    loop's pick then d2(p) <= d2(r) for every free r, so the exact
+    g(p) <= g(r) + 2*E2, and the computed g(p) <= min g + 2*E1 + 2*E2 <=
+    min g + 11*d_f*eps*B^2.  Underflow adds at most about d_f*K^2 times the
+    smallest subnormal.  ``limit`` is min g plus 16*d_f times both terms; the
+    margin covers the rounding of B and of the limit itself.
+
+    Refine: every free row with g <= limit is scored again with the direct
+    expression, and the first argmin in index order is taken (a set of one
+    row is taken as it is).  The set holds p, and p is the lowest-index
+    minimum over all free rows, so it is the lowest-index minimum of the set
+    too: the selection is exact by construction, not by luck.  When the
+    limit is not finite (overflow on huge features, or NaN), the set is
+    every free row, which is the direct loop itself.
     """
     rows = np.asarray(features, dtype=np.float64)
-    n = rows.shape[0]
+    n, d_f = rows.shape
     quota = min(quota, n)
+    if quota <= 0:
+        return np.empty(0, dtype=np.int64)
     mu = rows.mean(axis=0)
-    chosen: list[int] = []
-    avail = np.arange(n)
-    sum_sel = np.zeros(rows.shape[1])
+    sum_sel = np.zeros(d_f)
+    sq_norms = np.einsum("ij,ij->i", rows, rows)
+    r_max, mu_norm = math.sqrt(sq_norms.max()), math.sqrt(mu @ mu)
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
+    free = np.ones(n, dtype=bool)
+    score = np.empty(n)
+    chosen = np.empty(quota, dtype=np.int64)
     for k in range(quota):
-        cand = (sum_sel + rows[avail]) / (k + 1)
-        d2 = ((cand - mu) ** 2).sum(axis=1)
-        j = int(np.argmin(d2))            # first occurrence wins ties
-        idx = int(avail[j])
-        chosen.append(idx)
+        K = k + 1
+        np.dot(rows, 2.0 * (sum_sel - K * mu), out=score)
+        score += sq_norms
+        bound = r_max + math.sqrt(sum_sel @ sum_sel) + K * mu_norm
+        limit = score.min() + 16 * d_f * (eps * bound * bound + K * K * tiny)
+        cand = np.flatnonzero(score <= limit if math.isfinite(limit) else free)
+        if cand.size == 1:                # a set of one needs no re-check
+            idx = int(cand[0])
+        else:
+            d2 = (((sum_sel + rows[cand]) / K - mu) ** 2).sum(axis=1)
+            idx = int(cand[np.argmin(d2)])    # first occurrence wins ties
+        chosen[k] = idx
+        free[idx] = False
+        sq_norms[idx] = np.inf
         sum_sel += rows[idx]
-        avail = np.delete(avail, j)
-    return np.asarray(chosen, dtype=np.int64)
+    return chosen
 
 
 def select_indices(features: np.ndarray, domain_class: np.ndarray, budget: int) -> np.ndarray:

@@ -97,6 +97,9 @@ class TestConfig:
         with pytest.raises(ConfigError, match="mlp_hidden"):
             validate_config(ExperimentConfig(head="groupkan", mlp_hidden=8))
         validate_config(ExperimentConfig(head="mlp", mlp_hidden=8))
+        with pytest.raises(ConfigError, match="seed"):
+            validate_config(ExperimentConfig(seed=-1))
+        validate_config(ExperimentConfig(seed=0))
 
     def test_config_version_not_an_integer(self):
         with pytest.raises(ConfigError, match="config_version"):
@@ -217,12 +220,19 @@ class TestCliVerbs:
 
     @pytest.mark.parametrize("bad", [TINY.replace("config_version = 1", "config_version = x"),
                                      TINY + "tau = nan\n", TINY + "main_lr = inf\n",
-                                     TINY + "d_x = 4\n"],
-                             ids=["version-x", "tau-nan", "main_lr-inf", "d_x-4"])
+                                     TINY + "d_x = 4\n", TINY.replace("seed = 11", "seed = -1")],
+                             ids=["version-x", "tau-nan", "main_lr-inf", "d_x-4", "seed-negative"])
     def test_rejected_at_parse_exit_code(self, bad, tmp_path):
         cfg_path = tmp_path / "bad.txt"
         cfg_path.write_text(bad)
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_flag_rejected_at_parse(self, tmp_path):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(TINY)
+        assert main(["run", "--config", str(cfg_path), "--seed", "-1",
+                     "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
     def test_ablate_flag(self, tmp_path):

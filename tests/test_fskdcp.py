@@ -7,8 +7,11 @@ import pytest
 from dgkan.fskdcp import (FeatureMemory, KdcpProjection, augment_features, herd_indices,
                           label_quotas, load_memory, project_memory, save_memory,
                           select_features, select_indices, train_projection_step)
+from dgkan import fskdcp
+from dgkan.continual import Trainer, TrainerConfig
 from dgkan.kanheads import FeatureExtractor
 from dgkan.numcore import AdamState, ContractViolation, RngStream, finite_diff_grad, max_rel_err
+from dgkan.synthbench import dataset, gen_sequence
 
 from conftest import gradcheck
 
@@ -33,6 +36,97 @@ def herding_oracle(rows, quota):
             sums[j] += rows[best][j]
         avail.remove(best)
     return chosen
+
+
+def herding_reference(features: np.ndarray, quota: int) -> np.ndarray:
+    """Greedy mean-matching selection within one label.
+
+    Step k picks the unselected row whose inclusion brings the selected-set
+    mean closest to the full mean; ties resolve to the lowest index.
+    """
+    rows = np.asarray(features, dtype=np.float64)
+    n = rows.shape[0]
+    quota = min(quota, n)
+    mu = rows.mean(axis=0)
+    chosen: list[int] = []
+    avail = np.arange(n)
+    sum_sel = np.zeros(rows.shape[1])
+    for k in range(quota):
+        cand = (sum_sel + rows[avail]) / (k + 1)
+        d2 = ((cand - mu) ** 2).sum(axis=1)
+        j = int(np.argmin(d2))            # first occurrence wins ties
+        idx = int(avail[j])
+        chosen.append(idx)
+        sum_sel += rows[idx]
+        avail = np.delete(avail, j)
+    return np.asarray(chosen, dtype=np.int64)
+
+
+def _assert_same_herding(rows, quotas):
+    for quota in quotas:
+        got = herd_indices(rows, quota)
+        assert got.dtype == np.int64
+        assert got.tolist() == herding_reference(rows, quota).tolist(), f"quota {quota}"
+
+
+class TestHerdingMatchesReference:
+    """The mat-vec filter plus exact re-check returns the direct loop's
+    indices, ties and rounding included."""
+
+    @pytest.mark.parametrize("d_f", [1, 2, 5, 16])
+    def test_integer_lattice(self, d_f, rng):
+        for trial in range(4):
+            n = int(rng.integers(2, 120))
+            rows = rng.integers(-2, 3, size=(n, d_f)).astype(np.float64)
+            _assert_same_herding(rows, [1, n // 2, n])
+
+    @pytest.mark.parametrize("d_f", [1, 3, 16])
+    def test_duplicated_rows(self, d_f, rng):
+        for distinct in (1, 3, 10):
+            base = rng.normal(size=(distinct, d_f))
+            rows = base[rng.integers(0, distinct, 150)]
+            _assert_same_herding(rows, [1, 75, 150])
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_scales(self, scale, rng):
+        offset = rng.normal(scale=5.0, size=16)       # a mean far from the origin
+        rows = (offset + rng.normal(size=(200, 16))) * scale
+        _assert_same_herding(rows, [1, 37, 200])
+        _assert_same_herding(np.round(rows / scale) * scale, [1, 37, 200])
+
+    def test_one_feature_column(self, rng):
+        rows = rng.normal(size=(64, 1))
+        _assert_same_herding(rows, [1, 20, 64])
+        _assert_same_herding(np.array([[0.0], [1.0], [2.0], [3.0]]), [1, 4])
+
+    def test_overflowing_norms(self, rng):
+        rows = rng.normal(size=(40, 4)) * 1e160        # squared norms overflow to inf
+        one_huge = rng.normal(size=(40, 4))
+        one_huge[7] *= 1e160                           # finite scores, infinite bound
+        with np.errstate(over="ignore", invalid="ignore"):
+            _assert_same_herding(rows, [1, 13, 40])
+            _assert_same_herding(one_huge, [1, 13, 40])
+
+    def test_zero_quota(self, rng):
+        got = herd_indices(rng.normal(size=(5, 3)), 0)
+        assert got.dtype == np.int64 and got.shape == (0,)
+
+    @pytest.mark.parametrize("head", ["dgkd", "mlp", "groupkan"])
+    def test_trainer_pools(self, head, monkeypatch):
+        pools = []
+
+        def recording(features, quota):
+            pools.append((np.array(features, dtype=np.float64), quota))
+            return herd_indices(features, quota)
+
+        monkeypatch.setattr(fskdcp, "herd_indices", recording)
+        stream = gen_sequence("four-task", 11, train_n=96, eval_n=64)
+        tr = Trainer(TrainerConfig(head=head, epochs=2, memory_budget=60), 11)
+        for t in range(2):
+            tr.train_task(*dataset(stream, t, "train"))
+        assert len(pools) == 6                          # 2 labels, then 4
+        for rows, quota in pools:
+            _assert_same_herding(rows, [quota])
 
 
 class TestSelection:
