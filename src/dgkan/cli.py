@@ -328,6 +328,16 @@ def _load_cfg(args) -> ExperimentConfig:
     return cfg
 
 
+def _check_profile_args(args, cfg: ExperimentConfig) -> None:
+    """Reject a profile request the trained model cannot answer, before training."""
+    if cfg.head != "dgkd":
+        raise ConfigError(f"dump-profile: activation profiles need the dgkd head, got {cfg.head!r}")
+    if not 0 <= args.group < cfg.groups:
+        raise ConfigError(f"--group: must be in [0, {cfg.groups}), got {args.group}")
+    if args.points < 1:
+        raise ConfigError(f"--points: must be at least 1, got {args.points}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dgkan", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -372,6 +382,8 @@ def main(argv=None) -> int:
             return 0
         if args.verb in ("dump-profile", "dump-embeddings"):
             cfg = _load_cfg(args)
+            if args.verb == "dump-profile":
+                _check_profile_args(args, cfg)
             stream = build_stream(cfg)
             _, trainer = run_stream(stream, trainer_config(cfg))
         if args.verb == "dump-profile":

@@ -62,6 +62,14 @@ def supcon_loss(batch: DomainLabeledBatch, tau: float,
     value can legitimately be negative.  Anchors lacking a positive or a
     negative are skipped; a batch with a single domain label is an error.
     The gradient is w.r.t. the raw (pre-normalization) features.
+
+    Computed on the full n x n block under masks, with two float n x n
+    arrays per call.  One domain-class equality matrix gives the negatives
+    (its negation) and, with its diagonal cleared, the positives.  The
+    logits S are reused for the positives' logits, the positive term of
+    dL/dS and finally G + G^T; a second buffer holds the masked logits,
+    their exp, the softmax and G = dL/dS.  Rows of anchors without a
+    positive are zeroed in G and never divide by zero.
     """
     if tau <= 0.0:
         raise ContractViolation("tau must be positive")
@@ -70,47 +78,51 @@ def supcon_loss(batch: DomainLabeledBatch, tau: float,
     n = F.shape[0]
     if n < 2:
         raise ContractViolation("supcon_loss needs at least 2 samples")
-    if np.unique(d).size < 2:
+    pos = d[:, None] == d[None, :]
+    neg = ~pos
+    if not neg.any():
         raise ContractViolation("supcon_loss: no negatives (single domain label in batch)")
+    pos.ravel()[::n + 1] = False                # clear the diagonal
 
     if normalize:
-        norms = np.linalg.norm(F, axis=1)
+        norms = np.sqrt((F * F).sum(axis=1))     # the sums np.linalg.norm(F, axis=1) takes
         if np.any(norms < 1e-12):
             raise ContractViolation("supcon_loss: zero-norm feature row")
         U = F / norms[:, None]
     else:
         U = F
 
-    S = (U @ U.T) / tau
-    same = d[:, None] == d[None, :]
-    pos_mask = same & ~np.eye(n, dtype=bool)
-    neg_mask = ~same
-
-    n_pos = pos_mask.sum(axis=1)
-    valid = (n_pos > 0) & neg_mask.any(axis=1)
-    if not valid.any():
+    S = U @ U.T
+    S /= tau
+    n_pos = pos.sum(axis=1)
+    valid = n_pos > 0                          # with two labels, every row has a negative
+    n_valid = int(np.count_nonzero(valid))
+    if n_valid == 0:
         raise ContractViolation("supcon_loss: no anchor has both a positive and a negative")
-    vi = np.where(valid)[0]
-    n_valid = vi.size
 
-    # log-sum-exp over negatives per valid anchor, with max subtraction
-    Sv = S[vi]
-    negv = neg_mask[vi]
-    posv = pos_mask[vi]
-    masked = np.where(negv, Sv, -np.inf)
-    m = masked.max(axis=1)
-    expn = np.exp(masked - m[:, None])         # exp(-inf) = 0 at non-negatives
-    denom = expn.sum(axis=1)
-    log_D = m + np.log(denom)
+    # log-sum-exp over negatives per anchor, with max subtraction
+    G = np.where(neg, S, -np.inf)
+    m = G.max(axis=1)
+    G -= m[:, None]
+    np.exp(G, out=G)                           # exp(-inf) = 0 at non-negatives
+    denom = G.sum(axis=1)
+    log_D = m[valid] + np.log(denom[valid])
 
-    pos_mean = (Sv * posv).sum(axis=1) / n_pos[vi]
-    loss = float(np.mean(-pos_mean + log_D))
+    np.multiply(S, pos, out=S)
+    pos_mean = S.sum(axis=1)[valid] / n_pos[valid]
+    loss = float((log_D - pos_mean).sum() / n_valid)
 
-    # dL/dS[i,j]: -1/(V*|P_i|) on positives, softmax weight / V on negatives
-    G = np.zeros_like(S)
-    G[vi] = (expn / denom[:, None] - posv / n_pos[vi, None]) / n_valid
+    # dL/dS[i,j]: -1/(V*|P_i|) on positives, softmax weight / V on negatives.
+    # The softmax is exactly 0 on positives, so adding -1/|P_i| there is the
+    # subtraction softmax - P/|P_i|; elsewhere it adds -0.0, which changes nothing.
+    # |P_i| = 0 only on rows without a positive, where nothing is added.
+    G /= denom[:, None]
+    G += np.multiply(pos, -(1.0 / np.maximum(n_pos, 1))[:, None], out=S)
+    G /= n_valid
+    if n_valid < n:
+        G[~valid] = 0.0
 
-    gU = (G + G.T) @ U / tau
+    gU = np.add(G, G.T, out=S) @ U / tau
     if normalize:
         # back through row normalization: (g - (g.u) u) / ||f||
         proj = (gU * U).sum(axis=1, keepdims=True)

@@ -7,13 +7,18 @@ tolerances.
 """
 import copy
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from dgkan.cli import (ExperimentConfig, build_stream, config_hash, parse_config_text,
                        run_experiment, trainer_config)
+from dgkan import continual
 from dgkan.continual import (ScoreMatrix, Trainer, TrainerConfig, accuracy, auc,
                              average_accuracy, average_forgetting, run_stream)
 from dgkan.fskdcp import (KdcpProjection, herd_indices, train_projection_step)
@@ -39,11 +44,65 @@ def _announce(num: int, ok: bool, detail: str):
 
 
 _RUN_CACHE: dict = {}
+_POOLED: set = set()      # keys of _RUN_CACHE that a pool worker computed
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# The (protocol, knobs) runs of C4-C7 at every reference seed, ten-task first
+# so that the longest runs start first.  A run missing here is computed
+# serially by bench_run, as before.
+_TREND_RUNS = (
+    [("ten-task", dict(head=h)) for h in ("dgkd", "mlp", "groupkan")]
+    + [("four-task", knobs) for knobs in (
+        dict(use_sc=False, use_kd=False, use_kdcp=False),
+        dict(use_sc=False, use_kd=True, use_kdcp=False),
+        dict(use_sc=True, use_kd=False, use_kdcp=True),
+        dict(),
+        dict(use_kdcp=False),
+        dict(use_kdcp=False, use_raw_replay=True),
+        dict(head="groupkan"),
+        dict(head="mlp"),
+    )])
+
+
+def _score_grid(cfg: ExperimentConfig) -> ScoreMatrix:
+    return run_stream(build_stream(cfg), trainer_config(cfg))[0]
+
+
+def _prefill_trend_runs() -> None:
+    """Compute the C4-C7 runs not yet cached in a process pool, one fresh
+    process per CPU at most."""
+    todo = {}
+    for protocol, knobs in _TREND_RUNS:
+        for seed in REFERENCE_SEEDS:
+            cfg = ExperimentConfig(protocol=protocol, seed=seed, **knobs)
+            key = config_hash(cfg)
+            if key not in _RUN_CACHE:
+                todo.setdefault(key, cfg)
+    if not todo:
+        return
+    workers = min(os.cpu_count() or 1, len(todo))
+    # spawn, not fork: forking a process whose BLAS threads are running can
+    # deadlock.  One BLAS thread per worker, so that the workers do not share
+    # the CPUs with each other's BLAS threads.
+    one_thread = {name: "1" for name in _BLAS_THREAD_VARS}
+    with mock.patch.dict(os.environ, one_thread), \
+            ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = {key: pool.submit(_score_grid, cfg) for key, cfg in todo.items()}
+        for key, future in futures.items():
+            _RUN_CACHE[key] = future.result()
+            _POOLED.add(key)
 
 
 def bench_run(protocol: str, seed: int, **knobs) -> ScoreMatrix:
     """The reference run (every other config field at its CLI default) with
-    ``knobs`` set, e.g. ``head="mlp"`` or ``use_kdcp=False``."""
+    ``knobs`` set, e.g. ``head="mlp"`` or ``use_kdcp=False``.
+
+    The first call fills the cache with every C4-C7 run through a process
+    pool.  The pool runs the library's ``run_stream``; when a caller has
+    substituted ``run_stream`` here, every run goes through the substitute.
+    """
+    if not _POOLED and run_stream is continual.run_stream:
+        _prefill_trend_runs()
     cfg = ExperimentConfig(protocol=protocol, seed=seed, **knobs)
     key = config_hash(cfg)
     if key not in _RUN_CACHE:
@@ -291,6 +350,13 @@ def test_c07_long_sequence():
     _announce(7, ok, f"dgkd lowest for t>=5: {lowest}; AF@10 dgkd={traj['dgkd'][-1]:.2f} "
                      f"mlp={traj['mlp'][-1]:.2f} gk={traj['groupkan'][-1]:.2f}; runtime {elapsed:.0f}s")
     assert ok, lowest
+
+
+def test_pooled_runs_match_serial():
+    pooled = bench_run("four-task", REFERENCE_SEEDS[0])
+    cfg = ExperimentConfig(protocol="four-task", seed=REFERENCE_SEEDS[0])
+    assert config_hash(cfg) in _POOLED
+    assert pooled == _score_grid(cfg)
 
 
 def test_c08_oracle_equivalences():

@@ -271,6 +271,20 @@ class TestCliVerbs:
         assert lines[0] == "x,value,task_count"
         assert all(line.endswith(",4") for line in lines[1:])
 
+    @pytest.mark.parametrize("extra", [["--group", "99"], ["--group", "-1"], ["--points", "-3"],
+                                       ["--points", "0"], ["--head", "mlp"]],
+                             ids=["group-99", "group-neg1", "points-neg3", "points-0", "head-mlp"])
+    def test_dump_profile_bad_arguments_fail_before_training(self, extra, tmp_path, monkeypatch):
+        import dgkan.cli
+        trained = []
+        monkeypatch.setattr(dgkan.cli, "run_stream", lambda *a: trained.append(a))
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(TINY)
+        out = tmp_path / "profile.csv"
+        assert main(["dump-profile", "--config", str(cfg_path), "--out", str(out)] + extra) == 2
+        assert trained == []
+        assert not out.exists()
+
 
 class TestEmbeddings:
     def test_row_count_matches_pooled_eval(self, tmp_path):

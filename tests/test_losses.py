@@ -31,6 +31,67 @@ def supcon_bruteforce(features, labels, tau, normalize=True):
     return math.fsum(terms) / len(terms)
 
 
+def supcon_row_gather(batch, tau, normalize=True):
+    """Frozen copy of the row-gathering ``supcon_loss`` that the full-block
+    form replaced: same arithmetic in the same order, so the two must agree
+    bit for bit."""
+    if tau <= 0.0:
+        raise ContractViolation("tau must be positive")
+    F = batch.features
+    d = batch.domain_class
+    n = F.shape[0]
+    if n < 2:
+        raise ContractViolation("supcon_loss needs at least 2 samples")
+    if np.unique(d).size < 2:
+        raise ContractViolation("supcon_loss: no negatives (single domain label in batch)")
+
+    if normalize:
+        norms = np.linalg.norm(F, axis=1)
+        if np.any(norms < 1e-12):
+            raise ContractViolation("supcon_loss: zero-norm feature row")
+        U = F / norms[:, None]
+    else:
+        U = F
+
+    S = (U @ U.T) / tau
+    same = d[:, None] == d[None, :]
+    pos_mask = same & ~np.eye(n, dtype=bool)
+    neg_mask = ~same
+
+    n_pos = pos_mask.sum(axis=1)
+    valid = (n_pos > 0) & neg_mask.any(axis=1)
+    if not valid.any():
+        raise ContractViolation("supcon_loss: no anchor has both a positive and a negative")
+    vi = np.where(valid)[0]
+    n_valid = vi.size
+
+    # log-sum-exp over negatives per valid anchor, with max subtraction
+    Sv = S[vi]
+    negv = neg_mask[vi]
+    posv = pos_mask[vi]
+    masked = np.where(negv, Sv, -np.inf)
+    m = masked.max(axis=1)
+    expn = np.exp(masked - m[:, None])         # exp(-inf) = 0 at non-negatives
+    denom = expn.sum(axis=1)
+    log_D = m + np.log(denom)
+
+    pos_mean = (Sv * posv).sum(axis=1) / n_pos[vi]
+    loss = float(np.mean(-pos_mean + log_D))
+
+    # dL/dS[i,j]: -1/(V*|P_i|) on positives, softmax weight / V on negatives
+    G = np.zeros_like(S)
+    G[vi] = (expn / denom[:, None] - posv / n_pos[vi, None]) / n_valid
+
+    gU = (G + G.T) @ U / tau
+    if normalize:
+        # back through row normalization: (g - (g.u) u) / ||f||
+        proj = (gU * U).sum(axis=1, keepdims=True)
+        gF = (gU - proj * U) / norms[:, None]
+    else:
+        gF = gU
+    return loss, gF
+
+
 def _batch(F, d):
     F = np.asarray(F, dtype=float)
     return DomainLabeledBatch(F, np.asarray(d), np.zeros(len(d), dtype=int))
@@ -154,6 +215,56 @@ class TestSupcon:
             return _batch(F, [0, 0, 1, 1])
         losses = [supcon_loss(batch(th), 0.1)[0] for th in (1.2, 0.8, 0.4, 0.1)]
         assert all(b < a for a, b in zip(losses, losses[1:]))
+
+    def _trainer_shaped(self, rng, t):
+        """64 current rows over this task's 2 domain-classes, then 64 replay
+        rows over the 2(t-1) earlier ones, as the trainer stacks them."""
+        F = rng.normal(size=(128, 16))
+        d = np.concatenate([2 * (t - 1) + rng.integers(0, 2, 64), rng.integers(0, 2 * (t - 1), 64)])
+        return _batch(F, d)
+
+    def _assert_bitwise(self, batch, tau, normalize=True):
+        loss, g = supcon_loss(batch, tau, normalize=normalize)
+        ref_loss, ref_g = supcon_row_gather(batch, tau, normalize=normalize)
+        assert np.array_equal(loss, ref_loss)
+        assert np.array_equal(g, ref_g)
+
+    @pytest.mark.parametrize("t", range(2, 11))
+    def test_bitwise_equal_to_row_gather_on_trainer_batches(self, rng, t):
+        for trial in range(3):
+            self._assert_bitwise(self._trainer_shaped(rng, t), 0.1)
+
+    def test_bitwise_equal_with_a_skipped_anchor(self, rng):
+        batch = self._trainer_shaped(rng, 4)
+        rows = np.flatnonzero(batch.domain_class == 0)
+        batch.domain_class[rows[1:]] = 1              # replay class 0 keeps one row: no positive
+        assert rows.size > 1 and np.sum(batch.domain_class == 0) == 1
+        self._assert_bitwise(batch, 0.1)
+
+    def test_skipped_anchors_raise_no_floating_point_error(self, rng):
+        # row 0 has no positive: its row of dL/dS is computed, then zeroed
+        F = rng.normal(size=(4, 3)) * 50.0
+        d = np.array([0, 1, 1, 1])
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            loss, g = supcon_loss(_batch(F, d), 0.01, normalize=False)
+        assert np.isfinite(loss) and np.all(np.isfinite(g))
+
+    @pytest.mark.parametrize("tau", [0.1, 0.5])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_bitwise_equal_across_tau_and_normalization(self, rng, tau, normalize):
+        for t in (2, 5):
+            self._assert_bitwise(self._trainer_shaped(rng, t), tau, normalize=normalize)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_leaves_features_unchanged_and_returns_fresh_gradients(self, rng, normalize):
+        batch = self._trainer_shaped(rng, 3)
+        before = batch.features.tobytes()
+        _, g1 = supcon_loss(batch, 0.1, normalize=normalize)
+        _, g2 = supcon_loss(batch, 0.1, normalize=normalize)
+        assert batch.features.tobytes() == before
+        assert not np.shares_memory(g1, g2)
+        assert not np.shares_memory(g1, batch.features)
+        assert np.array_equal(g1, g2)
 
 
 class TestKdAlign:
