@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .fskdcp import (FeatureMemory, KdcpProjection, augment_features, project_memory,
-                     select_features, train_projection_step)
+from .fskdcp import (FeatureMemory, KdcpProjection, augment_features, domain_class,
+                     project_memory, select_features, train_projection_step)
 from .kanheads import (DgkdHead, FeatureExtractor, add_task_layer, make_baseline_head)
 from .losses import (DomainLabeledBatch, bce_loss, kd_loss, overall_loss, supcon_loss)
 from .numcore import AdamState, ContractViolation, RngStream, adam_step
@@ -173,13 +173,12 @@ class Trainer:
             order = rng_batch.permutation(n)
             for start in range(0, n, batch_size):
                 idx = order[start:start + batch_size]
-                proj_opt, opt_ext, opt_head = self._train_step(
-                    X[idx], y[idx], t, proj_opt, opt_ext, opt_head, rng_replay)
+                self._train_step(X[idx], y[idx], t, proj_opt, opt_ext, opt_head, rng_replay)
 
         self._end_of_task(X, y, t)
 
-    def _train_step(self, xb: np.ndarray, yb: np.ndarray, t: int, proj_opt,
-                    opt_ext: AdamState, opt_head: AdamState, rng_replay: RngStream):
+    def _train_step(self, xb: np.ndarray, yb: np.ndarray, t: int, proj_opt: AdamState | None,
+                    opt_ext: AdamState, opt_head: AdamState, rng_replay: RngStream) -> None:
         cfg = self.cfg
         nb = xb.shape[0]
 
@@ -200,7 +199,7 @@ class Trainer:
             teacher_F = self.teacher.forward(xb)
 
         if proj_opt is not None:
-            _, proj_opt = train_projection_step(self.projection, teacher_F, F, proj_opt)
+            train_projection_step(self.projection, teacher_F, F, proj_opt)
 
         logits, cache_head = self.head.forward_cached(F)
         cls, dlogits = bce_loss(logits, yb)
@@ -210,7 +209,7 @@ class Trainer:
         sc = 0.0
         dF_sc_replay = None
         if cfg.use_sc:
-            dc_now = 2 * (t - 1) + yb
+            dc_now = domain_class(t, yb)
             if raw_replay is not None:
                 sc_feats = F_full
                 sc_dc = np.concatenate([dc_now, raw_replay[1]])
@@ -222,8 +221,7 @@ class Trainer:
                 sc_feats = F
                 sc_dc = dc_now
             if np.unique(sc_dc).size >= 2:
-                batch = DomainLabeledBatch(features=sc_feats, domain_class=sc_dc,
-                                           label=np.zeros(sc_feats.shape[0], dtype=np.int64))
+                batch = DomainLabeledBatch(features=sc_feats, domain_class=sc_dc)
                 sc, dF_sc = supcon_loss(batch, cfg.tau, normalize=cfg.sc_normalize)
                 dF_total += cfg.lambda_sc * dF_sc[:nb]
                 if raw_replay is not None:
@@ -243,11 +241,8 @@ class Trainer:
             dF_full = dF_total
         _, ext_grads = self.extractor.backward(dF_full, cache_ext)
 
-        new_ext, opt_ext = adam_step(self.extractor.param_vector(), ext_grads, opt_ext)
-        self.extractor.set_param_vector(new_ext)
-        new_head, opt_head = adam_step(self.head.param_vector(), head_grads, opt_head)
-        self.head.set_param_vector(new_head)
-        return proj_opt, opt_ext, opt_head
+        self.extractor.set_param_vector(adam_step(self.extractor.param_vector(), ext_grads, opt_ext))
+        self.head.set_param_vector(adam_step(self.head.param_vector(), head_grads, opt_head))
 
     def _end_of_task(self, X: np.ndarray, y: np.ndarray, t: int) -> None:
         """Keep the herding selection of one pool: old memory rows, then this
@@ -255,7 +250,10 @@ class Trainer:
         when the projection trained), or with raw replay the stored inputs
         through the current extractor, whose raw rows follow the selection."""
         raw_replay = self.cfg.use_raw_replay
-        pool_F, pool_dc, pool_X = self.extractor.forward(X), 2 * (t - 1) + y, X
+        pool_F, pool_dc, pool_X = self.extractor.forward(X), domain_class(t, y), X
+        # every row is in task t's space, or (0) an unprojected data-free merge
+        # left each row in its source task's space
+        space_task = t if self.memory is None or raw_replay or self._trains_projection() else 0
         if self._trains_projection():
             self.memory = project_memory(self.memory, self.projection)
         if self.memory is not None:
@@ -264,7 +262,7 @@ class Trainer:
             pool_dc = np.concatenate([self.memory.domain_class, pool_dc])
             if raw_replay:
                 pool_X = np.vstack([self.raw_memory, X])
-        self.memory, idx = select_features(pool_F, pool_dc, self.cfg.memory_budget, space_task=t)
+        self.memory, idx = select_features(pool_F, pool_dc, self.cfg.memory_budget, space_task)
         if raw_replay:
             self.raw_memory = pool_X[idx]
         self.teacher = self.extractor.snapshot()
@@ -292,16 +290,15 @@ class Trainer:
 # -- metrics ------------------------------------------------------------------
 
 
-def accuracy(logits, labels, threshold: float = 0.5) -> float:
-    """Percentage of correct decisions at the given probability threshold."""
+def accuracy(logits, labels) -> float:
+    """Percentage of correct decisions at probability 0.5 (logit 0)."""
     z = np.asarray(logits, dtype=np.float64).ravel()
     y = np.asarray(labels, dtype=np.int64).ravel()
     if z.size == 0:
         raise ContractViolation("accuracy on empty input")
     if z.shape != y.shape:
         raise ContractViolation("accuracy length mismatch")
-    logit_cut = np.log(threshold / (1.0 - threshold))
-    pred = (z > logit_cut).astype(np.int64)
+    pred = (z > 0.0).astype(np.int64)
     return float((pred == y).mean() * 100.0)
 
 

@@ -5,7 +5,7 @@ at task transitions, and jittered replay-batch augmentation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,37 +17,47 @@ from .numcore import AdamState, ContractViolation, RngStream, adam_step, check_f
 MEMORY_FORMAT_VERSION = 1
 
 
+def domain_class(task, label):
+    """The 2T domain-class code 2*(task-1) + label of a binary label (0 real,
+    1 fake) seen in 1-based ``task``; ``FeatureMemory`` decodes it."""
+    return 2 * (task - 1) + label
+
+
 @dataclass
 class FeatureMemory:
-    """Stored representative features, all living in one feature space.
+    """Stored representative features with their 2T domain-class codes.
 
-    ``space_task`` records which task's feature space the rows currently live
-    in; ``project_memory`` advances it and refuses to run twice for the same
-    transition.  Domain-class labels use the 2T coding 2*(task-1) + label.
+    ``space_task`` t >= 1 says every row lives in task t's feature space;
+    ``project_memory`` advances it and refuses to run twice for the same
+    transition.  ``space_task`` 0 says each row lives in the space of its own
+    ``source_task`` (data-free replay without drift compensation never moves
+    a stored row).  ``label`` and ``source_task`` are decoded from the code.
     """
 
     features: np.ndarray
     domain_class: np.ndarray
-    label: np.ndarray
-    source_task: np.ndarray
     budget: int
     space_task: int
 
     def __post_init__(self):
         self.features = check_finite(np.asarray(self.features, dtype=np.float64), "memory features")
         self.domain_class = np.asarray(self.domain_class, dtype=np.int64)
-        self.label = np.asarray(self.label, dtype=np.int64)
-        self.source_task = np.asarray(self.source_task, dtype=np.int64)
         m = self.features.shape[0]
-        for name, arr in (("domain_class", self.domain_class), ("label", self.label),
-                          ("source_task", self.source_task)):
-            if arr.shape != (m,):
-                raise ContractViolation(f"memory {name} must align with feature rows")
+        if self.domain_class.shape != (m,):
+            raise ContractViolation("memory domain_class must align with feature rows")
         if m > self.budget:
             raise ContractViolation(f"memory holds {m} rows, budget is {self.budget}")
 
     def __len__(self) -> int:
         return self.features.shape[0]
+
+    @property
+    def label(self) -> np.ndarray:
+        return self.domain_class % 2
+
+    @property
+    def source_task(self) -> np.ndarray:
+        return self.domain_class // 2 + 1
 
 
 def label_quotas(counts: dict[int, int], budget: int) -> dict[int, int]:
@@ -158,16 +168,11 @@ def select_features(features: np.ndarray, domain_class: np.ndarray, budget: int,
                     space_task: int = 0) -> tuple[FeatureMemory, np.ndarray]:
     """Herding selection as a FeatureMemory tagged with ``space_task``, plus
     the selected row indices (so rows stored alongside, such as raw inputs,
-    can be carried through the same selection).
-
-    Binary labels and source tasks are recovered from the 2T domain-class
-    coding (label = dc % 2, task = dc // 2 + 1).
-    """
+    can be carried through the same selection)."""
     idx = select_indices(features, domain_class, budget)
-    F = np.asarray(features, dtype=np.float64)[idx]
-    dc = np.asarray(domain_class, dtype=np.int64)[idx]
-    mem = FeatureMemory(features=F, domain_class=dc, label=dc % 2,
-                        source_task=dc // 2 + 1, budget=budget, space_task=space_task)
+    mem = FeatureMemory(features=np.asarray(features, dtype=np.float64)[idx],
+                        domain_class=np.asarray(domain_class, dtype=np.int64)[idx],
+                        budget=budget, space_task=space_task)
     return mem, idx
 
 
@@ -214,8 +219,9 @@ class KdcpProjection:
 
 
 def train_projection_step(proj: KdcpProjection, f_teacher: np.ndarray, f_student: np.ndarray,
-                          opt: AdamState) -> tuple[float, AdamState]:
-    """One Adam step of the alignment objective on the projection parameters.
+                          opt: AdamState) -> float:
+    """One Adam step of the alignment objective on the projection parameters;
+    returns the loss before the step.
 
     Teacher and student features must come from the same raw inputs; only the
     projection layer is updated (the student features are a fixed target).
@@ -227,9 +233,8 @@ def train_projection_step(proj: KdcpProjection, f_teacher: np.ndarray, f_student
     projected, cache = proj.apply_cached(t)
     loss, dP = align_loss(projected, s)
     _, grads = proj.layer.backward(dP, cache)
-    params, opt = adam_step(proj.layer.param_vector(), grads, opt)
-    proj.layer.set_param_vector(params)
-    return loss, opt
+    proj.layer.set_param_vector(adam_step(proj.layer.param_vector(), grads, opt))
+    return loss
 
 
 def project_memory(mem: FeatureMemory, proj: KdcpProjection) -> FeatureMemory:
@@ -242,9 +247,7 @@ def project_memory(mem: FeatureMemory, proj: KdcpProjection) -> FeatureMemory:
         raise ContractViolation(
             f"memory lives in task-{mem.space_task} space; projection maps "
             f"{proj.source_task} -> {proj.target_task} (already applied?)")
-    return FeatureMemory(features=proj.apply(mem.features), domain_class=mem.domain_class.copy(),
-                         label=mem.label.copy(), source_task=mem.source_task.copy(),
-                         budget=mem.budget, space_task=proj.target_task)
+    return replace(mem, features=proj.apply(mem.features), space_task=proj.target_task)
 
 
 def _label_stds(features: np.ndarray, domain_class: np.ndarray) -> np.ndarray:
@@ -291,7 +294,7 @@ def augment_features(mem: FeatureMemory, jitter_scale: float, rng: RngStream,
         noise = rng.normal(size=feats.shape)
         scale = np.take(_label_stds(mem.features, dc), drawn_dc, axis=0)
         feats += jitter_scale * scale * noise
-    return DomainLabeledBatch(features=feats, domain_class=drawn_dc, label=mem.label[idx])
+    return DomainLabeledBatch(features=feats, domain_class=drawn_dc)
 
 
 def save_memory(mem: FeatureMemory, path) -> None:
@@ -303,15 +306,15 @@ def save_memory(mem: FeatureMemory, path) -> None:
         f"budget={mem.budget},d_f={d_f},rows={len(mem)}",
         ",".join([f"f{i}" for i in range(d_f)] + ["domain_class", "label", "source_task"]),
     ]
-    for i in range(len(mem)):
-        vals = [repr(float(v)) for v in mem.features[i]]
-        vals += [str(int(mem.domain_class[i])), str(int(mem.label[i])), str(int(mem.source_task[i]))]
-        lines.append(",".join(vals))
+    codes = np.stack([mem.domain_class, mem.label, mem.source_task], axis=1)
+    for row, code in zip(mem.features, codes):
+        lines.append(",".join([repr(float(v)) for v in row] + [str(int(c)) for c in code]))
     path.write_text("\n".join(lines) + "\n")
 
 
 def load_memory(path) -> FeatureMemory:
-    """Read a snapshot written by save_memory, validating the version field."""
+    """Read a snapshot written by save_memory, validating the version field
+    and that each row's label and source_task columns decode its domain_class."""
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("dgkan_memory,"):
         raise ContractViolation("not a memory snapshot file")
@@ -324,14 +327,18 @@ def load_memory(path) -> FeatureMemory:
     if len(lines) < 2 + rows:
         raise ContractViolation("truncated memory snapshot")
     feats = np.empty((rows, d_f))
-    dc = np.empty(rows, dtype=np.int64)
-    lab = np.empty(rows, dtype=np.int64)
-    src = np.empty(rows, dtype=np.int64)
+    codes = np.empty((rows, 3), dtype=np.int64)      # domain_class, label, source_task
     for i in range(rows):
         parts = lines[2 + i].split(",")
         if len(parts) != d_f + 3:
             raise ContractViolation(f"memory snapshot row {i} has {len(parts)} fields, expected {d_f + 3}")
         feats[i] = [float(v) for v in parts[:d_f]]
-        dc[i], lab[i], src[i] = int(parts[d_f]), int(parts[d_f + 1]), int(parts[d_f + 2])
-    return FeatureMemory(features=feats, domain_class=dc, label=lab, source_task=src,
-                         budget=int(meta["budget"]), space_task=int(meta["space_task"]))
+        codes[i] = [int(v) for v in parts[d_f:]]
+    mem = FeatureMemory(features=feats, domain_class=codes[:, 0], budget=int(meta["budget"]),
+                        space_task=int(meta["space_task"]))
+    for j, name in enumerate(("label", "source_task"), start=1):
+        bad = np.flatnonzero(codes[:, j] != getattr(mem, name))
+        if bad.size:
+            raise ContractViolation(f"memory snapshot row {bad[0]}: {name} {codes[bad[0], j]} "
+                                    f"contradicts domain_class {codes[bad[0], 0]}")
+    return mem

@@ -16,8 +16,6 @@ Layer conventions used throughout:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numcore import ContractViolation, RngStream, check_finite
@@ -25,34 +23,6 @@ from .numcore import ContractViolation, RngStream, check_finite
 SIGMA_MIN = 1e-3
 SIGMA_INIT_LO = 0.05
 SIGMA_INIT_HI = 2.0
-
-
-@dataclass
-class RbfParams:
-    """Center and width of one shared Gaussian bump (width clamped >= 1e-3)."""
-
-    center: float
-    width: float
-
-    def __post_init__(self):
-        self.center = float(self.center)
-        self.width = max(float(self.width), SIGMA_MIN)
-
-
-def rbf_eval(x: float, p: RbfParams) -> float:
-    """Gaussian response exp(-(x-c)^2 / (2 sigma^2)), in (0, 1]."""
-    z = (x - p.center) / p.width
-    return float(np.exp(-0.5 * z * z))
-
-
-def rbf_grad(x: float, p: RbfParams) -> tuple[float, float, float]:
-    """Closed-form partials (d/dx, d/dc, d/dsigma); d/dx == -d/dc."""
-    z = (x - p.center) / p.width
-    phi = np.exp(-0.5 * z * z)
-    ddx = -z / p.width * phi
-    ddc = z / p.width * phi
-    dds = z * z / p.width * phi
-    return float(ddx), float(ddc), float(dds)
 
 
 def group_index_map(d_in: int, groups: int) -> np.ndarray:

@@ -15,19 +15,16 @@ from .numcore import ContractViolation, check_finite
 
 @dataclass
 class DomainLabeledBatch:
-    """Features with per-sample domain-class labels (2T coding) and binary labels."""
+    """Features with per-sample domain-class labels (2T coding)."""
 
     features: np.ndarray
     domain_class: np.ndarray
-    label: np.ndarray
 
     def __post_init__(self):
         self.features = check_finite(np.asarray(self.features, dtype=np.float64), "batch features")
         self.domain_class = np.asarray(self.domain_class, dtype=np.int64)
-        self.label = np.asarray(self.label, dtype=np.int64)
-        n = self.features.shape[0]
-        if self.domain_class.shape != (n,) or self.label.shape != (n,):
-            raise ContractViolation("batch label arrays must align with feature rows")
+        if self.domain_class.shape != (self.features.shape[0],):
+            raise ContractViolation("batch domain_class must align with feature rows")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -27,39 +27,38 @@ def check_finite(a: np.ndarray, name: str = "array") -> np.ndarray:
     return a
 
 
+# Adam's decay rates and denominator guard (Kingma & Ba 2014); no run sets them.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Per-parameter-vector Adam moments plus hyperparameters."""
+    """Adam moments, step count and learning rate of one parameter vector;
+    ``adam_step`` advances them in place."""
 
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     lr: float = 1e-3
 
     def __post_init__(self):
-        self.m = np.asarray(self.m, dtype=np.float64)
-        self.v = np.asarray(self.v, dtype=np.float64)
+        self.m = np.array(self.m, dtype=np.float64)     # copies: the state owns its moments
+        self.v = np.array(self.v, dtype=np.float64)
         if self.m.shape != self.v.shape:
             raise ContractViolation("Adam moment vectors must have equal length")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ContractViolation("Adam betas must lie in (0, 1)")
-        if self.eps <= 0.0 or self.lr <= 0.0:
-            raise ContractViolation("Adam eps and lr must be positive")
+        if self.lr <= 0.0:
+            raise ContractViolation("Adam lr must be positive")
         if self.step_count < 0:
             raise ContractViolation("Adam step count must be >= 0")
 
     @classmethod
-    def init(cls, n_params: int, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-             eps: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros(n_params), v=np.zeros(n_params),
-                   beta1=beta1, beta2=beta2, eps=eps, lr=lr)
+    def init(cls, n_params: int, lr: float) -> "AdamState":
+        return cls(m=np.zeros(n_params), v=np.zeros(n_params), lr=lr)
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns fresh (params, state).
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.ndarray:
+    """One bias-corrected Adam update: advances ``state`` in place and
+    returns the new parameters.
 
     Zero gradients leave the parameters bit-identical (the update term is
     exactly 0.0), so repeated no-op steps only advance the step counter.
@@ -72,15 +71,15 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> tuple[
     if not np.isfinite(grads).all():
         bad = int(np.argwhere(~np.isfinite(grads))[0][0])
         raise ContractViolation(f"adam_step rejected non-finite gradient at index {bad}")
-    t = state.step_count + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_state = AdamState(m=m, v=v, step_count=t, beta1=state.beta1,
-                          beta2=state.beta2, eps=state.eps, lr=state.lr)
-    return new_params, new_state
+    state.step_count += 1
+    t = state.step_count
+    state.m *= BETA1
+    state.m += (1.0 - BETA1) * grads
+    state.v *= BETA2
+    state.v += (1.0 - BETA2) * grads * grads
+    m_hat = state.m / (1.0 - BETA1 ** t)
+    v_hat = state.v / (1.0 - BETA2 ** t)
+    return params - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-4) -> np.ndarray:

@@ -20,6 +20,14 @@ PROTOCOLS = ("four-task", "ten-task", "two-task-overlap", "two-task-separated")
 # reference seeds used by the trend benchmarks and acceptance runs
 REFERENCE_SEEDS = (11, 23, 47)
 
+# Protocol geometry: per-dimension noise std, real-component offset from the
+# domain mean, fake-class displacement, and the radius of the ring that gives
+# the chained protocols a partial domain identity.
+SIGMA, COMP_OFFSET, FAKE_SCALE, STYLE_SCALE = 0.35, 1.0, 2.0, 0.7
+# protocol -> (domains, step between domain means in units of SIGMA, on the ring)
+_LAYOUTS = {"four-task": (4, 0.8, True), "ten-task": (10, 0.8, True),
+            "two-task-separated": (2, 36.0, False), "two-task-overlap": (2, 0.8, False)}
+
 
 @dataclass
 class DomainSpec:
@@ -116,9 +124,8 @@ def _protocol_geometry(d_x: int) -> dict[str, np.ndarray]:
     return geom
 
 
-def _build_specs(num_tasks: int, shift_mag: float, d_x: int, sigma: float,
-                 comp_offset: float, fake_scale: float, train_n: int,
-                 eval_n: int, style_scale: float = 0.0) -> list[DomainSpec]:
+def _build_specs(num_tasks: int, shift_mag: float, d_x: int, train_n: int, eval_n: int,
+                 style_scale: float = 0.0) -> list[DomainSpec]:
     """Lay out ``num_tasks`` domains.
 
     Each domain marches ``shift_mag`` along a fixed direction and, when
@@ -134,20 +141,19 @@ def _build_specs(num_tasks: int, shift_mag: float, d_x: int, sigma: float,
         if style_scale > 0.0:
             psi = 2.0 * np.pi * t / max(num_tasks, 2)
             mu = mu + style_scale * (np.cos(psi) * geom["style_a"] + np.sin(psi) * geom["style_b"])
-        real = np.stack([mu + comp_offset * geom["comp"], mu - comp_offset * geom["comp"]])
+        real = np.stack([mu + COMP_OFFSET * geom["comp"], mu - COMP_OFFSET * geom["comp"]])
         theta = 2.0 * np.pi * t / max(num_tasks, 2)
         fake_dir = np.cos(theta) * geom["fake_a"] + np.sin(theta) * geom["fake_b"]
-        fake = real + fake_scale * fake_dir
+        fake = real + FAKE_SCALE * fake_dir
         specs.append(DomainSpec(domain_id=t, real_means=real, fake_means=fake,
-                                cov_diag=np.full(d_x, sigma * sigma),
+                                cov_diag=np.full(d_x, SIGMA * SIGMA),
                                 shift=mu - prev_mu, train_n=train_n, eval_n=eval_n))
         prev_mu = mu
     return specs
 
 
 def gen_sequence(protocol: str, seed: int, d_x: int = 8, train_n: int = 1024,
-                 eval_n: int = 512, sigma: float = 0.35, comp_offset: float = 1.0,
-                 fake_scale: float = 2.0, style_scale: float = 0.7) -> TaskStream:
+                 eval_n: int = 512) -> TaskStream:
     """Build one of the named protocols.
 
     four-task / ten-task chain partially-overlapping shifted domains whose
@@ -155,18 +161,11 @@ def gen_sequence(protocol: str, seed: int, d_x: int = 8, train_n: int = 1024,
     variants place the pair of domain means >= 10 sigma apart (separated) or
     <= 1 sigma apart (overlap).
     """
-    if protocol == "four-task":
-        specs = _build_specs(4, 0.8 * sigma, d_x, sigma, comp_offset, fake_scale, train_n,
-                             eval_n, style_scale=style_scale)
-    elif protocol == "ten-task":
-        specs = _build_specs(10, 0.8 * sigma, d_x, sigma, comp_offset, fake_scale, train_n,
-                             eval_n, style_scale=style_scale)
-    elif protocol == "two-task-separated":
-        specs = _build_specs(2, 36.0 * sigma, d_x, sigma, comp_offset, fake_scale, train_n, eval_n)
-    elif protocol == "two-task-overlap":
-        specs = _build_specs(2, 0.8 * sigma, d_x, sigma, comp_offset, fake_scale, train_n, eval_n)
-    else:
+    if protocol not in _LAYOUTS:
         raise ContractViolation(f"unknown protocol {protocol!r}")
+    num_tasks, step, styled = _LAYOUTS[protocol]
+    specs = _build_specs(num_tasks, step * SIGMA, d_x, train_n, eval_n,
+                         style_scale=STYLE_SCALE if styled else 0.0)
     return TaskStream(protocol=protocol, seed=int(seed), specs=specs)
 
 

@@ -22,8 +22,8 @@ from dgkan import continual
 from dgkan.continual import (ScoreMatrix, Trainer, TrainerConfig, accuracy, auc,
                              average_accuracy, average_forgetting, run_stream)
 from dgkan.fskdcp import (KdcpProjection, herd_indices, train_projection_step)
-from dgkan.kanheads import (DgkdHead, FeatureExtractor, GroupKanHead, MlpHead, RbfParams,
-                            DgLayer, make_baseline_head, rbf_eval, rbf_grad)
+from dgkan.kanheads import (DgkdHead, FeatureExtractor, GroupKanHead, MlpHead,
+                            DgLayer, make_baseline_head)
 from dgkan.losses import (DomainLabeledBatch, align_loss, bce_loss, kd_loss, supcon_loss)
 from dgkan.numcore import (AdamState, RngStream, finite_diff_grad, max_rel_err)
 from dgkan.synthbench import REFERENCE_SEEDS, dataset, gen_sequence
@@ -31,6 +31,7 @@ from dgkan.synthbench import REFERENCE_SEEDS, dataset, gen_sequence
 from test_losses import supcon_bruteforce
 from test_fskdcp import herding_oracle
 from test_continual import auc_pair_oracle
+from test_kanheads import RbfParams, rbf_eval, rbf_grad
 
 GRAD_TOL = 1e-4
 
@@ -217,9 +218,8 @@ def test_c01_gradient_suite():
 
         F = r.normal(size=(6, 3))
         d = np.array([0, 0, 1, 1, 2, 2])
-        _, gF = supcon_loss(DomainLabeledBatch(F, d, np.zeros(6, dtype=int)), 0.1)
-        check(lambda flat: supcon_loss(DomainLabeledBatch(flat.reshape(6, 3), d,
-                                                          np.zeros(6, dtype=int)), 0.1)[0],
+        _, gF = supcon_loss(DomainLabeledBatch(F, d), 0.1)
+        check(lambda flat: supcon_loss(DomainLabeledBatch(flat.reshape(6, 3), d), 0.1)[0],
               F.ravel(), gF.ravel())
 
         tch = r.normal(size=(4, 3))
@@ -363,8 +363,7 @@ def test_c08_oracle_equivalences():
     rng = RngStream(404)
     # contrastive loss vs brute force, including the 4-sample hand value
     F = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    hand, _ = supcon_loss(DomainLabeledBatch(F, np.array([0, 0, 1, 1]),
-                                             np.zeros(4, dtype=int)), 0.1)
+    hand, _ = supcon_loss(DomainLabeledBatch(F, np.array([0, 0, 1, 1])), 0.1)
     assert hand == pytest.approx(-9.30685, abs=1e-5)
     checked = 0
     while checked < 50:
@@ -374,7 +373,7 @@ def test_c08_oracle_equivalences():
         if np.unique(d).size < 2:
             continue
         try:
-            loss, _ = supcon_loss(DomainLabeledBatch(feats, d, np.zeros(n, dtype=int)), 0.1)
+            loss, _ = supcon_loss(DomainLabeledBatch(feats, d), 0.1)
         except Exception:
             continue
         assert loss == pytest.approx(supcon_bruteforce(feats, d, 0.1), abs=1e-9)
@@ -426,7 +425,7 @@ def test_c09_drift_compensation():
     batches = rng.substream("batches")
     for _ in range(4000):
         idx = batches.integers(0, 2000, size=64)
-        _, opt = train_projection_step(proj, Ft[idx], student(Xtrain[idx]), opt)
+        train_projection_step(proj, Ft[idx], student(Xtrain[idx]), opt)
     before = np.linalg.norm(teacher.forward(Xheld) - student(Xheld), axis=1).mean()
     after = np.linalg.norm(proj.apply(teacher.forward(Xheld)) - student(Xheld), axis=1).mean()
     reduction = 1.0 - after / before

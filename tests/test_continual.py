@@ -172,6 +172,23 @@ class TestTrainer:
         assert tr.memory.space_task == 2
         assert tr.projection.source_task == 1 and tr.projection.target_task == 2
 
+    def test_unprojected_merge_tagged_source_space(self):
+        # data-free replay without drift compensation never moves a stored
+        # row, so after task 2 the task-1 rows still live in task-1 space and
+        # the merged memory is tagged 0: each row in its source task's space
+        stream = tiny_stream()
+        tr = Trainer(tiny_config(use_kdcp=False), 11)
+        X, y = dataset(stream, 0, "train")
+        tr.train_task(X, y)
+        assert tr.memory.space_task == 1
+        first = tr.memory.features
+        X2, y2 = dataset(stream, 1, "train")
+        tr.train_task(X2, y2)
+        assert tr.memory.space_task == 0
+        assert set(tr.memory.source_task.tolist()) == {1, 2}
+        kept = tr.memory.features[tr.memory.source_task == 1]
+        assert all(np.any(np.all(first == row, axis=1)) for row in kept)
+
     def test_evaluate_all_deterministic(self):
         stream = tiny_stream()
         tr = Trainer(tiny_config(), 11)
@@ -206,6 +223,7 @@ class TestTrainer:
         assert tr.raw_memory is not None
         assert tr.raw_memory.shape[0] == len(tr.memory)
         assert m.num_steps == 4
+        assert tr.memory.space_task == 4     # every row re-extracted by the task-4 extractor
 
     def test_baseline_head_modes(self):
         stream = tiny_stream()

@@ -215,7 +215,7 @@ class TestProjection:
         proj, feats = _projection(rng)
         before = proj.layer.param_vector().copy()
         opt = AdamState.init(proj.layer.n_params(), lr=5e-4)
-        loss, opt = train_projection_step(proj, feats, feats, opt)
+        loss = train_projection_step(proj, feats, feats, opt)
         assert loss == 0.0
         assert np.array_equal(proj.layer.param_vector(), before)
 
@@ -226,7 +226,7 @@ class TestProjection:
         opt = AdamState.init(proj.layer.n_params(), lr=5e-4)
         loss = None
         for _ in range(500):
-            loss, opt = train_projection_step(proj, batch, batch + shift, opt)
+            loss = train_projection_step(proj, batch, batch + shift, opt)
         assert loss < 1e-3
 
     def test_gradient_matches_finite_diff(self, rng):
@@ -259,8 +259,7 @@ class TestProjectMemory:
     def _memory(self, rng, space_task=1):
         F = rng.normal(size=(12, 6))
         d = np.tile([0, 1], 6)
-        return FeatureMemory(features=F, domain_class=d, label=d % 2,
-                             source_task=d // 2 + 1, budget=20, space_task=space_task)
+        return FeatureMemory(features=F, domain_class=d, budget=20, space_task=space_task)
 
     def test_identity_projection_preserves_rows(self, rng):
         mem = self._memory(rng)
@@ -301,8 +300,7 @@ class TestAugment:
     def _memory(self, rng):
         F = np.vstack([rng.normal(loc=2.0, size=(20, 4)), rng.normal(loc=-3.0, size=(20, 4))])
         d = np.repeat([0, 1], 20)
-        return FeatureMemory(features=F, domain_class=d, label=d % 2,
-                             source_task=d // 2 + 1, budget=64, space_task=1)
+        return FeatureMemory(features=F, domain_class=d, budget=64, space_task=1)
 
     def test_zero_jitter_reproduces_rows(self, rng):
         mem = self._memory(rng)
@@ -354,8 +352,7 @@ class TestAugmentMatchesPerLabelStd:
         dc[dc == 1] = 0                       # a gap: label 1 never occurs
         dc[0] = labels + 1                    # a one-row label beyond the gap
         F = r.normal(loc=r.uniform(-50, 50), scale=r.uniform(0.1, 20), size=(rows, d_f))
-        mem = FeatureMemory(features=F, domain_class=dc, label=dc % 2,
-                            source_task=dc // 2 + 1, budget=rows, space_task=1)
+        mem = FeatureMemory(features=F, domain_class=dc, budget=rows, space_task=1)
         batch = augment_features(mem, 0.7, RngStream(9), n_samples=256)
         feats, drawn_dc = _augment_reference(mem, 0.7, RngStream(9), 256)
         assert batch.features.tobytes() == feats.tobytes()
@@ -363,8 +360,8 @@ class TestAugmentMatchesPerLabelStd:
 
     def test_negative_domain_class_rejected(self, rng):
         dc = np.array([0, -1, 1])
-        mem = FeatureMemory(features=rng.normal(size=(3, 4)), domain_class=dc, label=dc % 2,
-                            source_task=dc // 2 + 1, budget=3, space_task=1)
+        mem = FeatureMemory(features=rng.normal(size=(3, 4)), domain_class=dc, budget=3,
+                            space_task=1)
         with pytest.raises(ContractViolation, match="domain-class"):
             augment_features(mem, 0.5, rng, n_samples=4)
 
@@ -373,14 +370,16 @@ class TestMemorySnapshot:
     def test_round_trip(self, rng, tmp_path):
         F = rng.normal(size=(9, 5))
         d = np.array([0, 0, 1, 1, 2, 2, 3, 3, 3])
-        mem = FeatureMemory(features=F, domain_class=d, label=d % 2,
-                            source_task=d // 2 + 1, budget=20, space_task=2)
+        mem = FeatureMemory(features=F, domain_class=d, budget=20, space_task=2)
         path = tmp_path / "mem.csv"
         save_memory(mem, path)
         back = load_memory(path)
         assert np.array_equal(back.features, mem.features)
         assert np.array_equal(back.domain_class, mem.domain_class)
         assert back.space_task == 2 and back.budget == 20
+        codes = [line.split(",")[-3:] for line in path.read_text().splitlines()[1:]]
+        assert codes == [["domain_class", "label", "source_task"]] + [
+            [str(c), str(c % 2), str(c // 2 + 1)] for c in d]
 
     def test_version_mismatch(self, rng, tmp_path):
         path = tmp_path / "mem.csv"
@@ -391,13 +390,27 @@ class TestMemorySnapshot:
     def test_truncated_file(self, rng, tmp_path):
         F = rng.normal(size=(4, 3))
         d = np.array([0, 1, 0, 1])
-        mem = FeatureMemory(features=F, domain_class=d, label=d % 2,
-                            source_task=d // 2 + 1, budget=10, space_task=1)
+        mem = FeatureMemory(features=F, domain_class=d, budget=10, space_task=1)
         path = tmp_path / "mem.csv"
         save_memory(mem, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]))
         with pytest.raises(ContractViolation, match="truncated"):
+            load_memory(path)
+
+    @pytest.mark.parametrize("column,offset", [("label", -2), ("source_task", -1)])
+    def test_column_contradicting_domain_class_rejected(self, rng, tmp_path, column, offset):
+        d = np.array([0, 1, 2, 3])
+        mem = FeatureMemory(features=rng.normal(size=(4, 3)), domain_class=d, budget=10,
+                            space_task=2)
+        path = tmp_path / "mem.csv"
+        save_memory(mem, path)
+        lines = path.read_text().splitlines()
+        parts = lines[4].split(",")                  # row 2: domain_class 2, label 0, task 2
+        parts[offset] = str(int(parts[offset]) + 1)
+        lines[4] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractViolation, match=f"row 2: {column}"):
             load_memory(path)
 
     def test_not_a_snapshot(self, tmp_path):
@@ -431,7 +444,7 @@ class TestDriftCompensation:
         batches = rng.substream("batches")
         for _ in range(4000):
             idx = batches.integers(0, 2000, size=64)
-            _, opt = train_projection_step(proj, Ft[idx], student(Xtrain[idx]), opt)
+            train_projection_step(proj, Ft[idx], student(Xtrain[idx]), opt)
         before = np.linalg.norm(teacher.forward(Xheld) - student(Xheld), axis=1).mean()
         after = np.linalg.norm(proj.apply(teacher.forward(Xheld)) - student(Xheld), axis=1).mean()
         assert after < 0.10 * before

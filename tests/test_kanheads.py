@@ -1,15 +1,47 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from dgkan.kanheads import (DgkdHead, DgLayer, FeatureExtractor, GroupKanHead, MlpHead,
-                            RbfParams, _silu, activation_profile, add_task_layer,
-                            group_index_map, make_baseline_head, rbf_eval, rbf_grad)
+from dgkan.kanheads import (SIGMA_MIN, DgkdHead, DgLayer, FeatureExtractor, GroupKanHead,
+                            MlpHead, _silu, activation_profile, add_task_layer,
+                            group_index_map, make_baseline_head)
 from dgkan.numcore import AdamState, ContractViolation, RngStream, adam_step, finite_diff_grad, max_rel_err
 from dgkan.losses import bce_loss
 
 from conftest import gradcheck, gradcheck_vec
+
+
+# Scalar oracles of one grouped-RBF bump, against which the vectorized layers
+# are checked; the library itself never evaluates a single bump.
+
+@dataclass
+class RbfParams:
+    """Center and width of one shared Gaussian bump (width clamped >= 1e-3)."""
+
+    center: float
+    width: float
+
+    def __post_init__(self):
+        self.center = float(self.center)
+        self.width = max(float(self.width), SIGMA_MIN)
+
+
+def rbf_eval(x: float, p: RbfParams) -> float:
+    """Gaussian response exp(-(x-c)^2 / (2 sigma^2)), in (0, 1]."""
+    z = (x - p.center) / p.width
+    return float(np.exp(-0.5 * z * z))
+
+
+def rbf_grad(x: float, p: RbfParams) -> tuple[float, float, float]:
+    """Closed-form partials (d/dx, d/dc, d/dsigma); d/dx == -d/dc."""
+    z = (x - p.center) / p.width
+    phi = np.exp(-0.5 * z * z)
+    ddx = -z / p.width * phi
+    ddc = z / p.width * phi
+    dds = z * z / p.width * phi
+    return float(ddx), float(ddc), float(dds)
 
 
 class TestRbf:
@@ -204,8 +236,7 @@ class TestDgkdHead:
             logits, cache = head.forward_cached(feats)
             _, dlogits = bce_loss(logits, y)
             _, grads = head.backward(dlogits.reshape(-1, 1), cache)
-            params, opt = adam_step(head.param_vector(), grads, opt)
-            head.set_param_vector(params)
+            head.set_param_vector(adam_step(head.param_vector(), grads, opt))
         assert head.layers[0].param_vector().tobytes() == frozen_bytes
 
     def test_locality_invariant(self, rng):

@@ -94,7 +94,7 @@ def supcon_row_gather(batch, tau, normalize=True):
 
 def _batch(F, d):
     F = np.asarray(F, dtype=float)
-    return DomainLabeledBatch(F, np.asarray(d), np.zeros(len(d), dtype=int))
+    return DomainLabeledBatch(F, np.asarray(d))
 
 
 class TestBce:

@@ -5,10 +5,22 @@ from dgkan.numcore import (AdamState, ContractViolation, RngStream, adam_step, f
                            max_rel_err)
 
 
+def functional_adam_step(params, grads, m, v, step_count, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The functional Adam update that ``adam_step`` replaced, verbatim in its
+    arithmetic: fresh moments and parameters, nothing updated in place."""
+    t = step_count + 1
+    m = beta1 * m + (1.0 - beta1) * grads
+    v = beta2 * v + (1.0 - beta2) * grads * grads
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + eps), m, v, t
+
+
 class TestAdam:
     def test_single_step_hand_value(self):
         # one bias-corrected step: m_hat = v_hat = 1, update = -lr / (1 + eps)
-        params, state = adam_step(np.array([0.0]), np.array([1.0]), AdamState.init(1, lr=0.1))
+        state = AdamState.init(1, lr=0.1)
+        params = adam_step(np.array([0.0]), np.array([1.0]), state)
         assert params[0] == pytest.approx(-0.1 * 1.0 / (1.0 + 1e-8), abs=1e-12)
         assert state.step_count == 1
 
@@ -17,7 +29,7 @@ class TestAdam:
         state = AdamState.init(3, lr=0.01)
         original = params.tobytes()
         for _ in range(7):
-            params, state = adam_step(params, np.zeros(3), state)
+            params = adam_step(params, np.zeros(3), state)
         assert params.tobytes() == original
         assert state.step_count == 7
         assert np.all(state.m == 0.0) and np.all(state.v == 0.0)
@@ -28,7 +40,7 @@ class TestAdam:
         s = AdamState.init(2, lr=0.05)
         out1 = adam_step(p, g, s)
         out2 = adam_step(p, g, AdamState.init(2, lr=0.05))
-        assert np.array_equal(out1[0], out2[0])
+        assert np.array_equal(out1, out2)
 
     def test_length_mismatch(self):
         with pytest.raises(ContractViolation):
@@ -40,9 +52,40 @@ class TestAdam:
 
     def test_hyperparameter_validation(self):
         with pytest.raises(ContractViolation):
-            AdamState(m=np.zeros(1), v=np.zeros(1), beta1=1.5)
-        with pytest.raises(ContractViolation):
             AdamState(m=np.zeros(1), v=np.zeros(1), lr=-1.0)
+
+    @pytest.mark.parametrize("lr", [1e-3, 2e-4, 5e-4, 1e-2])
+    def test_bitwise_equal_to_functional_update(self, lr):
+        r = RngStream(3).substream("adam", lr)
+        n = 257
+        params = r.normal(size=n)
+        state = AdamState.init(n, lr=lr)
+        ref_p, ref_m, ref_v, ref_t = params.copy(), np.zeros(n), np.zeros(n), 0
+        for k in range(300):
+            grads = r.normal(scale=10.0 ** r.uniform(-6, 2), size=n)
+            if k % 7 == 3:
+                grads[:] = 0.0                        # whole zero-gradient steps
+            grads[r.integers(0, n, size=20)] = 0.0    # and zero entries in the others
+            params = adam_step(params, grads, state)
+            ref_p, ref_m, ref_v, ref_t = functional_adam_step(ref_p, grads, ref_m, ref_v, ref_t, lr)
+            assert np.array_equal(params, ref_p)
+            assert np.array_equal(state.m, ref_m) and np.array_equal(state.v, ref_v)
+            assert state.step_count == ref_t
+
+    def test_rejected_step_leaves_state_unchanged(self):
+        state = AdamState.init(2, lr=0.1)
+        adam_step(np.zeros(2), np.array([0.5, -1.0]), state)
+        m, v = state.m.copy(), state.v.copy()
+        with pytest.raises(ContractViolation):
+            adam_step(np.zeros(2), np.array([1.0, np.inf]), state)
+        assert state.step_count == 1
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+    def test_state_owns_its_moments(self):
+        m = np.zeros(2)
+        state = AdamState(m=m, v=np.zeros(2), lr=0.1)
+        adam_step(np.zeros(2), np.ones(2), state)
+        assert np.all(m == 0.0) and np.all(state.m != 0.0)
 
 
 class TestFiniteDiff:
