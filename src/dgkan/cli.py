@@ -21,7 +21,7 @@ from .continual import (HEADS, ConfigError, ScoreMatrix, Trainer, TrainerConfig,
 from .fskdcp import save_memory
 from .kanheads import DgkdHead, activation_profile
 from .numcore import ContractViolation
-from .synthbench import PROTOCOLS, TaskStream, dataset, gen_sequence
+from .synthbench import LAYOUTS, PROTOCOLS, TaskStream, dataset, gen_sequence
 
 CONFIG_FORMAT_VERSION = 1
 SUMMARY_SCHEMA_VERSION = 1
@@ -73,8 +73,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             continue
         if key not in schema:
             raise ConfigError(f"config line {lineno}: unknown field {key!r}")
-        typ = typemap.get(schema[key], str) if isinstance(schema[key], str) else schema[key]
-        setattr(cfg, key, _parse_typed(key, val, typ))
+        setattr(cfg, key, _parse_typed(key, val, typemap[schema[key]]))
     if not seen_version:
         raise ConfigError("config missing required 'config_version' header")
     validate_config(cfg)
@@ -82,11 +81,20 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Raise ConfigError (exit code 2) for an unknown protocol or any value
-    that breaks a ``TrainerConfig.validate`` rule."""
+    """Raise ConfigError (exit code 2) for an unknown protocol, a value that
+    breaks a ``TrainerConfig.validate`` rule, or a stream the run cannot
+    finish: every split needs both classes, and the memory one row for each
+    of the protocol's 2T domain-classes."""
     if cfg.protocol not in PROTOCOLS:
         raise ConfigError(f"config field 'protocol': must be one of {PROTOCOLS}, got {cfg.protocol!r}")
     cfg.validate()
+    for name in ("train_samples", "eval_samples"):
+        if getattr(cfg, name) < 2:
+            raise ConfigError(f"config field {name!r}: must be >= 2, so that both classes occur")
+    num_classes = 2 * LAYOUTS[cfg.protocol][0]
+    if cfg.memory_budget < num_classes:
+        raise ConfigError(f"config field 'memory_budget': must be >= {num_classes}, one row per "
+                          f"domain-class of {cfg.protocol}")
 
 
 def config_lines(cfg: ExperimentConfig) -> list[str]:
@@ -310,19 +318,19 @@ def _load_cfg(args) -> ExperimentConfig:
         cfg = parse_config_text(Path(args.config).read_text())
     else:
         cfg = ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "head", None) is not None:
+    if args.head is not None:
         cfg.head = args.head
-    if getattr(args, "protocol", None) is not None:
+    if args.protocol is not None:
         cfg.protocol = args.protocol
-    if getattr(args, "ablate", None):
+    if args.ablate:
         for name in args.ablate.split(","):
             name = name.strip()
             if name not in ("sc", "kd", "kdcp"):
                 raise ConfigError(f"--ablate: unknown component {name!r}")
             setattr(cfg, f"use_{name}", False)
-    if getattr(args, "replay_raw", False):
+    if args.replay_raw:
         cfg.use_raw_replay = True
     validate_config(cfg)
     return cfg
@@ -384,6 +392,8 @@ def main(argv=None) -> int:
             cfg = _load_cfg(args)
             if args.verb == "dump-profile":
                 _check_profile_args(args, cfg)
+            elif cfg.d_f < 2:
+                raise ConfigError(f"dump-embeddings: the 2-D PCA dump needs d_f >= 2, got {cfg.d_f}")
             stream = build_stream(cfg)
             _, trainer = run_stream(stream, trainer_config(cfg))
         if args.verb == "dump-profile":

@@ -121,9 +121,6 @@ class Trainer:
 
     # -- helpers -------------------------------------------------------------
 
-    def _trains_projection(self) -> bool:
-        return self.task >= 2 and self.cfg.use_kdcp and not self.cfg.use_raw_replay
-
     def _replay_view(self) -> FeatureMemory:
         """Memory as seen by the replay path this step.
 
@@ -131,7 +128,7 @@ class Trainer:
         (evolving) feature space by the live projection; the permanent
         exactly-once re-projection still happens at the transition.
         """
-        if self._trains_projection():
+        if self.projection is not None:
             return replace(self.memory, features=self.projection.apply(self.memory.features))
         return self.memory
 
@@ -152,7 +149,7 @@ class Trainer:
             self.head = add_task_layer(self.head, feats_now, rng_task.substream("layer-init"))
 
         proj_opt = None
-        if self._trains_projection():
+        if t >= 2 and self.cfg.use_kdcp and not self.cfg.use_raw_replay:
             # RBFs over the old space, one group per feature dimension.  ``pool``
             # keeps the teacher features alive through the task: freeing them
             # here let glibc trim and regrow the heap on every training step
@@ -179,23 +176,23 @@ class Trainer:
 
     def _train_step(self, xb: np.ndarray, yb: np.ndarray, t: int, proj_opt: AdamState | None,
                     opt_ext: AdamState, opt_head: AdamState, rng_replay: RngStream) -> None:
+        """One Adam step of extractor and head on a batch (and one projection
+        step when ``proj_opt`` is given).  Raw replay rows pass through the
+        extractor after the batch rows and get only the contrastive gradient;
+        data-free replay rows are constants that join only the contrastive
+        batch."""
         cfg = self.cfg
         nb = xb.shape[0]
-
-        raw_replay = None
+        X_in, dc_in = xb, domain_class(t, yb)
         if cfg.use_raw_replay and self.raw_memory is not None:
             ridx = rng_replay.integers(0, len(self.memory), size=nb)
-            raw_replay = (self.raw_memory[ridx], self.memory.domain_class[ridx])
-
-        if raw_replay is not None:
-            X_full = np.vstack([xb, raw_replay[0]])
-        else:
-            X_full = xb
-        F_full, cache_ext = self.extractor.forward_cached(X_full)
-        F = F_full[:nb]
+            X_in = np.vstack([xb, self.raw_memory[ridx]])
+            dc_in = np.concatenate([dc_in, self.memory.domain_class[ridx]])
+        F_in, cache_ext = self.extractor.forward_cached(X_in)
+        F = F_in[:nb]
 
         teacher_F = None
-        if t >= 2 and (cfg.use_kd or self._trains_projection()):
+        if t >= 2 and (cfg.use_kd or proj_opt is not None):
             teacher_F = self.teacher.forward(xb)
 
         if proj_opt is not None:
@@ -205,41 +202,31 @@ class Trainer:
         cls, dlogits = bce_loss(logits, yb)
         dF_head, head_grads = self.head.backward(dlogits.reshape(nb, 1), cache_head)
 
-        dF_total = dF_head.copy()
+        dF_in = np.zeros_like(F_in)
+        dF_in[:nb] = dF_head
         sc = 0.0
-        dF_sc_replay = None
         if cfg.use_sc:
-            dc_now = domain_class(t, yb)
-            if raw_replay is not None:
-                sc_feats = F_full
-                sc_dc = np.concatenate([dc_now, raw_replay[1]])
-            elif self.memory is not None:
+            sc_feats, sc_dc = F_in, dc_in
+            if self.memory is not None and not cfg.use_raw_replay:
                 rb = augment_features(self._replay_view(), cfg.jitter_scale, rng_replay, n_samples=nb)
-                sc_feats = np.vstack([F, rb.features])
-                sc_dc = np.concatenate([dc_now, rb.domain_class])
-            else:
-                sc_feats = F
-                sc_dc = dc_now
-            if np.unique(sc_dc).size >= 2:
+                sc_feats = np.vstack([F_in, rb.features])
+                sc_dc = np.concatenate([dc_in, rb.domain_class])
+            # the loss needs two labels and a label that occurs twice (an
+            # anchor with a positive); a one-row last batch plus one replayed
+            # row of another domain-class has two labels but no positive
+            if 2 <= np.unique(sc_dc).size < len(sc_dc):
                 batch = DomainLabeledBatch(features=sc_feats, domain_class=sc_dc)
                 sc, dF_sc = supcon_loss(batch, cfg.tau, normalize=cfg.sc_normalize)
-                dF_total += cfg.lambda_sc * dF_sc[:nb]
-                if raw_replay is not None:
-                    dF_sc_replay = cfg.lambda_sc * dF_sc[nb:]
+                dF_in += cfg.lambda_sc * dF_sc[:len(dF_in)]
 
         kd = 0.0
         if cfg.use_kd and t >= 2:
             kd, dF_kd = kd_loss(teacher_F, F)
-            dF_total += cfg.lambda_kd * dF_kd
+            dF_in[:nb] += cfg.lambda_kd * dF_kd
 
         overall_loss(cls, sc, kd, cfg.lambda_sc, cfg.lambda_kd)   # raises ContractViolation on a non-finite total
 
-        if raw_replay is not None:
-            dF_full = np.vstack([dF_total, dF_sc_replay if dF_sc_replay is not None
-                                 else np.zeros_like(F_full[nb:])])
-        else:
-            dF_full = dF_total
-        _, ext_grads = self.extractor.backward(dF_full, cache_ext)
+        _, ext_grads = self.extractor.backward(dF_in, cache_ext)
 
         self.extractor.set_param_vector(adam_step(self.extractor.param_vector(), ext_grads, opt_ext))
         self.head.set_param_vector(adam_step(self.head.param_vector(), head_grads, opt_head))
@@ -253,8 +240,8 @@ class Trainer:
         pool_F, pool_dc, pool_X = self.extractor.forward(X), domain_class(t, y), X
         # every row is in task t's space, or (0) an unprojected data-free merge
         # left each row in its source task's space
-        space_task = t if self.memory is None or raw_replay or self._trains_projection() else 0
-        if self._trains_projection():
+        space_task = t if self.memory is None or raw_replay or self.projection is not None else 0
+        if self.projection is not None:
             self.memory = project_memory(self.memory, self.projection)
         if self.memory is not None:
             old_F = self.extractor.forward(self.raw_memory) if raw_replay else self.memory.features

@@ -47,6 +47,21 @@ def group_stats(features: np.ndarray, groups: int) -> tuple[np.ndarray, np.ndarr
     return mean, std
 
 
+def split_params(vec: np.ndarray, arrays: tuple[np.ndarray, ...], owner: str) -> list[np.ndarray]:
+    """Fresh copies of ``vec``'s consecutive slices in the shapes of ``arrays``
+    (a module's parameter arrays in ``param_vector`` order).  Raises before
+    the caller assigns anything when the lengths disagree."""
+    vec = np.asarray(vec, dtype=np.float64)
+    expected = sum(a.size for a in arrays)
+    if vec.size != expected:
+        raise ContractViolation(f"{owner} parameter vector has length {vec.size}, expected {expected}")
+    parts, i = [], 0
+    for a in arrays:
+        parts.append(vec[i:i + a.size].reshape(a.shape).copy())
+        i += a.size
+    return parts
+
+
 class DgLayer:
     """One domain's grouped-RBF layer: y = W @ [phi_group(i)(x_i)]_i.
 
@@ -93,14 +108,9 @@ class DgLayer:
         return np.concatenate([self.W.ravel(), self.centers, self.widths])
 
     def set_param_vector(self, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.size != self.n_params():
-            raise ContractViolation("DgLayer parameter vector has wrong length")
-        nw = self.W.size
-        self.W = vec[:nw].reshape(self.d_out, self.d_in).copy()
-        self.centers = vec[nw:nw + self.groups].copy()
+        self.W, self.centers, widths = split_params(vec, (self.W, self.centers, self.widths), "DgLayer")
         # width clamp keeps every Gaussian well defined after any update
-        self.widths = np.maximum(vec[nw + self.groups:], SIGMA_MIN)
+        self.widths = np.maximum(widths, SIGMA_MIN)
 
     # -- forward / backward -------------------------------------------------
 
@@ -310,11 +320,8 @@ class MlpHead:
         return np.concatenate([self.W1.ravel(), self.b1, self.W2.ravel(), self.b2])
 
     def set_param_vector(self, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=np.float64)
-        i = 0
-        for name, arr in (("W1", self.W1), ("b1", self.b1), ("W2", self.W2), ("b2", self.b2)):
-            setattr(self, name, vec[i:i + arr.size].reshape(arr.shape).copy())
-            i += arr.size
+        self.W1, self.b1, self.W2, self.b2 = split_params(
+            vec, (self.W1, self.b1, self.W2, self.b2), "MlpHead")
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         X, squeeze = _as_batch(X, self.d_in, "MlpHead input")
@@ -375,11 +382,8 @@ class GroupKanHead:
         return np.concatenate([self.W.ravel(), self.b, self.pcoef.ravel(), self.qcoef.ravel()])
 
     def set_param_vector(self, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=np.float64)
-        i = 0
-        for name, arr in (("W", self.W), ("b", self.b), ("pcoef", self.pcoef), ("qcoef", self.qcoef)):
-            setattr(self, name, vec[i:i + arr.size].reshape(arr.shape).copy())
-            i += arr.size
+        self.W, self.b, self.pcoef, self.qcoef = split_params(
+            vec, (self.W, self.b, self.pcoef, self.qcoef), "GroupKanHead")
 
     def _rational(self, X: np.ndarray):
         p = self.pcoef[self.group_of]          # (d_in, 4) broadcast per dimension
@@ -533,11 +537,8 @@ class FeatureExtractor:
         return np.concatenate([self.W1.ravel(), self.b1, self.W2.ravel(), self.b2])
 
     def set_param_vector(self, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=np.float64)
-        i = 0
-        for name, arr in (("W1", self.W1), ("b1", self.b1), ("W2", self.W2), ("b2", self.b2)):
-            setattr(self, name, vec[i:i + arr.size].reshape(arr.shape).copy())
-            i += arr.size
+        self.W1, self.b1, self.W2, self.b2 = split_params(
+            vec, (self.W1, self.b1, self.W2, self.b2), "FeatureExtractor")
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         X, squeeze = _as_batch(X, self.d_x, "extractor input")

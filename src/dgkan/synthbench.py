@@ -25,7 +25,7 @@ REFERENCE_SEEDS = (11, 23, 47)
 # the chained protocols a partial domain identity.
 SIGMA, COMP_OFFSET, FAKE_SCALE, STYLE_SCALE = 0.35, 1.0, 2.0, 0.7
 # protocol -> (domains, step between domain means in units of SIGMA, on the ring)
-_LAYOUTS = {"four-task": (4, 0.8, True), "ten-task": (10, 0.8, True),
+LAYOUTS = {"four-task": (4, 0.8, True), "ten-task": (10, 0.8, True),
             "two-task-separated": (2, 36.0, False), "two-task-overlap": (2, 0.8, False)}
 
 
@@ -161,9 +161,9 @@ def gen_sequence(protocol: str, seed: int, d_x: int = 8, train_n: int = 1024,
     variants place the pair of domain means >= 10 sigma apart (separated) or
     <= 1 sigma apart (overlap).
     """
-    if protocol not in _LAYOUTS:
+    if protocol not in LAYOUTS:
         raise ContractViolation(f"unknown protocol {protocol!r}")
-    num_tasks, step, styled = _LAYOUTS[protocol]
+    num_tasks, step, styled = LAYOUTS[protocol]
     specs = _build_specs(num_tasks, step * SIGMA, d_x, train_n, eval_n,
                          style_scale=STYLE_SCALE if styled else 0.0)
     return TaskStream(protocol=protocol, seed=int(seed), specs=specs)

@@ -228,6 +228,25 @@ class TestCliVerbs:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("bad", ["memory_budget = 7\n",
+                                     "protocol = ten-task\nmemory_budget = 19\n",
+                                     "train_samples = 1\n", "eval_samples = 1\n"],
+                             ids=["budget-7-four-task", "budget-19-ten-task", "train_samples-1",
+                                  "eval_samples-1"])
+    def test_unfinishable_stream_rejected_at_parse(self, bad, tmp_path):
+        # each of these trained and then failed (exit 3) with a config file
+        # and a failed manifest already written
+        cfg_path = tmp_path / "bad.txt"
+        cfg_path.write_text(TINY.replace("epochs = 2", "epochs = 1") + bad)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_memory_budget_floor_follows_protocol(self):
+        validate_config(ExperimentConfig(memory_budget=8))
+        validate_config(ExperimentConfig(protocol="ten-task", memory_budget=20))
+        with pytest.raises(ConfigError, match="memory_budget"):
+            validate_config(ExperimentConfig(protocol="ten-task", memory_budget=19))
+
     def test_negative_seed_flag_rejected_at_parse(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(TINY)
@@ -282,6 +301,17 @@ class TestCliVerbs:
         cfg_path.write_text(TINY)
         out = tmp_path / "profile.csv"
         assert main(["dump-profile", "--config", str(cfg_path), "--out", str(out)] + extra) == 2
+        assert trained == []
+        assert not out.exists()
+
+    def test_dump_embeddings_one_feature_dim_fails_before_training(self, tmp_path, monkeypatch):
+        import dgkan.cli
+        trained = []
+        monkeypatch.setattr(dgkan.cli, "run_stream", lambda *a: trained.append(a))
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(TINY + "d_f = 1\ngroups = 1\n")
+        out = tmp_path / "emb.csv"
+        assert main(["dump-embeddings", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert trained == []
         assert not out.exists()
 

@@ -1,3 +1,6 @@
+import types
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,9 @@ from hypothesis import strategies as st
 
 from dgkan.continual import (ConfigError, ScoreMatrix, Trainer, TrainerConfig, accuracy, auc,
                              average_accuracy, average_forgetting, run_stream)
-from dgkan.numcore import ContractViolation, RngStream
+from dgkan.fskdcp import augment_features, domain_class, train_projection_step
+from dgkan.losses import DomainLabeledBatch, bce_loss, kd_loss, overall_loss, supcon_loss
+from dgkan.numcore import ContractViolation, RngStream, adam_step
 from dgkan.synthbench import dataset, gen_sequence
 
 
@@ -189,6 +194,16 @@ class TestTrainer:
         kept = tr.memory.features[tr.memory.source_task == 1]
         assert all(np.any(np.all(first == row, axis=1)) for row in kept)
 
+    def test_one_row_last_batch_with_replay(self):
+        # 65 rows in batches of 64 end each epoch on one row; from task 2 on
+        # it meets one replayed row, often of another domain-class, and the
+        # contrastive term is skipped rather than raising
+        stream = gen_sequence("four-task", 11, train_n=65, eval_n=16)
+        tr = Trainer(tiny_config(epochs=2), 11)
+        for t in range(3):
+            tr.train_task(*dataset(stream, t, "train"))
+        assert tr.task == 3
+
     def test_evaluate_all_deterministic(self):
         stream = tiny_stream()
         tr = Trainer(tiny_config(), 11)
@@ -263,3 +278,102 @@ class TestTrainer:
         m.add_row([70.0, 90.0], [80.0, 95.0])
         assert average_accuracy(m, 2) == pytest.approx(80.0)
         assert average_accuracy(m, 2, "auc") == pytest.approx(87.5)
+
+
+def reference_train_step(self, xb, yb, t, proj_opt, opt_ext, opt_head, rng_replay):
+    """Frozen copy of the training step that forked on the replay mode, with
+    its drift-compensation test (``t >= 2 and use_kdcp and not
+    use_raw_replay``) written inline; the oracle for ``Trainer._train_step``."""
+    cfg = self.cfg
+    nb = xb.shape[0]
+    trains_projection = self.task >= 2 and cfg.use_kdcp and not cfg.use_raw_replay
+
+    raw_replay = None
+    if cfg.use_raw_replay and self.raw_memory is not None:
+        ridx = rng_replay.integers(0, len(self.memory), size=nb)
+        raw_replay = (self.raw_memory[ridx], self.memory.domain_class[ridx])
+
+    if raw_replay is not None:
+        X_full = np.vstack([xb, raw_replay[0]])
+    else:
+        X_full = xb
+    F_full, cache_ext = self.extractor.forward_cached(X_full)
+    F = F_full[:nb]
+
+    teacher_F = None
+    if t >= 2 and (cfg.use_kd or trains_projection):
+        teacher_F = self.teacher.forward(xb)
+
+    if proj_opt is not None:
+        train_projection_step(self.projection, teacher_F, F, proj_opt)
+
+    logits, cache_head = self.head.forward_cached(F)
+    cls, dlogits = bce_loss(logits, yb)
+    dF_head, head_grads = self.head.backward(dlogits.reshape(nb, 1), cache_head)
+
+    dF_total = dF_head.copy()
+    sc = 0.0
+    dF_sc_replay = None
+    if cfg.use_sc:
+        dc_now = domain_class(t, yb)
+        if raw_replay is not None:
+            sc_feats = F_full
+            sc_dc = np.concatenate([dc_now, raw_replay[1]])
+        elif self.memory is not None:
+            view = self.memory
+            if trains_projection:
+                view = replace(self.memory, features=self.projection.apply(self.memory.features))
+            rb = augment_features(view, cfg.jitter_scale, rng_replay, n_samples=nb)
+            sc_feats = np.vstack([F, rb.features])
+            sc_dc = np.concatenate([dc_now, rb.domain_class])
+        else:
+            sc_feats = F
+            sc_dc = dc_now
+        if np.unique(sc_dc).size >= 2:
+            batch = DomainLabeledBatch(features=sc_feats, domain_class=sc_dc)
+            sc, dF_sc = supcon_loss(batch, cfg.tau, normalize=cfg.sc_normalize)
+            dF_total += cfg.lambda_sc * dF_sc[:nb]
+            if raw_replay is not None:
+                dF_sc_replay = cfg.lambda_sc * dF_sc[nb:]
+
+    kd = 0.0
+    if cfg.use_kd and t >= 2:
+        kd, dF_kd = kd_loss(teacher_F, F)
+        dF_total += cfg.lambda_kd * dF_kd
+
+    overall_loss(cls, sc, kd, cfg.lambda_sc, cfg.lambda_kd)
+
+    if raw_replay is not None:
+        dF_full = np.vstack([dF_total, dF_sc_replay if dF_sc_replay is not None
+                             else np.zeros_like(F_full[nb:])])
+    else:
+        dF_full = dF_total
+    _, ext_grads = self.extractor.backward(dF_full, cache_ext)
+
+    self.extractor.set_param_vector(adam_step(self.extractor.param_vector(), ext_grads, opt_ext))
+    self.head.set_param_vector(adam_step(self.head.param_vector(), head_grads, opt_head))
+
+
+class TestTrainStepMatchesReference:
+    @pytest.mark.parametrize("kw", [{}, {"use_kdcp": False}, {"use_raw_replay": True},
+                                    {"use_raw_replay": True, "use_sc": False}, {"head": "mlp"}],
+                             ids=["data-free", "data-free-no-kdcp", "raw", "raw-no-sc", "mlp"])
+    def test_two_tasks_exact_bytes(self, kw):
+        stream = tiny_stream()
+        cfg = tiny_config(**kw)
+        trainers = [Trainer(cfg, 11), Trainer(cfg, 11)]
+        trainers[1]._train_step = types.MethodType(reference_train_step, trainers[1])
+        for tr in trainers:
+            for t in range(2):
+                tr.train_task(*dataset(stream, t, "train"))
+        new, ref = trainers
+
+        def state(tr):
+            proj = None if tr.projection is None else tr.projection.layer.param_vector()
+            return [tr.extractor.param_vector(), tr.head.param_vector(), proj,
+                    tr.memory.features, tr.memory.domain_class, tr.raw_memory]
+
+        assert (new.projection is None) == ("use_raw_replay" in kw or "use_kdcp" in kw)
+        assert (new.raw_memory is None) != ("use_raw_replay" in kw)
+        for a, b in zip(state(new), state(ref)):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()

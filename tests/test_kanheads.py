@@ -428,3 +428,24 @@ class TestFeatureExtractor:
         before = snap.param_vector().copy()
         ext.W1 += 1.0
         assert np.array_equal(snap.param_vector(), before)
+
+
+_MODULES = {
+    "mlp": lambda rng: MlpHead.init(4, 2, 5, rng),
+    "extractor": lambda rng: FeatureExtractor.init(4, 3, 6, rng),
+    "groupkan-layer": lambda rng: GroupKanHead(rng.normal(size=(3, 4)), rng.normal(size=3),
+                                               rng.normal(size=(2, 4)), rng.normal(size=(2, 2)), 2),
+    "groupkan": lambda rng: make_baseline_head("groupkan", 4, 2, rng, hidden=5, groups=2),
+    "dglayer": _random_layer,
+}
+
+
+@pytest.mark.parametrize("delta", [-3, 3])
+@pytest.mark.parametrize("kind", sorted(_MODULES))
+def test_set_param_vector_rejects_wrong_length(kind, delta, rng):
+    # a vector of the wrong length raises before any array is replaced
+    module = _MODULES[kind](rng)
+    before = module.param_vector().copy()
+    with pytest.raises(ContractViolation, match="parameter vector has"):
+        module.set_param_vector(np.ones(before.size + delta))
+    assert np.array_equal(module.param_vector(), before)
