@@ -394,6 +394,8 @@ def main(argv=None) -> int:
                 _check_profile_args(args, cfg)
             elif cfg.d_f < 2:
                 raise ConfigError(f"dump-embeddings: the 2-D PCA dump needs d_f >= 2, got {cfg.d_f}")
+            if not Path(args.out).parent.is_dir():
+                raise ConfigError(f"--out: directory {str(Path(args.out).parent)!r} does not exist")
             stream = build_stream(cfg)
             _, trainer = run_stream(stream, trainer_config(cfg))
         if args.verb == "dump-profile":

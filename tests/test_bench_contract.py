@@ -5,9 +5,18 @@ dgkan, in the place the tracer patches it.
 
 Methods must sit in their own class's ``__dict__`` (the tracer reads
 ``cls.__dict__[attr]``) and functions must be module attributes (the tracer
-rebinds every module-level name bound to the same object).  A rename, a
-merge into a base class or a deleted function breaks ``Tracer.install``;
-this test catches that before a benchmark run does.
+rebinds every module-level name bound to the same object).  A rename or a
+deleted function breaks ``Tracer.install``; this test catches that before a
+benchmark run does.  A method merged into a base class is fine as long as
+each traced subclass binds it in its own class body
+(``forward = SiluMlp.forward``): the tracer then wraps each class's entry
+under that class's span name.
+
+An alias is not fine: ``MlpHead = FeatureExtractor`` or
+``align_loss = kd_loss`` still resolves, but the tracer then wraps one object
+twice, so spans nest and one layer's time is counted under another's name.
+A traced two-task run checks that no traced layer call sits inside another
+and that each is counted once per training step.
 
 Every workload's set-up (``worker.py setup``: config parse, the TINY
 overrides set by ``setattr``, ``validate_config``, ``trainer_config`` and a
@@ -16,8 +25,10 @@ rather than in a benchmark run.
 """
 import importlib.util
 import json
+import math
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -79,6 +90,30 @@ def test_install_wraps_and_uninstall_restores():
     after = _package_bindings()
     for name, bindings in before.items():
         assert all(after[name].get(key) is val for key, val in bindings.items()), name
+
+
+def test_traced_mlp_run_spans_are_flat_and_counted():
+    tracing = _load_tracing()
+    cfg = dgkan.continual.TrainerConfig(head="mlp", epochs=1)
+    train_n = 96
+    stream = dgkan.synthbench.gen_sequence("two-task-overlap", 11, train_n=train_n, eval_n=32)
+    steps_per_task = math.ceil(train_n / cfg.batch_size) * cfg.epochs
+    tracer = tracing.Tracer()
+    tracer.install(dgkan)
+    try:
+        dgkan.continual.run_stream(stream, cfg)
+    finally:
+        tracer.uninstall()
+    names = {span[0]: span[2] for span in tracer.spans}
+    layers = ("kanheads.", "losses.")
+    nested = [(names[parent], name) for _, parent, name, *_ in tracer.spans
+              if parent >= 0 and name.startswith(layers) and names[parent].startswith(layers)]
+    assert nested == []
+    counts = Counter(names.values())
+    assert counts["kanheads.extractor.forward_cached"] == 2 * steps_per_task
+    assert counts["kanheads.mlp.forward_cached"] == 2 * steps_per_task
+    assert counts["losses.kd_loss"] == steps_per_task       # task 2 only
+    assert counts["losses.align_loss"] == steps_per_task
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

@@ -315,6 +315,22 @@ class TestCliVerbs:
         assert trained == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["dump-profile", "dump-embeddings"])
+    def test_dump_out_in_missing_directory_fails_before_training(self, verb, tmp_path, monkeypatch,
+                                                                 capsys):
+        import dgkan.cli
+
+        def no_training(*args):
+            raise AssertionError("run_stream called")
+
+        monkeypatch.setattr(dgkan.cli, "run_stream", no_training)
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(TINY)
+        out = tmp_path / "missing" / "out.csv"
+        assert main([verb, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "does not exist" in capsys.readouterr().err
+        assert not out.parent.exists()
+
 
 class TestEmbeddings:
     def test_row_count_matches_pooled_eval(self, tmp_path):

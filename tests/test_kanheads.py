@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from dgkan.kanheads import (SIGMA_MIN, DgkdHead, DgLayer, FeatureExtractor, GroupKanHead,
+from dgkan.kanheads import (SIGMA_MIN, DgkdHead, DgLayer, FeatureExtractor, GrKanLayer,
                             MlpHead, _silu, activation_profile, add_task_layer,
                             group_index_map, make_baseline_head)
 from dgkan.numcore import AdamState, ContractViolation, RngStream, adam_step, finite_diff_grad, max_rel_err
@@ -357,8 +357,8 @@ class TestBaselineHeads:
         # P(x) = x, Q(x) = 1 reduces to an affine layer
         W = rng.normal(size=(2, 4))
         b = rng.normal(size=2)
-        head = GroupKanHead(W, b, pcoef=np.tile([0.0, 1.0, 0.0, 0.0], (2, 1)),
-                            qcoef=np.zeros((2, 2)), groups=2)
+        head = GrKanLayer(W, b, pcoef=np.tile([0.0, 1.0, 0.0, 0.0], (2, 1)),
+                          qcoef=np.zeros((2, 2)), groups=2)
         X = rng.normal(size=(5, 4))
         assert np.allclose(head.forward(X), X @ W.T + b, atol=1e-12)
 
@@ -433,8 +433,8 @@ class TestFeatureExtractor:
 _MODULES = {
     "mlp": lambda rng: MlpHead.init(4, 2, 5, rng),
     "extractor": lambda rng: FeatureExtractor.init(4, 3, 6, rng),
-    "groupkan-layer": lambda rng: GroupKanHead(rng.normal(size=(3, 4)), rng.normal(size=3),
-                                               rng.normal(size=(2, 4)), rng.normal(size=(2, 2)), 2),
+    "groupkan-layer": lambda rng: GrKanLayer(rng.normal(size=(3, 4)), rng.normal(size=3),
+                                             rng.normal(size=(2, 4)), rng.normal(size=(2, 2)), 2),
     "groupkan": lambda rng: make_baseline_head("groupkan", 4, 2, rng, hidden=5, groups=2),
     "dglayer": _random_layer,
 }
