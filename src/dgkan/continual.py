@@ -20,11 +20,11 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .fskdcp import (FeatureMemory, KdcpProjection, augment_features, domain_class,
-                     project_memory, select_features, train_projection_step)
+from .fskdcp import (FeatureMemory, KdcpProjection, LabelBins, augment_features, domain_class,
+                     label_bins, project_memory, select_features, train_projection_step)
 from .kanheads import (DgkdHead, FeatureExtractor, add_task_layer, make_baseline_head)
 from .losses import (DomainLabeledBatch, bce_loss, kd_loss, overall_loss, supcon_loss)
-from .numcore import AdamState, ContractViolation, RngStream, adam_step
+from .numcore import AdamState, ContractViolation, RngStream, check_finite
 from .synthbench import TaskStream, dataset
 
 HEADS = ("dgkd", "mlp", "groupkan")
@@ -117,6 +117,8 @@ class Trainer:
         self.memory: FeatureMemory | None = None
         self.raw_memory: np.ndarray | None = None
         self.projection: KdcpProjection | None = None
+        # the label layout of the memory's codes, fixed while a task trains
+        self.replay_bins: LabelBins | None = None
         self.task = 0
 
     # -- helpers -------------------------------------------------------------
@@ -135,11 +137,22 @@ class Trainer:
     # -- training ------------------------------------------------------------
 
     def train_task(self, X: np.ndarray, y: np.ndarray) -> None:
-        """Train on one task's data and run the transition bookkeeping."""
+        """Train on one task's data and run the transition bookkeeping.
+
+        ``X`` must be a finite (N, d_x) array and ``y`` N labels, each 0 or 1,
+        with both present; a call that breaks this raises ContractViolation
+        before any state changes.
+        """
         X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        if np.unique(y).size < 2:
-            raise ContractViolation("task data must contain both classes")
+        y = np.asarray(y)
+        if X.ndim != 2 or X.shape[1] != self.cfg.d_x:
+            raise ContractViolation(f"task inputs must have shape (N, {self.cfg.d_x}), got {X.shape}")
+        check_finite(X, "task inputs")
+        if y.shape != (X.shape[0],):
+            raise ContractViolation(f"task labels must have shape ({X.shape[0]},), got {y.shape}")
+        if not np.array_equal(np.unique(y), [0, 1]):
+            raise ContractViolation("task labels must be 0 or 1, with both classes present")
+        y = y.astype(np.int64)
         self.task += 1
         t = self.task
         rng_task = self.rng.substream("task", t)
@@ -161,6 +174,9 @@ class Trainer:
 
         opt_ext = AdamState.init(self.extractor.n_params(), lr=self.cfg.main_lr)
         opt_head = AdamState.init(self.head.n_params(), lr=self.cfg.main_lr)
+        self.replay_bins = None
+        if self.memory is not None and not self.cfg.use_raw_replay:
+            self.replay_bins = label_bins(self.memory.domain_class, self.cfg.d_f)
 
         n = X.shape[0]
         batch_size = self.cfg.batch_size
@@ -208,7 +224,8 @@ class Trainer:
         if cfg.use_sc:
             sc_feats, sc_dc = F_in, dc_in
             if self.memory is not None and not cfg.use_raw_replay:
-                rb = augment_features(self._replay_view(), cfg.jitter_scale, rng_replay, n_samples=nb)
+                rb = augment_features(self._replay_view(), cfg.jitter_scale, rng_replay,
+                                      n_samples=nb, layout=self.replay_bins)
                 sc_feats = np.vstack([F_in, rb.features])
                 sc_dc = np.concatenate([dc_in, rb.domain_class])
             # the loss needs two labels and a label that occurs twice (an
@@ -216,8 +233,9 @@ class Trainer:
             # row of another domain-class has two labels but no positive
             if 2 <= np.unique(sc_dc).size < len(sc_dc):
                 batch = DomainLabeledBatch(features=sc_feats, domain_class=sc_dc)
-                sc, dF_sc = supcon_loss(batch, cfg.tau, normalize=cfg.sc_normalize)
-                dF_in += cfg.lambda_sc * dF_sc[:len(dF_in)]
+                sc, dF_sc = supcon_loss(batch, cfg.tau, normalize=cfg.sc_normalize,
+                                        grad_rows=len(dF_in))
+                dF_in += cfg.lambda_sc * dF_sc
 
         kd = 0.0
         if cfg.use_kd and t >= 2:
@@ -228,8 +246,8 @@ class Trainer:
 
         _, ext_grads = self.extractor.backward(dF_in, cache_ext)
 
-        self.extractor.set_param_vector(adam_step(self.extractor.param_vector(), ext_grads, opt_ext))
-        self.head.set_param_vector(adam_step(self.head.param_vector(), head_grads, opt_head))
+        self.extractor.adam_update(ext_grads, opt_ext)
+        self.head.adam_update(head_grads, opt_head)
 
     def _end_of_task(self, X: np.ndarray, y: np.ndarray, t: int) -> None:
         """Keep the herding selection of one pool: old memory rows, then this

@@ -12,7 +12,7 @@ import numpy as np
 
 from .kanheads import DgLayer, group_stats
 from .losses import DomainLabeledBatch, align_loss
-from .numcore import AdamState, ContractViolation, RngStream, adam_step, check_finite
+from .numcore import AdamState, ContractViolation, RngStream, check_finite
 
 MEMORY_FORMAT_VERSION = 1
 
@@ -233,7 +233,7 @@ def train_projection_step(proj: KdcpProjection, f_teacher: np.ndarray, f_student
     projected, cache = proj.apply_cached(t)
     loss, dP = align_loss(projected, s)
     _, grads = proj.layer.backward(dP, cache)
-    proj.layer.set_param_vector(adam_step(proj.layer.param_vector(), grads, opt))
+    proj.layer.adam_update(grads, opt)
     return loss
 
 
@@ -250,49 +250,77 @@ def project_memory(mem: FeatureMemory, proj: KdcpProjection) -> FeatureMemory:
     return replace(mem, features=proj.apply(mem.features), space_task=proj.target_task)
 
 
-def _label_stds(features: np.ndarray, domain_class: np.ndarray) -> np.ndarray:
-    """Per-label, per-column std of ``features`` as an (L, d_f) table, L =
-    max label + 1; labels absent from ``domain_class`` get a zero row.
+@dataclass(frozen=True)
+class LabelBins:
+    """The per-label reduction layout of a memory's domain-class codes: the
+    flattened (domain_class, column) bin of every feature entry and the
+    per-label row counts (at least 1), as an (L, 1) column, L = max label +
+    1.  It depends on the codes alone, which stay fixed while a task trains,
+    so a trainer builds it once per task (``label_bins``)."""
 
-    One pass over the rows: two ``np.bincount`` reductions over flattened
-    (domain_class, column) bins, first the sums and then the squared
-    deviations from the label mean.  Both add rows in row order, as
-    ``np.std(axis=0)`` does for each label when d_f >= 2, so the table holds
-    the same bytes.  (For d_f = 1 np.std sums the single column pairwise, and
-    the last bits can differ.)
-    """
-    d_f = features.shape[1]
+    domain_class: np.ndarray
+    bins: np.ndarray
+    counts: np.ndarray
+
+
+def label_bins(domain_class: np.ndarray, d_f: int) -> LabelBins:
+    """The ``LabelBins`` of ``domain_class`` codes over ``d_f`` columns; the
+    codes must be >= 0."""
+    if domain_class.min() < 0:
+        raise ContractViolation("augment_features: domain-class labels must be >= 0")
     n_labels = int(domain_class.max()) + 1
     bins = np.add.outer(domain_class * d_f, np.arange(d_f)).ravel()
     counts = np.maximum(np.bincount(domain_class, minlength=n_labels), 1)[:, None]
-    mean = np.bincount(bins, weights=features.ravel(),
-                       minlength=n_labels * d_f).reshape(n_labels, d_f) / counts
-    dev = np.take(mean, domain_class, axis=0)
+    return LabelBins(domain_class, bins, counts)
+
+
+def _label_stds(features: np.ndarray, layout: LabelBins) -> np.ndarray:
+    """Per-label, per-column std of ``features`` as an (L, d_f) table, rows
+    labelled by ``layout``; labels absent from the codes get a zero row.
+
+    One pass over the rows: two ``np.bincount`` reductions over the
+    flattened bins, first the sums and then the squared deviations from the
+    label mean.  Both add rows in row order, as ``np.std(axis=0)`` does for
+    each label when d_f >= 2, so the table holds the same bytes.  (For
+    d_f = 1 np.std sums the single column pairwise, and the last bits can
+    differ.)
+    """
+    n_labels, d_f = layout.counts.shape[0], features.shape[1]
+    mean = np.bincount(layout.bins, weights=features.ravel(),
+                       minlength=n_labels * d_f).reshape(n_labels, d_f) / layout.counts
+    dev = np.take(mean, layout.domain_class, axis=0)
     np.subtract(features, dev, out=dev)              # in place: one (m, d_f) temporary
     dev *= dev
-    var = np.bincount(bins, weights=dev.ravel(),
-                      minlength=n_labels * d_f).reshape(n_labels, d_f) / counts
+    var = np.bincount(layout.bins, weights=dev.ravel(),
+                      minlength=n_labels * d_f).reshape(n_labels, d_f) / layout.counts
     return np.sqrt(var)
 
 
 def augment_features(mem: FeatureMemory, jitter_scale: float, rng: RngStream,
-                     n_samples: int) -> DomainLabeledBatch:
+                     n_samples: int, layout: LabelBins | None = None) -> DomainLabeledBatch:
     """Draw a replay batch of ``n_samples`` rows: pick stored rows uniformly
     (so uniformly within each label) and jitter them with that label's
     diagonal std, read from the ``_label_stds`` table of the whole memory,
-    times ``jitter_scale``.  A scale of 0 reproduces the stored rows."""
+    times ``jitter_scale``.  A scale of 0 reproduces the stored rows.
+
+    ``layout`` is the ``label_bins`` of ``mem.domain_class`` (that very
+    array, as a memory view with moved features shares it); by default it
+    is built here.
+    """
     m = len(mem)
     if m == 0:
         raise ContractViolation("augment_features on empty memory")
     dc = mem.domain_class
-    if dc.min() < 0:
-        raise ContractViolation("augment_features: domain-class labels must be >= 0")
+    if layout is None:
+        layout = label_bins(dc, mem.features.shape[1])
+    elif layout.domain_class is not dc:
+        raise ContractViolation("augment_features: layout built for another memory's codes")
     idx = rng.integers(0, m, size=n_samples)
     feats = mem.features[idx]
     drawn_dc = dc[idx]
     if jitter_scale > 0.0:
         noise = rng.normal(size=feats.shape)
-        scale = np.take(_label_stds(mem.features, dc), drawn_dc, axis=0)
+        scale = np.take(_label_stds(mem.features, layout), drawn_dc, axis=0)
         feats += jitter_scale * scale * noise
     return DomainLabeledBatch(features=feats, domain_class=drawn_dc)
 

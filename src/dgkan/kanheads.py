@@ -15,13 +15,20 @@ Layer conventions used throughout:
 * ``backward(dY, cache)`` returns ``(dX, grad_vec)`` where ``grad_vec``
   lines up with ``param_vector()`` so one Adam state per module suffices;
 * a layer's parameter vector is its ``PARAMS`` arrays, ravelled and
-  concatenated in that order (``ParamArrays``).
+  concatenated in that order (``ParamArrays``).  The module stores that
+  vector once, as the float64 array ``params``, and each ``PARAMS`` array is
+  a view into it: ``adam_update`` steps the vector in place,
+  ``set_param_vector`` writes into it in place, and ``param_vector`` returns
+  a copy.  ``GrKanHead`` keeps its two layers' vectors as views into one
+  vector of its own.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .numcore import ContractViolation, RngStream, check_finite
+from .numcore import AdamState, ContractViolation, RngStream, adam_step, check_finite
 
 SIGMA_MIN = 1e-3
 SIGMA_INIT_LO = 0.05
@@ -50,36 +57,57 @@ def group_stats(features: np.ndarray, groups: int) -> tuple[np.ndarray, np.ndarr
     return mean, std
 
 
-def _checked_vector(module, vec: np.ndarray) -> np.ndarray:
-    """``vec`` as float64, after checking it has ``module.n_params()`` entries."""
-    vec = np.asarray(vec, dtype=np.float64)
-    expected = module.n_params()
-    if vec.size != expected:
-        raise ContractViolation(
-            f"{type(module).__name__} parameter vector has length {vec.size}, expected {expected}")
-    return vec
-
-
 class ParamArrays:
-    """A module whose trainable parameters are the arrays named in ``PARAMS``."""
+    """A module whose trainable parameters are the arrays named in ``PARAMS``,
+    each a view into the one flat float64 vector ``params``.
+
+    A constructor sets the ``PARAMS`` attributes as arrays and then calls
+    ``_bind()``.  Copies (``copy.deepcopy``, pickling) rebuild the views into
+    the copy's own vector in ``__setstate__``.
+    """
 
     PARAMS: tuple[str, ...] = ()
 
-    def n_params(self) -> int:
-        return sum(getattr(self, name).size for name in self.PARAMS)
-
-    def param_vector(self) -> np.ndarray:
-        return np.concatenate([getattr(self, name).ravel() for name in self.PARAMS])
-
-    def set_param_vector(self, vec: np.ndarray) -> None:
-        """Replace each array by a fresh copy of its slice of ``vec``; a vector
-        of the wrong length raises before anything is assigned."""
-        vec = _checked_vector(self, vec)
+    def _bind(self, params: np.ndarray | None = None) -> None:
+        """Make each ``PARAMS`` array, at its current shape, a view of its
+        slice of ``params``; by default a fresh vector holding their values."""
+        if params is None:
+            params = np.concatenate([getattr(self, name).ravel() for name in self.PARAMS])
+        self.params = params
         i = 0
         for name in self.PARAMS:
-            old = getattr(self, name)
-            setattr(self, name, vec[i:i + old.size].reshape(old.shape).copy())
-            i += old.size
+            shape = getattr(self, name).shape
+            size = math.prod(shape)
+            setattr(self, name, params[i:i + size].reshape(shape))
+            i += size
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind(self.params)
+
+    def _constrain(self) -> None:
+        """Restore the parameter invariants after an update (none by default)."""
+
+    def n_params(self) -> int:
+        return self.params.size
+
+    def param_vector(self) -> np.ndarray:
+        return self.params.copy()
+
+    def set_param_vector(self, vec: np.ndarray) -> None:
+        """Write ``vec`` into the parameter vector in place; a vector of the
+        wrong length raises before anything is written."""
+        vec = np.asarray(vec, dtype=np.float64)
+        if vec.size != self.params.size:
+            raise ContractViolation(f"{type(self).__name__} parameter vector has length "
+                                    f"{vec.size}, expected {self.params.size}")
+        self.params[:] = vec.ravel()
+        self._constrain()
+
+    def adam_update(self, grads: np.ndarray, opt: AdamState) -> None:
+        """One Adam step of the parameter vector, in place."""
+        adam_step(self.params, grads, opt)
+        self._constrain()
 
 
 class DgLayer(ParamArrays):
@@ -102,9 +130,10 @@ class DgLayer(ParamArrays):
         self.groups = int(groups)
         self.group_of = group_index_map(d_in, groups)
         self.W = check_finite(np.asarray(W, dtype=np.float64).reshape(d_out, d_in), "W")
-        self.centers = np.asarray(centers, dtype=np.float64).reshape(groups).copy()
+        self.centers = np.asarray(centers, dtype=np.float64).reshape(groups)
         self.widths = np.maximum(np.asarray(widths, dtype=np.float64).reshape(groups), SIGMA_MIN)
         self.frozen = bool(frozen)
+        self._bind()
 
     @classmethod
     def from_features(cls, task_id: int, features: np.ndarray, d_out: int, groups: int,
@@ -120,8 +149,7 @@ class DgLayer(ParamArrays):
         widths = np.clip(spread, SIGMA_INIT_LO, SIGMA_INIT_HI)
         return cls(task_id, d_in, d_out, groups, W, centers, widths)
 
-    def set_param_vector(self, vec: np.ndarray) -> None:
-        super().set_param_vector(vec)
+    def _constrain(self) -> None:
         # width clamp keeps every Gaussian well defined after any update
         np.maximum(self.widths, SIGMA_MIN, out=self.widths)
 
@@ -239,16 +267,27 @@ class DgkdHead:
             dX = _sum_in_layer_order(common * (-z / s), dX)
         return dX, active_grads
 
+    @property
+    def params(self) -> np.ndarray:
+        """The active layer's parameter vector."""
+        return self.active_layer.params
+
     def n_params(self) -> int:
         return self.active_layer.n_params()
 
     def param_vector(self) -> np.ndarray:
         return self.active_layer.param_vector()
 
-    def set_param_vector(self, vec: np.ndarray) -> None:
+    def _trainable_layer(self) -> DgLayer:
         if self.active_layer.frozen:
             raise ContractViolation("active layer is frozen")
-        self.active_layer.set_param_vector(vec)
+        return self.active_layer
+
+    def set_param_vector(self, vec: np.ndarray) -> None:
+        self._trainable_layer().set_param_vector(vec)
+
+    def adam_update(self, grads: np.ndarray, opt: AdamState) -> None:
+        self._trainable_layer().adam_update(grads, opt)
 
 
 def _sum_in_layer_order(frozen_terms: np.ndarray, active_term: np.ndarray) -> np.ndarray:
@@ -268,7 +307,7 @@ def add_task_layer(head: DgkdHead, features: np.ndarray, rng: RngStream) -> Dgkd
     The layers are frozen in place and shared with the returned head, which
     stacks their parameters in its constructor.  ``head`` itself must not be
     trained any further: its active layer is now frozen, so its
-    ``set_param_vector`` raises.
+    ``set_param_vector`` and ``adam_update`` raise.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] == 0:
@@ -300,9 +339,11 @@ def activation_profile(head: DgkdHead, group_index: int, xs) -> np.ndarray:
 
 
 def _silu(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sigmoid-weighted linear unit and its derivative."""
+    """Sigmoid-weighted linear unit and its derivative.  With e = exp(-|z|)
+    the sigmoid is 1/(1+e) for z >= 0 and e/(1+e) below; e <= 1, so
+    max(e, z >= 0) picks the numerator."""
     e = np.exp(-np.abs(z))
-    sig = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    sig = np.maximum(e, z >= 0) / (1.0 + e)
     return z * sig, sig * (1.0 + z * (1.0 - sig))
 
 
@@ -318,6 +359,7 @@ class SiluMlp(ParamArrays):
         self.b2 = np.asarray(b2, dtype=np.float64)
         self.hidden, self.d_in = self.W1.shape
         self.d_out = self.W2.shape[0]
+        self._bind()
 
     @classmethod
     def init(cls, d_in: int, d_out: int, hidden: int, rng: RngStream):
@@ -392,6 +434,7 @@ class GrKanLayer(ParamArrays):
         self.d_out, self.d_in = self.W.shape
         self.groups = groups
         self.group_of = group_index_map(self.d_in, groups)
+        self._bind()
 
     def _rational(self, X: np.ndarray):
         p = self.pcoef[self.group_of]          # (d_in, 4) broadcast per dimension
@@ -438,14 +481,15 @@ class GrKanLayer(ParamArrays):
         return dX, np.concatenate([dW.ravel(), db, dpcoef.ravel(), dqcoef.ravel()])
 
 
-class GrKanHead:
+class GrKanHead(ParamArrays):
     """Non-local baseline: KAT's GR-KAN (Yang & Wang 2024, arXiv:2409.10594)
     at the MLP head's shape, rational -> affine -> rational -> affine.
 
     A chain of two ``GrKanLayer`` layers, (d_in -> hidden) and
     (hidden -> d_out), both with the same group count, as KAT swaps the MLP
     of a transformer block for a GR-KAN of the same width.  The parameter
-    vector is the layers' vectors concatenated in forward order.
+    vector is the layers' vectors concatenated in forward order; the head
+    owns it, and each layer's ``params`` is a view of its slice.
     """
 
     kind = "groupkan"
@@ -454,6 +498,15 @@ class GrKanHead:
         self.layers = list(layers)
         self.d_in = self.layers[0].d_in
         self.d_out = self.layers[-1].d_out
+        self._bind(np.concatenate([layer.params for layer in self.layers]))
+
+    def _bind(self, params: np.ndarray) -> None:
+        """Make the layers' vectors views of consecutive slices of ``params``."""
+        self.params = params
+        i = 0
+        for layer in self.layers:
+            layer._bind(params[i:i + layer.n_params()])
+            i += layer.n_params()
 
     @classmethod
     def init(cls, d_in: int, d_out: int, hidden: int, groups: int, rng: RngStream) -> "GrKanHead":
@@ -467,19 +520,6 @@ class GrKanHead:
                                np.zeros((groups, 2)), groups),
                     GrKanLayer(mlp.W2, mlp.b2, np.tile(RATIONAL_SILU_P, (groups, 1)),
                                np.tile(RATIONAL_SILU_Q, (groups, 1)), groups)])
-
-    def n_params(self) -> int:
-        return sum(layer.n_params() for layer in self.layers)
-
-    def param_vector(self) -> np.ndarray:
-        return np.concatenate([layer.param_vector() for layer in self.layers])
-
-    def set_param_vector(self, vec: np.ndarray) -> None:
-        vec = _checked_vector(self, vec)
-        i = 0
-        for layer in self.layers:
-            layer.set_param_vector(vec[i:i + layer.n_params()])
-            i += layer.n_params()
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         for layer in self.layers:
@@ -521,8 +561,9 @@ class FeatureExtractor(SiluMlp):
     param_vector, set_param_vector = SiluMlp.param_vector, SiluMlp.set_param_vector
 
     def snapshot(self) -> "FeatureExtractor":
-        """Deep, independent copy (used for the frozen teacher)."""
-        return FeatureExtractor(self.W1.copy(), self.b1.copy(), self.W2.copy(), self.b2.copy())
+        """Deep, independent copy (used for the frozen teacher); the
+        constructor copies the arrays into a vector of its own."""
+        return FeatureExtractor(self.W1, self.b1, self.W2, self.b2)
 
 
 def _as_batch(X: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:

@@ -57,13 +57,17 @@ class AdamState:
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.ndarray:
-    """One bias-corrected Adam update: advances ``state`` in place and
-    returns the new parameters.
+    """One bias-corrected Adam update of ``params`` in place (a float64
+    array); advances ``state`` in place too and returns ``params``.
 
-    Zero gradients leave the parameters bit-identical (the update term is
-    exactly 0.0), so repeated no-op steps only advance the step counter.
+    The update is params - lr * m_hat / (sqrt(v_hat) + eps), associated as
+    written, so it has the bytes of the out-of-place form; the two
+    temporaries are updated in place.  Zero gradients leave the parameters
+    bit-identical (the update term is exactly 0.0), so repeated no-op steps
+    only advance the step counter.
     """
-    params = np.asarray(params, dtype=np.float64)
+    if not isinstance(params, np.ndarray) or params.dtype != np.float64:
+        raise ContractViolation("adam_step updates params in place: pass a float64 array")
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ContractViolation(
@@ -73,13 +77,21 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.nda
         raise ContractViolation(f"adam_step rejected non-finite gradient at index {bad}")
     state.step_count += 1
     t = state.step_count
+    tmp = np.multiply(grads, 1.0 - BETA1)
     state.m *= BETA1
-    state.m += (1.0 - BETA1) * grads
+    state.m += tmp
+    np.multiply(grads, 1.0 - BETA2, out=tmp)
+    tmp *= grads
     state.v *= BETA2
-    state.v += (1.0 - BETA2) * grads * grads
-    m_hat = state.m / (1.0 - BETA1 ** t)
-    v_hat = state.v / (1.0 - BETA2 ** t)
-    return params - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
+    state.v += tmp
+    np.divide(state.v, 1.0 - BETA2 ** t, out=tmp)      # v_hat
+    np.sqrt(tmp, out=tmp)
+    tmp += EPS
+    step = np.divide(state.m, 1.0 - BETA1 ** t)         # m_hat
+    step *= state.lr
+    step /= tmp
+    params -= step
+    return params
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-4) -> np.ndarray:

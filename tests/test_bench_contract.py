@@ -16,7 +16,8 @@ An alias is not fine: ``MlpHead = FeatureExtractor`` or
 ``align_loss = kd_loss`` still resolves, but the tracer then wraps one object
 twice, so spans nest and one layer's time is counted under another's name.
 A traced two-task run checks that no traced layer call sits inside another
-and that each is counted once per training step.
+and that each is counted once per training step, ``numcore.adam_step`` once
+per parameter vector stepped.
 
 Every workload's set-up (``worker.py setup``: config parse, the TINY
 overrides set by ``setattr``, ``validate_config``, ``trainer_config`` and a
@@ -114,6 +115,9 @@ def test_traced_mlp_run_spans_are_flat_and_counted():
     assert counts["kanheads.mlp.forward_cached"] == 2 * steps_per_task
     assert counts["losses.kd_loss"] == steps_per_task       # task 2 only
     assert counts["losses.align_loss"] == steps_per_task
+    # the extractor and the head take one Adam step each per training step,
+    # the projection one per task-2 step: what numcore.adam_calls counts
+    assert counts["numcore.adam_step"] == 2 * 2 * steps_per_task + steps_per_task
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

@@ -1,0 +1,258 @@
+"""Byte oracles for the cheaper forms of the training step's numerics.
+
+Each reference below is a frozen copy of the form the library replaced, kept
+verbatim in its arithmetic: the library must return the same bytes.
+
+* ``supcon_loss`` computes U U^T by gemm instead of numpy's syrk path at
+  row counts that are multiples of 8, runs ``exp`` over clamped finite
+  logits instead of over ``-inf`` fills, and builds gradient rows only for
+  the first ``grad_rows`` rows.  gemm and syrk agree bit for bit at those
+  row counts on OpenBLAS 0.3.31 (and differ at most others), by no
+  guarantee: on another BLAS build this file is the check that fails.
+* ``bce_loss`` and ``_silu`` build the sigmoid from one exp(-|z|).
+* ``adam_step`` updates the parameter vector in place.
+"""
+import numpy as np
+import pytest
+
+import dgkan.continual
+from dgkan.continual import Trainer, TrainerConfig
+from dgkan.kanheads import _silu
+from dgkan.losses import DomainLabeledBatch, bce_loss, supcon_loss
+from dgkan.numcore import AdamState, ContractViolation, RngStream, adam_step
+from dgkan.synthbench import dataset, gen_sequence
+
+
+def supcon_reference(batch, tau, normalize=True):
+    """The full-block ``supcon_loss`` with syrk logits, ``-inf`` fills and
+    gradient rows for every row."""
+    F = batch.features
+    d = batch.domain_class
+    n = F.shape[0]
+    pos = d[:, None] == d[None, :]
+    neg = ~pos
+    pos.ravel()[::n + 1] = False
+    if normalize:
+        norms = np.sqrt((F * F).sum(axis=1))
+        U = F / norms[:, None]
+    else:
+        U = F
+    S = U @ U.T
+    S /= tau
+    n_pos = pos.sum(axis=1)
+    valid = n_pos > 0
+    n_valid = int(np.count_nonzero(valid))
+    G = np.where(neg, S, -np.inf)
+    m = G.max(axis=1)
+    G -= m[:, None]
+    np.exp(G, out=G)
+    denom = G.sum(axis=1)
+    log_D = m[valid] + np.log(denom[valid])
+    np.multiply(S, pos, out=S)
+    pos_mean = S.sum(axis=1)[valid] / n_pos[valid]
+    loss = float((log_D - pos_mean).sum() / n_valid)
+    G /= denom[:, None]
+    G += np.multiply(pos, -(1.0 / np.maximum(n_pos, 1))[:, None], out=S)
+    G /= n_valid
+    if n_valid < n:
+        G[~valid] = 0.0
+    gU = np.add(G, G.T, out=S) @ U / tau
+    if normalize:
+        proj = (gU * U).sum(axis=1, keepdims=True)
+        gF = (gU - proj * U) / norms[:, None]
+    else:
+        gF = gU
+    return loss, gF
+
+
+def _sigmoid_reference(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def bce_reference(logits, labels):
+    z = np.asarray(logits, dtype=np.float64).ravel()
+    y = np.asarray(labels, dtype=np.float64).ravel()
+    per = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+    grad = (_sigmoid_reference(z) - y) / z.size
+    return float(per.mean()), grad
+
+
+def silu_reference(z):
+    e = np.exp(-np.abs(z))
+    sig = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return z * sig, sig * (1.0 + z * (1.0 - sig))
+
+
+def adam_reference(params, grads, state):
+    """Out-of-place Adam: new parameters, moments advanced in place."""
+    state.step_count += 1
+    t = state.step_count
+    state.m *= 0.9
+    state.m += (1.0 - 0.9) * grads
+    state.v *= 0.999
+    state.v += (1.0 - 0.999) * grads * grads
+    m_hat = state.m / (1.0 - 0.9 ** t)
+    v_hat = state.v / (1.0 - 0.999 ** t)
+    return params - state.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def _assert_supcon_bytes(batch, tau, normalize, grad_rows):
+    loss, grad = supcon_loss(batch, tau, normalize=normalize, grad_rows=grad_rows)
+    ref_loss, ref_grad = supcon_reference(batch, tau, normalize)
+    assert np.isfinite(loss) and np.isfinite(grad).all()
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    r = len(batch.features) if grad_rows is None else grad_rows
+    assert grad.shape == (r, batch.features.shape[1])
+    assert grad.tobytes() == ref_grad[:r].tobytes()
+
+
+def _trainer_shaped(r, t, nb=64, d_f=16, scale=1.0):
+    """A batch as the trainer builds it in task t: nb current rows with the
+    task's two codes, then nb replayed rows with the codes of tasks < t."""
+    cur = 2 * (t - 1) + r.integers(0, 2, nb)
+    old = r.integers(0, 2 * (t - 1), nb)
+    F = r.normal(loc=r.uniform(-1, 1, d_f), scale=scale, size=(2 * nb, d_f))
+    return DomainLabeledBatch(features=F, domain_class=np.concatenate([cur, old]))
+
+
+class TestSupconMatchesReference:
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("n,labels,d", [(3, 2, 3), (5, 2, 4), (37, 3, 8), (128, 8, 16),
+                                            (129, 2, 16), (300, 20, 16)])
+    def test_random_batches(self, n, labels, d, normalize):
+        r = RngStream(5).substream("random", n, labels, d, normalize)
+        for trial in range(5):
+            dc = np.arange(n) % labels if trial == 0 else r.integers(0, labels, n)
+            if np.unique(dc).size < 2 or np.bincount(dc).max() < 2:
+                continue
+            F = r.normal(scale=10.0 ** r.uniform(-2, 1), size=(n, d))
+            batch = DomainLabeledBatch(features=F, domain_class=dc)
+            tau = float(10.0 ** r.uniform(-1.5, 0))
+            for grad_rows in (None, 1, n // 2 or 1, n):
+                _assert_supcon_bytes(batch, tau, normalize, grad_rows)
+
+    @pytest.mark.parametrize("t", [2, 4, 10])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_trainer_shaped_batches(self, t, normalize):
+        r = RngStream(7).substream("shaped", t, normalize)
+        for trial in range(10):
+            batch = _trainer_shaped(r, t)
+            for grad_rows in (64, 128):
+                _assert_supcon_bytes(batch, 0.1, normalize, grad_rows)
+
+    def test_logits_beyond_exp_overflow_without_normalization(self):
+        # positives at |S|/tau = 2500 would overflow an unclamped exp(S - m)
+        r = RngStream(9)
+        F = np.zeros((8, 4))
+        F[:4, 0] = 5.0
+        F[4:, 1] = 5.0
+        F += r.normal(scale=1e-3, size=F.shape)
+        batch = DomainLabeledBatch(features=F, domain_class=np.repeat([0, 1], 4))
+        S = F @ F.T / 0.01
+        assert S.max() > 710.0
+        for grad_rows in (None, 3):
+            _assert_supcon_bytes(batch, 0.01, False, grad_rows)
+
+    def test_anchors_without_a_positive(self):
+        r = RngStream(11)
+        dc = np.array([0, 0, 1, 2, 3, 3, 4, 5, 5, 5])      # codes 1, 2 and 4 occur once
+        batch = DomainLabeledBatch(features=r.normal(size=(10, 6)), domain_class=dc)
+        for normalize in (True, False):
+            for grad_rows in (None, 4, 7):
+                _assert_supcon_bytes(batch, 0.2, normalize, grad_rows)
+
+    def test_batches_of_a_real_run(self, monkeypatch):
+        seen = []
+
+        def capture(batch, tau, normalize=True, grad_rows=None):
+            seen.append((batch, tau, normalize, grad_rows))
+            return supcon_loss(batch, tau, normalize=normalize, grad_rows=grad_rows)
+
+        monkeypatch.setattr(dgkan.continual, "supcon_loss", capture)
+        stream = gen_sequence("four-task", 11, train_n=65, eval_n=32)
+        for kw in ({}, {"use_raw_replay": True}):
+            trainer = Trainer(TrainerConfig(epochs=2, memory_budget=40, **kw), 11)
+            for t in range(3):
+                trainer.train_task(*dataset(stream, t, "train"))
+        assert {g for *_, g in seen} == {64, 128}    # one-row last batches never have a positive
+        for batch, tau, normalize, grad_rows in seen:
+            _assert_supcon_bytes(batch, tau, normalize, grad_rows)
+
+    @pytest.mark.parametrize("grad_rows", [0, 6])
+    def test_grad_rows_out_of_range(self, grad_rows):
+        batch = DomainLabeledBatch(features=RngStream(1).normal(size=(5, 3)),
+                                   domain_class=[0, 0, 1, 1, 1])
+        with pytest.raises(ContractViolation, match="grad_rows"):
+            supcon_loss(batch, 0.1, grad_rows=grad_rows)
+
+
+def _logits(r, n):
+    """Edge values (signed zeros, exp's subnormal and overflow range), then n
+    random logits over five decades."""
+    edges = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 709.0, -709.0, 745.0, -745.0, 800.0, -800.0]
+    return np.concatenate([edges, r.normal(scale=10.0 ** r.uniform(-3, 2.5), size=n)])
+
+
+class TestSigmoidMatchesReference:
+    @pytest.mark.parametrize("n", [1, 7, 64, 1000])
+    def test_bce_loss(self, n):
+        r = RngStream(13).substream("bce", n)
+        for trial in range(5):
+            z = _logits(r, n)
+            y = r.integers(0, 2, z.size)
+            loss, grad = bce_loss(z, y)
+            ref_loss, ref_grad = bce_reference(z, y)
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1,), (64, 1), (64, 32), (1024, 64)])
+    def test_silu(self, shape):
+        r = RngStream(17).substream("silu", shape)
+        for trial in range(5):
+            z = _logits(r, int(np.prod(shape)))[:int(np.prod(shape))].reshape(shape)
+            value, slope = _silu(z)
+            ref_value, ref_slope = silu_reference(z)
+            assert value.tobytes() == ref_value.tobytes()
+            assert slope.tobytes() == ref_slope.tobytes()
+
+
+class TestAdamInPlaceMatchesReference:
+    @pytest.mark.parametrize("n,lr", [(1, 1e-3), (65, 2e-4), (577, 5e-4), (2593, 1e-2)])
+    def test_random_steps(self, n, lr):
+        r = RngStream(19).substream("adam", n, lr)
+        flat = r.normal(size=n + 7)
+        params = flat[3:3 + n]                   # a view, as a module's vector can be
+        ref = params.copy()
+        state, ref_state = AdamState.init(n, lr=lr), AdamState.init(n, lr=lr)
+        for k in range(200):
+            grads = r.normal(scale=10.0 ** r.uniform(-6, 2), size=n)
+            if k % 9 == 4:
+                grads[:] = 0.0
+            grads[r.integers(0, n, size=n // 4)] = 0.0
+            assert adam_step(params, grads, state) is params
+            ref = adam_reference(ref, grads, ref_state)
+            assert params.tobytes() == ref.tobytes()
+            assert state.m.tobytes() == ref_state.m.tobytes()
+            assert state.v.tobytes() == ref_state.v.tobytes()
+        assert state.step_count == ref_state.step_count == 200
+
+    def test_zero_gradients_leave_params_bit_identical(self):
+        params = np.array([0.5, -1.25, 3.0, -0.0, 0.0, 1e-300])
+        original = params.tobytes()
+        state = AdamState.init(params.size, lr=0.01)
+        for _ in range(5):
+            adam_step(params, np.zeros(params.size), state)
+        assert params.tobytes() == original
+        assert adam_reference(params, np.zeros(params.size), AdamState.init(6, 0.01)).tobytes() \
+            == original
+
+    @pytest.mark.parametrize("params", [[0.0, 1.0], np.zeros(2, dtype=np.float32)],
+                             ids=["list", "float32"])
+    def test_rejects_what_it_cannot_update_in_place(self, params):
+        with pytest.raises(ContractViolation, match="in place"):
+            adam_step(params, np.ones(2), AdamState.init(2, lr=0.1))

@@ -139,6 +139,44 @@ class TestTrainer:
         with pytest.raises(ContractViolation):
             tr.train_task(X, np.zeros(10, dtype=int))
 
+    @pytest.mark.parametrize("bad", ["labels-0-2", "label-0.5", "nan", "inf", "columns",
+                                     "length", "labels-2d", "inputs-1d", "one-class"])
+    def test_rejected_task_leaves_state_unchanged(self, bad):
+        stream = tiny_stream()
+        tr = Trainer(tiny_config(), 11)
+        tr.train_task(*dataset(stream, 0, "train"))
+        X, y = dataset(stream, 1, "train")
+        X, y = X.copy(), y.astype(float)
+        if bad == "labels-0-2":       # code 2 would collide with task 2's real class
+            y[y == 1] = 2
+        elif bad == "label-0.5":
+            y[0] = 0.5
+        elif bad == "nan":
+            X[5, 3] = np.nan
+        elif bad == "inf":
+            X[0, 0] = -np.inf
+        elif bad == "columns":
+            X = X[:, :-1]
+        elif bad == "length":
+            y = y[:-1]
+        elif bad == "labels-2d":
+            y = y[:, None]
+        elif bad == "inputs-1d":
+            X = X[:, 0]
+        elif bad == "one-class":
+            y[:] = 1
+        layers = list(tr.head.layers)
+        params = [l.param_vector().tobytes() for l in layers]
+        extractor = tr.extractor.param_vector().tobytes()
+        memory, teacher = tr.memory, tr.teacher
+        with pytest.raises(ContractViolation):
+            tr.train_task(X, y)
+        assert tr.task == 1
+        assert tr.head.layers == layers and not layers[0].frozen
+        assert [l.param_vector().tobytes() for l in layers] == params
+        assert tr.extractor.param_vector().tobytes() == extractor
+        assert tr.memory is memory and tr.teacher is teacher and tr.projection is None
+
     @pytest.mark.parametrize("field,value", [("tau", 0.0), ("lambda_sc", -1.0),
                                              ("lambda_kd", -0.5), ("jitter_scale", -0.1)])
     def test_bad_config_rejected_before_training(self, field, value):

@@ -1,11 +1,12 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dgkan.fskdcp import (FeatureMemory, KdcpProjection, augment_features, herd_indices,
-                          label_quotas, load_memory, project_memory, save_memory,
+                          label_bins, label_quotas, load_memory, project_memory, save_memory,
                           select_features, select_indices, train_projection_step)
 from dgkan import fskdcp
 from dgkan.continual import Trainer, TrainerConfig
@@ -364,6 +365,24 @@ class TestAugmentMatchesPerLabelStd:
                             space_task=1)
         with pytest.raises(ContractViolation, match="domain-class"):
             augment_features(mem, 0.5, rng, n_samples=4)
+
+    def test_layout_built_once_serves_every_view(self, rng):
+        # a trainer builds the layout once per task and hands it every step
+        # a view of the memory with moved features and the same codes
+        r = rng.substream("views")
+        dc = r.integers(0, 6, 300)
+        mem = FeatureMemory(features=r.normal(size=(300, 16)), domain_class=dc, budget=300,
+                            space_task=1)
+        layout = label_bins(mem.domain_class, 16)
+        for step in range(3):
+            view = replace(mem, features=mem.features * (1.0 + step) + step)
+            a = augment_features(view, 0.5, RngStream(step), n_samples=64, layout=layout)
+            b = augment_features(view, 0.5, RngStream(step), n_samples=64)
+            assert a.features.tobytes() == b.features.tobytes()
+            assert np.array_equal(a.domain_class, b.domain_class)
+        other = replace(mem, domain_class=mem.domain_class.copy())
+        with pytest.raises(ContractViolation, match="another memory"):
+            augment_features(other, 0.5, rng, n_samples=4, layout=layout)
 
 
 class TestMemorySnapshot:

@@ -1,10 +1,12 @@
+import copy
 import math
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from dgkan.kanheads import (SIGMA_MIN, DgkdHead, DgLayer, FeatureExtractor, GrKanLayer,
+from dgkan.kanheads import (SIGMA_MIN, DgkdHead, DgLayer, FeatureExtractor, GrKanHead, GrKanLayer,
                             MlpHead, _silu, activation_profile, add_task_layer,
                             group_index_map, make_baseline_head)
 from dgkan.numcore import AdamState, ContractViolation, RngStream, adam_step, finite_diff_grad, max_rel_err
@@ -149,6 +151,15 @@ class TestDgLayer:
         layer.set_param_vector(vec)
         assert np.all(layer.widths >= 1e-3)
 
+    def test_sigma_clamped_after_adam_update(self, rng):
+        layer = _random_layer(rng)
+        opt = AdamState.init(layer.n_params(), lr=10.0)
+        grads = np.zeros(layer.n_params())
+        grads[-layer.groups:] = 1.0                # lr 10 steps every width by about -10
+        layer.adam_update(grads, opt)
+        assert np.all(layer.widths == SIGMA_MIN)
+        assert np.shares_memory(layer.widths, layer.params)
+
 
 class TestDgkdHead:
     def test_empty_head_raises(self):
@@ -201,6 +212,10 @@ class TestDgkdHead:
         assert head.layers[0] is stale.layers[0] and stale.layers[0].frozen
         with pytest.raises(ContractViolation, match="frozen"):
             stale.set_param_vector(vec + 0.25)
+        opt = AdamState.init(vec.size, lr=0.1)
+        with pytest.raises(ContractViolation, match="frozen"):
+            stale.adam_update(np.ones(vec.size), opt)
+        assert opt.step_count == 0 and not opt.m.any()
         assert head.layers[0].param_vector().tobytes() == vec.tobytes()
 
     def test_add_task_layer_centers_match_group_means(self, rng):
@@ -382,7 +397,6 @@ class TestBaselineHeads:
             dX, grads = head.backward(R, cache)
 
             def f(vec, head=head):
-                import copy
                 probe = copy.deepcopy(head)
                 probe.set_param_vector(vec)
                 return float((probe.forward(X) * R).sum())
@@ -449,3 +463,57 @@ def test_set_param_vector_rejects_wrong_length(kind, delta, rng):
     with pytest.raises(ContractViolation, match="parameter vector has"):
         module.set_param_vector(np.ones(before.size + delta))
     assert np.array_equal(module.param_vector(), before)
+
+
+def _param_arrays(module):
+    """The arrays a module's forward reads, in parameter-vector order."""
+    layers = module.layers if isinstance(module, GrKanHead) else [module]
+    return [getattr(layer, name) for layer in layers for name in layer.PARAMS]
+
+
+_COPIES = {
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda module: pickle.loads(pickle.dumps(module)),
+    "snapshot": lambda module: module.snapshot(),
+}
+
+
+@pytest.mark.parametrize("kind,how", [(kind, how) for kind in sorted(_MODULES)
+                                      for how in ("deepcopy", "pickle")]
+                         + [("extractor", "snapshot")])
+def test_copies_view_their_own_vector(kind, how, rng):
+    # a copy whose arrays are not views of its own vector ignores
+    # set_param_vector: a finite-difference probe then reads nothing but noise
+    module = _MODULES[kind](rng)
+    dup = _COPIES[how](module)
+    before = module.param_vector()
+    assert dup.param_vector().tobytes() == before.tobytes()
+    for array in _param_arrays(dup):
+        assert np.shares_memory(array, dup.params)
+        assert not np.shares_memory(array, module.params)
+    if isinstance(dup, GrKanHead):
+        assert all(np.shares_memory(layer.params, dup.params) for layer in dup.layers)
+    X = rng.normal(size=(5, module.d_in))
+    Y = module.forward(X)
+    dup.set_param_vector(before + 0.5)
+    assert np.concatenate([a.ravel() for a in _param_arrays(dup)]).tobytes() == \
+        (before + 0.5).tobytes()
+    assert not np.array_equal(dup.forward(X), Y)
+    assert module.param_vector().tobytes() == before.tobytes()
+    assert module.forward(X).tobytes() == Y.tobytes()
+
+
+def test_dgkd_head_deepcopy_views_its_own_layers(rng):
+    feats = rng.normal(size=(30, 5))
+    head = add_task_layer(DgkdHead(5, 1, 2), feats, rng.substream("a"))
+    head = add_task_layer(head, feats + 1.0, rng.substream("b"))
+    dup = copy.deepcopy(head)
+    for layer, orig in zip(dup.layers, head.layers):
+        for name in layer.PARAMS:
+            assert np.shares_memory(getattr(layer, name), layer.params)
+            assert not np.shares_memory(getattr(layer, name), orig.params)
+    assert dup.params is dup.layers[-1].params
+    before = head.param_vector()
+    dup.set_param_vector(before + 0.25)
+    assert dup.active_layer.W.tobytes() == (head.active_layer.W + 0.25).tobytes()
+    assert head.param_vector().tobytes() == before.tobytes()

@@ -38,8 +38,8 @@ class TestAdam:
         p = np.array([1.0, 2.0])
         g = np.array([0.3, -0.7])
         s = AdamState.init(2, lr=0.05)
-        out1 = adam_step(p, g, s)
-        out2 = adam_step(p, g, AdamState.init(2, lr=0.05))
+        out1 = adam_step(p.copy(), g, s)
+        out2 = adam_step(p.copy(), g, AdamState.init(2, lr=0.05))
         assert np.array_equal(out1, out2)
 
     def test_length_mismatch(self):
