@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .continual import (HEADS, ConfigError, ScoreMatrix, Trainer, TrainerConfig,
-                        average_accuracy, average_forgetting, run_stream)
+                        average_accuracy, average_forgetting, check_memory_budget, run_stream)
 from .fskdcp import save_memory
 from .kanheads import DgkdHead, activation_profile
 from .numcore import ContractViolation
@@ -91,10 +91,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for name in ("train_samples", "eval_samples"):
         if getattr(cfg, name) < 2:
             raise ConfigError(f"config field {name!r}: must be >= 2, so that both classes occur")
-    num_classes = 2 * LAYOUTS[cfg.protocol][0]
-    if cfg.memory_budget < num_classes:
-        raise ConfigError(f"config field 'memory_budget': must be >= {num_classes}, one row per "
-                          f"domain-class of {cfg.protocol}")
+    check_memory_budget(cfg.memory_budget, LAYOUTS[cfg.protocol][0])
 
 
 def config_lines(cfg: ExperimentConfig) -> list[str]:

@@ -16,12 +16,12 @@ baseline heads keep one global parameter set):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .fskdcp import (FeatureMemory, KdcpProjection, LabelBins, augment_features, domain_class,
-                     label_bins, project_memory, select_features, train_projection_step)
+from .fskdcp import (FeatureMemory, KdcpProjection, augment_features, domain_class,
+                     project_memory, select_features, train_projection_step)
 from .kanheads import (DgkdHead, FeatureExtractor, add_task_layer, make_baseline_head)
 from .losses import (DomainLabeledBatch, bce_loss, kd_loss, overall_loss, supcon_loss)
 from .numcore import AdamState, ContractViolation, RngStream, check_finite
@@ -115,24 +115,8 @@ class Trainer:
                                            self.rng.substream("head-init"),
                                            hidden=cfg.mlp_hidden, groups=cfg.d_f)
         self.memory: FeatureMemory | None = None
-        self.raw_memory: np.ndarray | None = None
         self.projection: KdcpProjection | None = None
-        # the label layout of the memory's codes, fixed while a task trains
-        self.replay_bins: LabelBins | None = None
         self.task = 0
-
-    # -- helpers -------------------------------------------------------------
-
-    def _replay_view(self) -> FeatureMemory:
-        """Memory as seen by the replay path this step.
-
-        With drift compensation on, stored rows are tracked into the current
-        (evolving) feature space by the live projection; the permanent
-        exactly-once re-projection still happens at the transition.
-        """
-        if self.projection is not None:
-            return replace(self.memory, features=self.projection.apply(self.memory.features))
-        return self.memory
 
     # -- training ------------------------------------------------------------
 
@@ -174,9 +158,6 @@ class Trainer:
 
         opt_ext = AdamState.init(self.extractor.n_params(), lr=self.cfg.main_lr)
         opt_head = AdamState.init(self.head.n_params(), lr=self.cfg.main_lr)
-        self.replay_bins = None
-        if self.memory is not None and not self.cfg.use_raw_replay:
-            self.replay_bins = label_bins(self.memory.domain_class, self.cfg.d_f)
 
         n = X.shape[0]
         batch_size = self.cfg.batch_size
@@ -200,9 +181,9 @@ class Trainer:
         cfg = self.cfg
         nb = xb.shape[0]
         X_in, dc_in = xb, domain_class(t, yb)
-        if cfg.use_raw_replay and self.raw_memory is not None:
+        if cfg.use_raw_replay and self.memory is not None:
             ridx = rng_replay.integers(0, len(self.memory), size=nb)
-            X_in = np.vstack([xb, self.raw_memory[ridx]])
+            X_in = np.vstack([xb, self.memory.inputs[ridx]])
             dc_in = np.concatenate([dc_in, self.memory.domain_class[ridx]])
         F_in, cache_ext = self.extractor.forward_cached(X_in)
         F = F_in[:nb]
@@ -224,8 +205,11 @@ class Trainer:
         if cfg.use_sc:
             sc_feats, sc_dc = F_in, dc_in
             if self.memory is not None and not cfg.use_raw_replay:
-                rb = augment_features(self._replay_view(), cfg.jitter_scale, rng_replay,
-                                      n_samples=nb, layout=self.replay_bins)
+                # the live projection tracks the stored rows into the current
+                # space; the exactly-once re-projection waits for the transition
+                rb = augment_features(self.memory, cfg.jitter_scale, rng_replay, n_samples=nb,
+                                      features=None if self.projection is None
+                                      else self.projection.apply(self.memory.features))
                 sc_feats = np.vstack([F_in, rb.features])
                 sc_dc = np.concatenate([dc_in, rb.domain_class])
             # the loss needs two labels and a label that occurs twice (an
@@ -262,14 +246,13 @@ class Trainer:
         if self.projection is not None:
             self.memory = project_memory(self.memory, self.projection)
         if self.memory is not None:
-            old_F = self.extractor.forward(self.raw_memory) if raw_replay else self.memory.features
+            old_F = self.extractor.forward(self.memory.inputs) if raw_replay else self.memory.features
             pool_F = np.vstack([old_F, pool_F])
             pool_dc = np.concatenate([self.memory.domain_class, pool_dc])
             if raw_replay:
-                pool_X = np.vstack([self.raw_memory, X])
-        self.memory, idx = select_features(pool_F, pool_dc, self.cfg.memory_budget, space_task)
-        if raw_replay:
-            self.raw_memory = pool_X[idx]
+                pool_X = np.vstack([self.memory.inputs, X])
+        self.memory = select_features(pool_F, pool_dc, self.cfg.memory_budget, space_task,
+                                      inputs=pool_X if raw_replay else None)
         self.teacher = self.extractor.snapshot()
 
     # -- evaluation ----------------------------------------------------------
@@ -358,9 +341,18 @@ class ScoreMatrix:
     def num_steps(self) -> int:
         return len(self.acc_rows)
 
+    def row(self, i: int, metric: str = "acc") -> list[float]:
+        """Scores of the model after task i on tasks 1..i (1-based, checked)."""
+        rows = self.rows(metric)
+        if not 1 <= i <= len(rows):
+            raise ContractViolation(f"no row for task {i}: the grid has {len(rows)} rows")
+        return rows[i - 1]
+
     def entry(self, i: int, j: int, metric: str = "acc") -> float:
         """Score of the model after task i on task j (1-based, j <= i)."""
-        return self.rows(metric)[i - 1][j - 1]
+        if not 1 <= j <= i:
+            raise ContractViolation(f"no entry for task {j} in row {i}")
+        return self.row(i, metric)[j - 1]
 
 
 def average_forgetting(matrix: ScoreMatrix, t: int, metric: str = "acc") -> float:
@@ -371,22 +363,27 @@ def average_forgetting(matrix: ScoreMatrix, t: int, metric: str = "acc") -> floa
     """
     if t < 2:
         raise ContractViolation("AF undefined for first task")
-    rows = matrix.rows(metric)
-    if t > len(rows):
-        raise ContractViolation(f"no row for task {t}")
-    drops = [rows[i - 1][i - 1] - rows[t - 1][i - 1] for i in range(1, t)]
-    return float(sum(drops) / (t - 1))
+    last = matrix.row(t, metric)
+    return float(sum(matrix.row(i, metric)[i - 1] - last[i - 1] for i in range(1, t)) / (t - 1))
 
 
 def average_accuracy(matrix: ScoreMatrix, t: int, metric: str = "acc") -> float:
     """Mean score over all tasks seen after learning task t."""
-    rows = matrix.rows(metric)
-    return float(np.mean(rows[t - 1]))
+    return float(np.mean(matrix.row(t, metric)))
+
+
+def check_memory_budget(budget: int, num_tasks: int) -> None:
+    """Raise ConfigError unless ``budget`` keeps one row for each of the 2T
+    domain-classes of a ``num_tasks``-task stream, as the last herding needs."""
+    if budget < 2 * num_tasks:
+        raise ConfigError(f"config field 'memory_budget': must be >= {2 * num_tasks}, one row "
+                          f"per domain-class of a {num_tasks}-task stream")
 
 
 def run_stream(stream: TaskStream, cfg: TrainerConfig) -> tuple[ScoreMatrix, Trainer]:
     """Train through a task stream, evaluating all seen tasks after each one;
     the trainer is seeded with the stream's seed."""
+    check_memory_budget(cfg.memory_budget, len(stream))
     trainer = Trainer(cfg, stream.seed)
     matrix = ScoreMatrix()
     eval_sets = []

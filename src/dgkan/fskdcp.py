@@ -1,11 +1,14 @@
-"""Data-free replay machinery: representative-feature selection by herding,
-the residual drift-compensation projection, exactly-once memory re-projection
-at task transitions, and jittered replay-batch augmentation.
+"""Data-free replay machinery: the replay memory, representative-feature
+selection by herding, the residual drift-compensation projection,
+exactly-once memory re-projection at task transitions, and jittered
+replay-batch augmentation.  ``FeatureMemory`` is the one store of a run's
+rows, codes, raw inputs and label layout.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +28,9 @@ def domain_class(task, label):
 
 @dataclass
 class FeatureMemory:
-    """Stored representative features with their 2T domain-class codes.
+    """Stored representative features with their 2T domain-class codes
+    (each >= 0) and, with raw replay, the ``inputs`` they were extracted
+    from.  The codes stay fixed: a changed memory is a new object.
 
     ``space_task`` t >= 1 says every row lives in task t's feature space;
     ``project_memory`` advances it and refuses to run twice for the same
@@ -38,6 +43,7 @@ class FeatureMemory:
     domain_class: np.ndarray
     budget: int
     space_task: int
+    inputs: np.ndarray | None = None
 
     def __post_init__(self):
         self.features = check_finite(np.asarray(self.features, dtype=np.float64), "memory features")
@@ -45,6 +51,10 @@ class FeatureMemory:
         m = self.features.shape[0]
         if self.domain_class.shape != (m,):
             raise ContractViolation("memory domain_class must align with feature rows")
+        if (self.domain_class < 0).any():
+            raise ContractViolation("memory domain-class codes must be >= 0")
+        if self.inputs is not None and np.shape(self.inputs)[:1] != (m,):
+            raise ContractViolation("memory inputs must align with feature rows")
         if m > self.budget:
             raise ContractViolation(f"memory holds {m} rows, budget is {self.budget}")
 
@@ -58,6 +68,15 @@ class FeatureMemory:
     @property
     def source_task(self) -> np.ndarray:
         return self.domain_class // 2 + 1
+
+    @cached_property
+    def label_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """The codes' per-label reduction layout, built once per memory: the
+        flattened (domain_class, column) bin of every feature entry, and the
+        per-label row counts (at least 1) as an (L, 1) column, L = max code + 1."""
+        d_f = self.features.shape[1]
+        bins = np.add.outer(self.domain_class * d_f, np.arange(d_f)).ravel()
+        return bins, np.maximum(np.bincount(self.domain_class), 1)[:, None]
 
 
 def label_quotas(counts: dict[int, int], budget: int) -> dict[int, int]:
@@ -165,15 +184,17 @@ def select_indices(features: np.ndarray, domain_class: np.ndarray, budget: int) 
 
 
 def select_features(features: np.ndarray, domain_class: np.ndarray, budget: int,
-                    space_task: int = 0) -> tuple[FeatureMemory, np.ndarray]:
-    """Herding selection as a FeatureMemory tagged with ``space_task``, plus
-    the selected row indices (so rows stored alongside, such as raw inputs,
-    can be carried through the same selection)."""
+                    space_task: int = 0, inputs: np.ndarray | None = None) -> FeatureMemory:
+    """Herding selection as a FeatureMemory tagged with ``space_task``; the
+    rows of ``inputs``, when given, follow the same selection."""
     idx = select_indices(features, domain_class, budget)
-    mem = FeatureMemory(features=np.asarray(features, dtype=np.float64)[idx],
-                        domain_class=np.asarray(domain_class, dtype=np.int64)[idx],
-                        budget=budget, space_task=space_task)
-    return mem, idx
+    if inputs is not None:
+        if np.shape(inputs)[:1] != np.shape(features)[:1]:
+            raise ContractViolation("select_features: inputs must align with feature rows")
+        inputs = np.asarray(inputs, dtype=np.float64)[idx]
+    return FeatureMemory(features=np.asarray(features, dtype=np.float64)[idx],
+                         domain_class=np.asarray(domain_class, dtype=np.int64)[idx],
+                         budget=budget, space_task=space_task, inputs=inputs)
 
 
 class KdcpProjection:
@@ -250,77 +271,57 @@ def project_memory(mem: FeatureMemory, proj: KdcpProjection) -> FeatureMemory:
     return replace(mem, features=proj.apply(mem.features), space_task=proj.target_task)
 
 
-@dataclass(frozen=True)
-class LabelBins:
-    """The per-label reduction layout of a memory's domain-class codes: the
-    flattened (domain_class, column) bin of every feature entry and the
-    per-label row counts (at least 1), as an (L, 1) column, L = max label +
-    1.  It depends on the codes alone, which stay fixed while a task trains,
-    so a trainer builds it once per task (``label_bins``)."""
-
-    domain_class: np.ndarray
-    bins: np.ndarray
-    counts: np.ndarray
-
-
-def label_bins(domain_class: np.ndarray, d_f: int) -> LabelBins:
-    """The ``LabelBins`` of ``domain_class`` codes over ``d_f`` columns; the
-    codes must be >= 0."""
-    if domain_class.min() < 0:
-        raise ContractViolation("augment_features: domain-class labels must be >= 0")
-    n_labels = int(domain_class.max()) + 1
-    bins = np.add.outer(domain_class * d_f, np.arange(d_f)).ravel()
-    counts = np.maximum(np.bincount(domain_class, minlength=n_labels), 1)[:, None]
-    return LabelBins(domain_class, bins, counts)
-
-
-def _label_stds(features: np.ndarray, layout: LabelBins) -> np.ndarray:
-    """Per-label, per-column std of ``features`` as an (L, d_f) table, rows
-    labelled by ``layout``; labels absent from the codes get a zero row.
+def _label_stds(features: np.ndarray, mem: FeatureMemory) -> np.ndarray:
+    """Per-label, per-column std of ``features`` (the memory's rows, in any
+    space) as an (L, d_f) table, rows labelled by ``mem``'s codes; labels
+    absent from the codes get a zero row.
 
     One pass over the rows: two ``np.bincount`` reductions over the
-    flattened bins, first the sums and then the squared deviations from the
-    label mean.  Both add rows in row order, as ``np.std(axis=0)`` does for
-    each label when d_f >= 2, so the table holds the same bytes.  (For
-    d_f = 1 np.std sums the single column pairwise, and the last bits can
-    differ.)
+    flattened bins of ``mem.label_layout``, first the sums and then the
+    squared deviations from the label mean.  Both add rows in row order, as
+    ``np.std(axis=0)`` does for each label when d_f >= 2, so the table holds
+    the same bytes.  (For d_f = 1 np.std sums the single column pairwise,
+    and the last bits can differ.)
     """
-    n_labels, d_f = layout.counts.shape[0], features.shape[1]
-    mean = np.bincount(layout.bins, weights=features.ravel(),
-                       minlength=n_labels * d_f).reshape(n_labels, d_f) / layout.counts
-    dev = np.take(mean, layout.domain_class, axis=0)
+    bins, counts = mem.label_layout
+    n_labels, d_f = counts.shape[0], features.shape[1]
+    mean = np.bincount(bins, weights=features.ravel(),
+                       minlength=n_labels * d_f).reshape(n_labels, d_f) / counts
+    dev = np.take(mean, mem.domain_class, axis=0)
     np.subtract(features, dev, out=dev)              # in place: one (m, d_f) temporary
     dev *= dev
-    var = np.bincount(layout.bins, weights=dev.ravel(),
-                      minlength=n_labels * d_f).reshape(n_labels, d_f) / layout.counts
+    var = np.bincount(bins, weights=dev.ravel(),
+                      minlength=n_labels * d_f).reshape(n_labels, d_f) / counts
     return np.sqrt(var)
 
 
 def augment_features(mem: FeatureMemory, jitter_scale: float, rng: RngStream,
-                     n_samples: int, layout: LabelBins | None = None) -> DomainLabeledBatch:
+                     n_samples: int, features: np.ndarray | None = None) -> DomainLabeledBatch:
     """Draw a replay batch of ``n_samples`` rows: pick stored rows uniformly
     (so uniformly within each label) and jitter them with that label's
-    diagonal std, read from the ``_label_stds`` table of the whole memory,
-    times ``jitter_scale``.  A scale of 0 reproduces the stored rows.
+    diagonal std, read from the ``_label_stds`` table of all the rows, times
+    ``jitter_scale``.  A scale of 0 reproduces the rows.
 
-    ``layout`` is the ``label_bins`` of ``mem.domain_class`` (that very
-    array, as a memory view with moved features shares it); by default it
-    is built here.
+    The rows are ``mem.features``, or ``features`` when given: the memory's
+    rows moved to another space (a trainer passes them through its live
+    projection), which must be finite and of the memory's shape.
     """
     m = len(mem)
     if m == 0:
         raise ContractViolation("augment_features on empty memory")
-    dc = mem.domain_class
-    if layout is None:
-        layout = label_bins(dc, mem.features.shape[1])
-    elif layout.domain_class is not dc:
-        raise ContractViolation("augment_features: layout built for another memory's codes")
+    if features is None:
+        features = mem.features
+    else:
+        check_finite(features, "replay features")
+        if features.shape != mem.features.shape:
+            raise ContractViolation(f"augment_features: rows of shape {features.shape} for a "
+                                    f"memory of shape {mem.features.shape}")
     idx = rng.integers(0, m, size=n_samples)
-    feats = mem.features[idx]
-    drawn_dc = dc[idx]
+    feats = features[idx]
+    drawn_dc = mem.domain_class[idx]
     if jitter_scale > 0.0:
         noise = rng.normal(size=feats.shape)
-        scale = np.take(_label_stds(mem.features, layout), drawn_dc, axis=0)
+        scale = np.take(_label_stds(features, mem), drawn_dc, axis=0)
         feats += jitter_scale * scale * noise
     return DomainLabeledBatch(features=feats, domain_class=drawn_dc)
 
@@ -341,19 +342,23 @@ def save_memory(mem: FeatureMemory, path) -> None:
 
 
 def load_memory(path) -> FeatureMemory:
-    """Read a snapshot written by save_memory, validating the version field
-    and that each row's label and source_task columns decode its domain_class."""
+    """Read a snapshot written by save_memory, validating the version and
+    every header field, that exactly ``rows`` data lines follow, and that
+    each row's label and source_task columns decode its domain_class."""
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("dgkan_memory,"):
         raise ContractViolation("not a memory snapshot file")
-    meta = dict(item.split("=", 1) for item in lines[0].split(",")[1:])
+    meta = dict(item.partition("=")[::2] for item in lines[0].split(",")[1:])
     version = int(meta.get("version", -1))
     if version != MEMORY_FORMAT_VERSION:
         raise ContractViolation(f"unsupported memory snapshot version {version}")
-    rows = int(meta["rows"])
-    d_f = int(meta["d_f"])
-    if len(lines) < 2 + rows:
-        raise ContractViolation("truncated memory snapshot")
+    for name in ("space_task", "budget", "d_f", "rows"):
+        if name not in meta:
+            raise ContractViolation(f"memory snapshot header lacks field {name!r}")
+    rows, d_f = int(meta["rows"]), int(meta["d_f"])
+    if len(lines) != 2 + rows:
+        raise ContractViolation(f"{'truncated' if len(lines) < 2 + rows else 'overlong'} memory "
+                                f"snapshot: {len(lines) - 2} data lines, header says rows={rows}")
     feats = np.empty((rows, d_f))
     codes = np.empty((rows, 3), dtype=np.int64)      # domain_class, label, source_task
     for i in range(rows):

@@ -120,6 +120,34 @@ def test_traced_mlp_run_spans_are_flat_and_counted():
     assert counts["numcore.adam_step"] == 2 * 2 * steps_per_task + steps_per_task
 
 
+def test_traced_data_free_run_projects_the_memory_outside_augment():
+    # the trainer moves the memory through the live projection itself, once
+    # per task-2 step, so fskdcp.proj_apply_us and fskdcp.proj_apply_rows
+    # time the whole memory and fskdcp.augment_us times only the draw; the
+    # exactly-once re-projection at the task end adds one more call
+    tracing = _load_tracing()
+    cfg = dgkan.continual.TrainerConfig(head="dgkd", epochs=1)
+    train_n = 96
+    stream = dgkan.synthbench.gen_sequence("two-task-overlap", 11, train_n=train_n, eval_n=32)
+    steps_per_task = math.ceil(train_n / cfg.batch_size) * cfg.epochs
+    assert cfg.memory_budget >= train_n           # the task-2 memory holds every task-1 row
+    tracer = tracing.Tracer()
+    tracer.install(dgkan)
+    try:
+        dgkan.continual.run_stream(stream, cfg)
+    finally:
+        tracer.uninstall()
+    names = {span[0]: span[2] for span in tracer.spans}
+    applies = Counter((names.get(parent), arg) for _, parent, name, *_, arg in tracer.spans
+                      if name == "fskdcp.projection.apply")
+    assert applies == {("continual.train_task", train_n): steps_per_task,
+                       ("fskdcp.project_memory", train_n): 1}
+    counts = Counter(names.values())
+    assert counts["fskdcp.augment_features"] == steps_per_task
+    assert all(names[parent] == "continual.train_task" for _, parent, name, *_ in tracer.spans
+               if name == "fskdcp.augment_features")
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_worker_setup_runs(workload):
     proc = subprocess.run([sys.executable, str(PERFBENCH / "worker.py"), "setup", "--workload",

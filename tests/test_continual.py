@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgkan import continual
+from dgkan.cli import ExperimentConfig, validate_config
 from dgkan.continual import (ConfigError, ScoreMatrix, Trainer, TrainerConfig, accuracy, auc,
                              average_accuracy, average_forgetting, run_stream)
 from dgkan.fskdcp import augment_features, domain_class, train_projection_step
@@ -98,6 +100,24 @@ class TestAverageForgetting:
         m = ScoreMatrix()
         with pytest.raises(ContractViolation):
             m.add_row([1.0, 2.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("i,j", [(0, 0), (2, 0), (1, 2), (2, 3), (3, 1), (-1, 1)])
+    def test_entry_outside_grid_rejected(self, i, j):
+        # a zero or negative index must not wrap round to the last row or entry
+        m = self._matrix([[80.0], [70.0, 90.0]])
+        with pytest.raises(ContractViolation, match="no (row|entry)"):
+            m.entry(i, j)
+        with pytest.raises(ContractViolation, match="no (row|entry)"):
+            m.entry(i, j, "auc")
+
+    @pytest.mark.parametrize("t", [0, -1, 3])
+    def test_averages_outside_grid_rejected(self, t):
+        m = self._matrix([[80.0], [70.0, 90.0]])
+        with pytest.raises(ContractViolation, match="no row for task"):
+            average_accuracy(m, t)
+        if t >= 2:
+            with pytest.raises(ContractViolation, match="no row for task"):
+                average_forgetting(m, t)
 
 
 def tiny_config(**kw):
@@ -273,8 +293,8 @@ class TestTrainer:
         stream = tiny_stream()
         cfg = tiny_config(use_raw_replay=True, use_kdcp=False)
         m, tr = run_stream(stream, cfg)
-        assert tr.raw_memory is not None
-        assert tr.raw_memory.shape[0] == len(tr.memory)
+        assert tr.memory.inputs is not None
+        assert tr.memory.inputs.shape == (len(tr.memory), cfg.d_x)
         assert m.num_steps == 4
         assert tr.memory.space_task == 4     # every row re-extracted by the task-4 extractor
 
@@ -327,9 +347,9 @@ def reference_train_step(self, xb, yb, t, proj_opt, opt_ext, opt_head, rng_repla
     trains_projection = self.task >= 2 and cfg.use_kdcp and not cfg.use_raw_replay
 
     raw_replay = None
-    if cfg.use_raw_replay and self.raw_memory is not None:
+    if cfg.use_raw_replay and self.memory is not None:
         ridx = rng_replay.integers(0, len(self.memory), size=nb)
-        raw_replay = (self.raw_memory[ridx], self.memory.domain_class[ridx])
+        raw_replay = (self.memory.inputs[ridx], self.memory.domain_class[ridx])
 
     if raw_replay is not None:
         X_full = np.vstack([xb, raw_replay[0]])
@@ -409,9 +429,43 @@ class TestTrainStepMatchesReference:
         def state(tr):
             proj = None if tr.projection is None else tr.projection.layer.param_vector()
             return [tr.extractor.param_vector(), tr.head.param_vector(), proj,
-                    tr.memory.features, tr.memory.domain_class, tr.raw_memory]
+                    tr.memory.features, tr.memory.domain_class, tr.memory.inputs]
 
         assert (new.projection is None) == ("use_raw_replay" in kw or "use_kdcp" in kw)
-        assert (new.raw_memory is None) != ("use_raw_replay" in kw)
+        assert (new.memory.inputs is None) != ("use_raw_replay" in kw)
         for a, b in zip(state(new), state(ref)):
             assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+class TestMemoryOwnsItsInputs:
+    @pytest.mark.parametrize("kw", [{}, {"use_sc": False}], ids=["raw", "raw-no-sc"])
+    def test_stored_inputs_give_stored_rows_at_every_task_end(self, kw):
+        stream = tiny_stream()
+        tr = Trainer(tiny_config(use_raw_replay=True, use_kdcp=False, epochs=2, **kw), 11)
+        for t in range(4):
+            tr.train_task(*dataset(stream, t, "train"))
+            assert tr.memory.inputs.shape == (len(tr.memory), tr.cfg.d_x)
+            assert np.allclose(tr.extractor.forward(tr.memory.inputs), tr.memory.features,
+                               rtol=1e-12, atol=1e-12)
+
+
+class TestBudgetCheckedBeforeTraining:
+    def test_run_stream_rejects_small_budget_before_building_a_trainer(self, monkeypatch):
+        def no_trainer(*args, **kwargs):
+            raise AssertionError("a Trainer was built")
+
+        monkeypatch.setattr(continual, "Trainer", no_trainer)
+        with pytest.raises(ConfigError, match="memory_budget.*>= 8"):
+            run_stream(tiny_stream(), tiny_config(memory_budget=4))
+        with pytest.raises(ConfigError, match="memory_budget.*>= 20"):
+            run_stream(tiny_stream(protocol="ten-task"), tiny_config(memory_budget=19))
+
+    @pytest.mark.parametrize("protocol,budget", [("four-task", 7), ("ten-task", 19),
+                                                 ("two-task-overlap", 3)])
+    def test_cli_and_library_share_one_rule(self, protocol, budget):
+        with pytest.raises(ConfigError) as lib:
+            run_stream(tiny_stream(protocol=protocol), tiny_config(memory_budget=budget))
+        with pytest.raises(ConfigError) as cli:
+            validate_config(ExperimentConfig(protocol=protocol, memory_budget=budget))
+        assert str(lib.value) == str(cli.value)
+        run_stream(tiny_stream(protocol=protocol), tiny_config(memory_budget=budget + 1, epochs=1))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dgkan.fskdcp import (FeatureMemory, KdcpProjection, augment_features, herd_indices,
-                          label_bins, label_quotas, load_memory, project_memory, save_memory,
+                          label_quotas, load_memory, project_memory, save_memory,
                           select_features, select_indices, train_projection_step)
 from dgkan import fskdcp
 from dgkan.continual import Trainer, TrainerConfig
@@ -167,7 +167,7 @@ class TestSelection:
     def test_quotas_differ_by_at_most_one(self, rng):
         F = rng.normal(size=(40, 2))
         d = np.repeat([0, 1, 2], [14, 13, 13])
-        mem, _ = select_features(F, d, budget=10)
+        mem = select_features(F, d, budget=10)
         counts = [int((mem.domain_class == l).sum()) for l in (0, 1, 2)]
         assert sum(counts) == 10
         assert max(counts) - min(counts) <= 1
@@ -176,7 +176,7 @@ class TestSelection:
     def test_budget_never_exceeded(self, rng):
         F = rng.normal(size=(100, 2))
         d = rng.integers(0, 4, 100)
-        mem, _ = select_features(F, d, budget=17)
+        mem = select_features(F, d, budget=17)
         assert len(mem) <= 17
 
     def test_quota_redistribution_when_label_small(self):
@@ -195,7 +195,7 @@ class TestSelection:
     def test_label_decoding(self, rng):
         F = rng.normal(size=(8, 2))
         d = np.array([0, 1, 2, 3, 4, 5, 6, 7])
-        mem, _ = select_features(F, d, budget=8, space_task=4)
+        mem = select_features(F, d, budget=8, space_task=4)
         assert np.array_equal(mem.label, d % 2)
         assert np.array_equal(mem.source_task, d // 2 + 1)
         assert mem.space_task == 4
@@ -360,29 +360,37 @@ class TestAugmentMatchesPerLabelStd:
         assert np.array_equal(batch.domain_class, drawn_dc)
 
     def test_negative_domain_class_rejected(self, rng):
+        # rejected where the memory is built, before any replay draws from it
         dc = np.array([0, -1, 1])
-        mem = FeatureMemory(features=rng.normal(size=(3, 4)), domain_class=dc, budget=3,
-                            space_task=1)
         with pytest.raises(ContractViolation, match="domain-class"):
-            augment_features(mem, 0.5, rng, n_samples=4)
+            FeatureMemory(features=rng.normal(size=(3, 4)), domain_class=dc, budget=3,
+                          space_task=1)
 
     def test_layout_built_once_serves_every_view(self, rng):
-        # a trainer builds the layout once per task and hands it every step
-        # a view of the memory with moved features and the same codes
+        # a trainer hands every step the one memory plus its rows moved by the
+        # live projection; the memory builds its layout on first use and keeps
+        # it, and a fresh memory holding the moved rows draws the same bytes
         r = rng.substream("views")
         dc = r.integers(0, 6, 300)
         mem = FeatureMemory(features=r.normal(size=(300, 16)), domain_class=dc, budget=300,
                             space_task=1)
-        layout = label_bins(mem.domain_class, 16)
+        assert "label_layout" not in vars(mem)
         for step in range(3):
-            view = replace(mem, features=mem.features * (1.0 + step) + step)
-            a = augment_features(view, 0.5, RngStream(step), n_samples=64, layout=layout)
+            moved = mem.features * (1.0 + step) + step
+            a = augment_features(mem, 0.5, RngStream(step), n_samples=64, features=moved)
+            if step == 0:
+                layout = vars(mem)["label_layout"]
+            assert mem.label_layout is layout
+            view = replace(mem, features=moved)
             b = augment_features(view, 0.5, RngStream(step), n_samples=64)
             assert a.features.tobytes() == b.features.tobytes()
             assert np.array_equal(a.domain_class, b.domain_class)
-        other = replace(mem, domain_class=mem.domain_class.copy())
-        with pytest.raises(ContractViolation, match="another memory"):
-            augment_features(other, 0.5, rng, n_samples=4, layout=layout)
+        with pytest.raises(ContractViolation, match="shape"):
+            augment_features(mem, 0.5, rng, n_samples=4, features=mem.features[:-1])
+        bad = mem.features.copy()
+        bad[7, 3] = np.nan
+        with pytest.raises(ContractViolation, match="non-finite"):
+            augment_features(mem, 0.5, rng, n_samples=4, features=bad)
 
 
 class TestMemorySnapshot:
@@ -431,6 +439,49 @@ class TestMemorySnapshot:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ContractViolation, match=f"row 2: {column}"):
             load_memory(path)
+
+    def test_negative_code_rejected_at_load(self, rng, tmp_path):
+        mem = FeatureMemory(features=rng.normal(size=(3, 2)), domain_class=[0, 1, 0], budget=5,
+                            space_task=1)
+        path = tmp_path / "mem.csv"
+        save_memory(mem, path)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 3)[0] + ",-1,1,0"   # code -1 decodes to label 1, task 0
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractViolation, match="domain-class"):
+            load_memory(path)
+
+    @pytest.mark.parametrize("field", ["space_task", "budget", "d_f", "rows"])
+    def test_missing_header_field_rejected(self, rng, tmp_path, field):
+        mem = FeatureMemory(features=rng.normal(size=(2, 3)), domain_class=[0, 1], budget=5,
+                            space_task=1)
+        path = tmp_path / "mem.csv"
+        save_memory(mem, path)
+        lines = path.read_text().splitlines()
+        lines[0] = ",".join(item for item in lines[0].split(",") if not item.startswith(field + "="))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractViolation, match=f"lacks field '{field}'"):
+            load_memory(path)
+
+    def test_data_lines_beyond_rows_rejected(self, rng, tmp_path):
+        mem = FeatureMemory(features=rng.normal(size=(4, 3)), domain_class=[0, 1, 0, 1],
+                            budget=10, space_task=1)
+        path = tmp_path / "mem.csv"
+        save_memory(mem, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + lines[-2:]) + "\n")
+        with pytest.raises(ContractViolation, match="6 data lines, header says rows=4"):
+            load_memory(path)
+
+    def test_saved_inputs_are_not_written(self, rng, tmp_path):
+        F = rng.normal(size=(3, 2))
+        plain, with_inputs = (FeatureMemory(features=F, domain_class=[0, 1, 1], budget=5,
+                                            space_task=1, inputs=inputs)
+                              for inputs in (None, rng.normal(size=(3, 8))))
+        save_memory(plain, tmp_path / "a.csv")
+        save_memory(with_inputs, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert load_memory(tmp_path / "b.csv").inputs is None
 
     def test_not_a_snapshot(self, tmp_path):
         path = tmp_path / "other.csv"
