@@ -130,20 +130,30 @@ def scores_csv_text(matrix: ScoreMatrix) -> str:
 
 
 def parse_scores_csv(text: str) -> ScoreMatrix:
-    lines = [l for l in text.splitlines() if l.strip()]
-    if not lines or lines[0] != "train_step,eval_task,acc,auc":
+    """Read the grid ``scores_csv_text`` writes.  A bad line raises naming
+    its number, and a missing cell (i, j), 1 <= j <= i, naming the cell."""
+    lines = [(n, l) for n, l in enumerate(text.splitlines(), start=1) if l.strip()]
+    if not lines or lines[0][1] != "train_step,eval_task,acc,auc":
         raise ContractViolation("malformed scores CSV header")
     cells: dict[tuple[int, int], tuple[float, float]] = {}
-    for line in lines[1:]:
-        i_s, j_s, a_s, u_s = line.split(",")
-        cells[(int(i_s), int(j_s))] = (float(a_s), float(u_s))
+    for n, line in lines[1:]:
+        try:
+            i_s, j_s, a_s, u_s = line.split(",")
+            i, j, cell = int(i_s), int(j_s), (float(a_s), float(u_s))
+        except ValueError:
+            raise ContractViolation(f"scores CSV line {n}: expected four numbers "
+                                    f"train_step,eval_task,acc,auc, got {line!r}") from None
+        if not 1 <= j <= i or (i, j) in cells:
+            raise ContractViolation(f"scores CSV line {n}: cell ({i}, {j}) is "
+                                    f"{'repeated' if (i, j) in cells else 'not in the grid'}")
+        cells[(i, j)] = cell
     matrix = ScoreMatrix()
-    t = 1
-    while (t, 1) in cells:
-        accs = [cells[(t, j)][0] for j in range(1, t + 1)]
-        aucs = [cells[(t, j)][1] for j in range(1, t + 1)]
-        matrix.add_row(accs, aucs)
-        t += 1
+    for i in range(1, max((i for i, _ in cells), default=0) + 1):
+        missing = [j for j in range(1, i + 1) if (i, j) not in cells]
+        if missing:
+            raise ContractViolation(f"scores CSV lacks cell ({i}, {missing[0]})")
+        matrix.add_row([cells[(i, j)][0] for j in range(1, i + 1)],
+                       [cells[(i, j)][1] for j in range(1, i + 1)])
     return matrix
 
 

@@ -20,7 +20,12 @@ Layer conventions used throughout:
   a view into it: ``adam_update`` steps the vector in place,
   ``set_param_vector`` writes into it in place, and ``param_vector`` returns
   a copy.  ``GrKanHead`` keeps its two layers' vectors as views into one
-  vector of its own.
+  vector of its own, and ``DgkdHead`` its layers' vectors as the rows of
+  one (T, n_params) array;
+* the grouped-Gaussian formulas of the DG-KD layers are written once, in
+  ``_gaussians``, ``_gaussian_input_grad`` and ``_gaussian_param_grad``,
+  which ``DgLayer`` calls with its own arrays and ``DgkdHead`` with all its
+  layers stacked.
 """
 from __future__ import annotations
 
@@ -74,12 +79,19 @@ class ParamArrays:
         if params is None:
             params = np.concatenate([getattr(self, name).ravel() for name in self.PARAMS])
         self.params = params
-        i = 0
+        for name, view in zip(self.PARAMS, self._views(params)):
+            setattr(self, name, view)
+
+    def _views(self, params: np.ndarray) -> list[np.ndarray]:
+        """A view per ``PARAMS`` array of its slice of the last axis of
+        ``params``; a (T, n_params) stack of vectors gives (T, ...) views."""
+        lead, i, views = params.shape[:-1], 0, []
         for name in self.PARAMS:
             shape = getattr(self, name).shape
             size = math.prod(shape)
-            setattr(self, name, params[i:i + size].reshape(shape))
+            views.append(params[..., i:i + size].reshape(lead + shape))
             i += size
+        return views
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
@@ -155,35 +167,51 @@ class DgLayer(ParamArrays):
 
     # -- forward / backward -------------------------------------------------
 
-    def _phi(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        c = self.centers[self.group_of]
-        s = self.widths[self.group_of]
-        z = (X - c) / s
-        return np.exp(-0.5 * z * z), z, s
-
     def forward(self, X: np.ndarray) -> np.ndarray:
         X, squeeze = _as_batch(X, self.d_in, "DgLayer input")
-        phi, _, _ = self._phi(X)
-        Y = phi @ self.W.T
+        # z is dropped before the matmul: a projection's forward runs over
+        # the whole replay memory
+        Y = _gaussians(X, self.centers[self.group_of], self.widths[self.group_of])[0] @ self.W.T
         return Y[0] if squeeze else Y
 
     def forward_cached(self, X: np.ndarray):
         X, _ = _as_batch(X, self.d_in, "DgLayer input")
-        phi, z, s = self._phi(X)
-        return phi @ self.W.T, (X, phi, z, s)
+        s = self.widths[self.group_of]
+        phi, z = _gaussians(X, self.centers[self.group_of], s)
+        return phi @ self.W.T, (phi, z, s)
 
     def backward(self, dY: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray]:
-        X, phi, z, s = cache
-        dY = np.asarray(dY, dtype=np.float64).reshape(X.shape[0], self.d_out)
-        dW = dY.T @ phi
-        dphi = dY @ self.W
-        common = dphi * phi
-        dX = common * (-z / s)
-        dc_dim = (common * (z / s)).sum(axis=0)
-        ds_dim = (common * (z * z / s)).sum(axis=0)
-        dcenters = np.bincount(self.group_of, weights=dc_dim, minlength=self.groups)
-        dwidths = np.bincount(self.group_of, weights=ds_dim, minlength=self.groups)
-        return dX, np.concatenate([dW.ravel(), dcenters, dwidths])
+        phi, z, s = cache
+        dY = np.asarray(dY, dtype=np.float64).reshape(phi.shape[0], self.d_out)
+        dX, common = _gaussian_input_grad(dY, self.W, phi, z, s)
+        return dX, _gaussian_param_grad(dY, common, phi, z, s, self.group_of, self.groups)
+
+
+# The grouped-Gaussian math of a layer Y = phi @ W^T, for one layer (2-D
+# arrays) or a stack (W (T, d_out, d_in); c, s (T, 1, d_in); phi, z (T, N, d_in)).
+
+def _gaussians(X: np.ndarray, c: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, z): z = (X - c) / s and phi = exp(-z^2 / 2), with c and s the
+    per-dimension centers and widths."""
+    z = (X - c) / s
+    return np.exp(-0.5 * z * z), z
+
+
+def _gaussian_input_grad(dY, W, phi, z, s) -> tuple[np.ndarray, np.ndarray]:
+    """dX = (dY W) phi (-z / s), and the factor (dY W) phi that
+    ``_gaussian_param_grad`` reuses."""
+    common = (dY @ W) * phi
+    return common * (-z / s), common
+
+
+def _gaussian_param_grad(dY, common, phi, z, s, group_of, groups) -> np.ndarray:
+    """One layer's (dW, dcenters, dwidths) as its parameter vector; a group's
+    center and width gradients sum over its dimensions."""
+    dc_dim = (common * (z / s)).sum(axis=0)
+    ds_dim = (common * (z * z / s)).sum(axis=0)
+    return np.concatenate([(dY.T @ phi).ravel(),
+                           np.bincount(group_of, weights=dc_dim, minlength=groups),
+                           np.bincount(group_of, weights=ds_dim, minlength=groups)])
 
 
 class DgkdHead:
@@ -193,32 +221,38 @@ class DgkdHead:
     frozen, so training touches only the newest layer's parameters while the
     frozen Gaussians keep responding in their own regions.
 
-    The frozen layers never change, so their parameters are stacked once,
-    when the head is built (``add_task_layer`` builds one per task): W as
-    (T-1, d_out, d_in) and the per-dimension centers and widths as
-    (T-1, 1, d_in).  Forward and backward evaluate every frozen Gaussian
-    with one broadcast exp and every frozen layer with one batched matmul.
-    Per-layer outputs and input gradients are then added in layer order
-    with the active layer last, which gives the same bytes as a loop over
-    ``layers``.  Parameter gradients are computed for the active layer only.
+    The head owns one (T, n_params) array, ``store``, whose row k - 1 is
+    layer k's parameter vector, and each layer's arrays are views of its
+    row.  Forward and backward view the store as W (T, d_out, d_in),
+    centers and widths (T, groups), evaluate every layer's Gaussians with
+    one broadcast exp and every layer with one batched matmul, and add the
+    per-layer outputs and input gradients in layer order, which gives the
+    same bytes as a loop over ``layers``.  The parameter gradient is the
+    active layer's, from the last slice.
     """
 
     def __init__(self, d_in: int, d_out: int, groups: int, layers: list[DgLayer] | None = None):
         self.d_in = int(d_in)
         self.d_out = int(d_out)
         self.groups = int(groups)
+        self.group_of = group_index_map(self.d_in, self.groups)
         self.layers: list[DgLayer] = list(layers) if layers else []
         for k, layer in enumerate(self.layers, start=1):
             if layer.task_id != k:
                 raise ContractViolation("head layers must carry consecutive task ids from 1")
             if (layer.d_in, layer.d_out, layer.groups) != (self.d_in, self.d_out, self.groups):
                 raise ContractViolation("all head layers must share (d_in, d_out, groups)")
-        frozen = self.layers[:-1]
-        # W (T-1, d_out, d_in); per-dimension centers and widths (T-1, 1, d_in)
-        self._frozen = None if not frozen else (
-            np.stack([l.W for l in frozen]),
-            np.stack([l.centers[l.group_of] for l in frozen])[:, None, :],
-            np.stack([l.widths[l.group_of] for l in frozen])[:, None, :])
+        self._bind(np.array([layer.params for layer in self.layers]))
+
+    def _bind(self, store: np.ndarray) -> None:
+        """Make each layer's vector a view of its row of ``store``."""
+        self.store = store
+        for layer, row in zip(self.layers, store):
+            layer._bind(row)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind(self.store)
 
     @property
     def active_task(self) -> int:
@@ -226,51 +260,34 @@ class DgkdHead:
 
     @property
     def active_layer(self) -> DgLayer:
-        self._require_nonempty()
         return self.layers[-1]
 
-    def _require_nonempty(self):
+    def _forward(self, X: np.ndarray):
+        X, _ = _as_batch(X, self.d_in, "DgkdHead input")
         if not self.layers:
             raise ContractViolation("head has no layers; add a task layer first")
-
-    def _forward(self, X: np.ndarray):
-        y, cache_active = self.active_layer.forward_cached(X)
-        if self._frozen is None:
-            return y, (None, None, cache_active)
-        W, c, s = self._frozen
-        z = (X - c) / s                                # DgLayer._phi, (T-1, N, d_in)
-        phi = np.exp(-0.5 * z * z)
-        Y = _sum_in_layer_order(phi @ W.transpose(0, 2, 1), y)
-        return Y, (phi, z, cache_active)
+        W, centers, widths = self.active_layer._views(self.store)
+        # np.take gathers C-contiguous (T, d_in) arrays, so phi is (T, N, d_in)
+        # in C order and each layer's matmul sees the layout DgLayer's does
+        s = np.take(widths, self.group_of, axis=1)[:, None, :]
+        phi, z = _gaussians(X, np.take(centers, self.group_of, axis=1)[:, None, :], s)
+        return _sum_in_layer_order(phi @ W.transpose(0, 2, 1)), (W, phi, z, s)
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        self._require_nonempty()
-        X, squeeze = _as_batch(X, self.d_in, "DgkdHead input")
         Y, _ = self._forward(X)
-        return Y[0] if squeeze else Y
+        return Y[0] if np.ndim(X) == 1 else Y
 
     def forward_cached(self, X: np.ndarray):
-        self._require_nonempty()
-        X, _ = _as_batch(X, self.d_in, "DgkdHead input")
         return self._forward(X)
 
     def backward(self, dY: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray]:
         """Input gradient flows through every layer; parameter gradients are
         returned for the active (unfrozen) layer only."""
-        self._require_nonempty()
-        phi, z, cache_active = cache
-        dX, active_grads = self.active_layer.backward(dY, cache_active)
-        if phi is not None:
-            W, _, s = self._frozen
-            dY = np.asarray(dY, dtype=np.float64).reshape(phi.shape[1], self.d_out)
-            common = (dY @ W) * phi
-            dX = _sum_in_layer_order(common * (-z / s), dX)
-        return dX, active_grads
-
-    @property
-    def params(self) -> np.ndarray:
-        """The active layer's parameter vector."""
-        return self.active_layer.params
+        W, phi, z, s = cache
+        dY = np.asarray(dY, dtype=np.float64).reshape(phi.shape[1], self.d_out)
+        dX, common = _gaussian_input_grad(dY, W, phi, z, s)
+        return _sum_in_layer_order(dX), _gaussian_param_grad(
+            dY, common[-1], phi[-1], z[-1], s[-1], self.group_of, self.groups)
 
     def n_params(self) -> int:
         return self.active_layer.n_params()
@@ -290,24 +307,25 @@ class DgkdHead:
         self._trainable_layer().adam_update(grads, opt)
 
 
-def _sum_in_layer_order(frozen_terms: np.ndarray, active_term: np.ndarray) -> np.ndarray:
-    """frozen_terms[0] + ... + frozen_terms[-1] + active_term, added left to
-    right: the order of a loop over the head's layers.  (np.sum may add
-    pairwise, and np.add.accumulate is several times slower.)"""
-    total = frozen_terms[0].copy()
-    for term in frozen_terms[1:]:
+def _sum_in_layer_order(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + ... + terms[-1], added left to right: the order of a loop
+    over the head's layers.  (np.sum may add pairwise, and
+    np.add.accumulate is several times slower.)"""
+    total = terms[0].copy()
+    for term in terms[1:]:
         total += term
-    return total + active_term
+    return total
 
 
 def add_task_layer(head: DgkdHead, features: np.ndarray, rng: RngStream) -> DgkdHead:
     """Freeze every existing layer and append a fresh one for the new domain,
     initialized over the supplied feature sample.
 
-    The layers are frozen in place and shared with the returned head, which
-    stacks their parameters in its constructor.  ``head`` itself must not be
-    trained any further: its active layer is now frozen, so its
-    ``set_param_vector`` and ``adam_update`` raise.
+    The layers are frozen in place and shared with the returned head, whose
+    constructor copies their vectors into its own store and makes each
+    layer a view of its row.  ``head`` itself must not be trained any
+    further: its active layer is now frozen, so its ``set_param_vector`` and
+    ``adam_update`` raise.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] == 0:
@@ -331,10 +349,9 @@ def activation_profile(head: DgkdHead, group_index: int, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     vals = np.zeros_like(xs)
     for layer in head.layers:
-        cols = layer.group_of == group_index
-        w_bar = layer.W[:, cols].mean()
-        z = (xs - layer.centers[group_index]) / layer.widths[group_index]
-        vals += w_bar * np.exp(-0.5 * z * z)
+        w_bar = layer.W[:, layer.group_of == group_index].mean()
+        phi, _ = _gaussians(xs, layer.centers[group_index], layer.widths[group_index])
+        vals += w_bar * phi
     return vals
 
 

@@ -120,11 +120,10 @@ def test_traced_mlp_run_spans_are_flat_and_counted():
     assert counts["numcore.adam_step"] == 2 * 2 * steps_per_task + steps_per_task
 
 
-def test_traced_data_free_run_projects_the_memory_outside_augment():
-    # the trainer moves the memory through the live projection itself, once
-    # per task-2 step, so fskdcp.proj_apply_us and fskdcp.proj_apply_rows
-    # time the whole memory and fskdcp.augment_us times only the draw; the
-    # exactly-once re-projection at the task end adds one more call
+@pytest.fixture(scope="module")
+def traced_dgkd_run():
+    """Spans of a traced two-task data-free dgkd run, with its training rows
+    and steps per task."""
     tracing = _load_tracing()
     cfg = dgkan.continual.TrainerConfig(head="dgkd", epochs=1)
     train_n = 96
@@ -137,15 +136,41 @@ def test_traced_data_free_run_projects_the_memory_outside_augment():
         dgkan.continual.run_stream(stream, cfg)
     finally:
         tracer.uninstall()
-    names = {span[0]: span[2] for span in tracer.spans}
-    applies = Counter((names.get(parent), arg) for _, parent, name, *_, arg in tracer.spans
+    return tracer.spans, train_n, steps_per_task
+
+
+def test_traced_data_free_run_projects_the_memory_outside_augment(traced_dgkd_run):
+    # the trainer moves the memory through the live projection itself, once
+    # per task-2 step, so fskdcp.proj_apply_us and fskdcp.proj_apply_rows
+    # time the whole memory and fskdcp.augment_us times only the draw; the
+    # exactly-once re-projection at the task end adds one more call
+    spans, train_n, steps_per_task = traced_dgkd_run
+    names = {span[0]: span[2] for span in spans}
+    applies = Counter((names.get(parent), arg) for _, parent, name, *_, arg in spans
                       if name == "fskdcp.projection.apply")
     assert applies == {("continual.train_task", train_n): steps_per_task,
                        ("fskdcp.project_memory", train_n): 1}
     counts = Counter(names.values())
     assert counts["fskdcp.augment_features"] == steps_per_task
-    assert all(names[parent] == "continual.train_task" for _, parent, name, *_ in tracer.spans
+    assert all(names[parent] == "continual.train_task" for _, parent, name, *_ in spans
                if name == "fskdcp.augment_features")
+
+
+def test_traced_dgkd_head_spans_are_flat_and_counted(traced_dgkd_run):
+    # the head's forward and forward_cached share an untraced body: a forward
+    # that called forward_cached would nest a span and add every eval call
+    # to the training-step head timing (kanheads.head_fwd_us)
+    spans, _, steps_per_task = traced_dgkd_run
+    names = {span[0]: span[2] for span in spans}
+    nested = [(names[parent], name) for _, parent, name, *_ in spans
+              if name.startswith("kanheads.dgkd.") and parent >= 0
+              and names[parent].startswith("kanheads.")]
+    assert nested == []
+    counts = Counter(names.values())
+    assert counts["kanheads.dgkd.forward_cached"] == 2 * steps_per_task
+    assert counts["kanheads.dgkd.backward"] == 2 * steps_per_task
+    # one scores call per seen task after each task: 1 + 2
+    assert counts["kanheads.dgkd.forward"] == counts["continual.scores"] == 3
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

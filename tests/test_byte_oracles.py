@@ -11,13 +11,20 @@ verbatim in its arithmetic: the library must return the same bytes.
   guarantee: on another BLAS build this file is the check that fails.
 * ``bce_loss`` and ``_silu`` build the sigmoid from one exp(-|z|).
 * ``adam_step`` updates the parameter vector in place.
+* ``DgkdHead`` runs all its layers as one stack viewed from one parameter
+  store, through the grouped-Gaussian helpers that ``DgLayer`` shares; the
+  reference is the two-path head it replaced (the active layer through
+  ``DgLayer``, the frozen layers through a stacked copy) and that
+  ``DgLayer``'s own ``_phi`` and ``backward``.
 """
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import dgkan.continual
 from dgkan.continual import Trainer, TrainerConfig
-from dgkan.kanheads import _silu
+from dgkan.kanheads import DgkdHead, DgLayer, _silu, add_task_layer
 from dgkan.losses import DomainLabeledBatch, bce_loss, supcon_loss
 from dgkan.numcore import AdamState, ContractViolation, RngStream, adam_step
 from dgkan.synthbench import dataset, gen_sequence
@@ -256,3 +263,150 @@ class TestAdamInPlaceMatchesReference:
     def test_rejects_what_it_cannot_update_in_place(self, params):
         with pytest.raises(ContractViolation, match="in place"):
             adam_step(params, np.ones(2), AdamState.init(2, lr=0.1))
+
+
+def dglayer_phi_reference(layer, X):
+    c = layer.centers[layer.group_of]
+    s = layer.widths[layer.group_of]
+    z = (X - c) / s
+    return np.exp(-0.5 * z * z), z, s
+
+
+def dglayer_backward_reference(layer, dY, cache):
+    X, phi, z, s = cache
+    dY = np.asarray(dY, dtype=np.float64).reshape(X.shape[0], layer.d_out)
+    dW = dY.T @ phi
+    dphi = dY @ layer.W
+    common = dphi * phi
+    dX = common * (-z / s)
+    dc_dim = (common * (z / s)).sum(axis=0)
+    ds_dim = (common * (z * z / s)).sum(axis=0)
+    dcenters = np.bincount(layer.group_of, weights=dc_dim, minlength=layer.groups)
+    dwidths = np.bincount(layer.group_of, weights=ds_dim, minlength=layer.groups)
+    return dX, np.concatenate([dW.ravel(), dcenters, dwidths])
+
+
+def dglayer_reference(layer, X, dY):
+    """``DgLayer``'s forward and backward, with ``_phi``: (Y, dX, grads)."""
+    phi, z, s = dglayer_phi_reference(layer, X)
+    dX, grads = dglayer_backward_reference(layer, dY, (X, phi, z, s))
+    return phi @ layer.W.T, dX, grads
+
+
+def _sum_in_layer_order_reference(frozen_terms, active_term):
+    total = frozen_terms[0].copy()
+    for term in frozen_terms[1:]:
+        total += term
+    return total + active_term
+
+
+def dgkd_head_reference(layers, X, dY):
+    """The two-path head: the active (last) layer through ``DgLayer``, the
+    frozen layers through their stacked W (T-1, d_out, d_in) and
+    per-dimension centers and widths (T-1, 1, d_in).  (Y, dX, grads)."""
+    active, frozen = layers[-1], layers[:-1]
+    Y, dX, grads = dglayer_reference(active, X, dY)
+    if frozen:
+        W = np.stack([l.W for l in frozen])
+        c = np.stack([l.centers[l.group_of] for l in frozen])[:, None, :]
+        s = np.stack([l.widths[l.group_of] for l in frozen])[:, None, :]
+        z = (X - c) / s
+        phi = np.exp(-0.5 * z * z)
+        Y = _sum_in_layer_order_reference(phi @ W.transpose(0, 2, 1), Y)
+        dY = np.asarray(dY, dtype=np.float64).reshape(phi.shape[1], active.d_out)
+        common = (dY @ W) * phi
+        dX = _sum_in_layer_order_reference(common * (-z / s), dX)
+    return Y, dX, grads
+
+
+def _assert_module_bytes(module, reference, X, dY):
+    Y_ref, dX_ref, g_ref = reference
+    Y, cache = module.forward_cached(X)
+    dX, grads = module.backward(dY, cache)
+    assert Y.tobytes() == Y_ref.tobytes()
+    assert module.forward(X).tobytes() == Y_ref.tobytes()
+    assert dX.tobytes() == dX_ref.tobytes()
+    assert grads.tobytes() == g_ref.tobytes()
+
+
+class TestDgkdHeadMatchesTwoPathReference:
+    @pytest.mark.parametrize("d_out", [1, 16])
+    def test_one_to_ten_layers(self, d_out):
+        r = RngStream(23).substream("dgkd", d_out)
+        head = DgkdHead(16, d_out, 4)
+        for T in range(1, 11):
+            head = add_task_layer(head, r.normal(loc=T, scale=0.5 + 0.1 * T, size=(40, 16)),
+                                  r.substream("init", T))
+            # move the active layer off its init, as training does
+            head.set_param_vector(head.param_vector() + r.normal(scale=0.1, size=head.n_params()))
+            for N in (1, 13, 64):
+                X = r.normal(loc=T / 2, scale=3.0, size=(N, 16))
+                dY = r.normal(size=(N, d_out))
+                _assert_module_bytes(head, dgkd_head_reference(head.layers, X, dY), X, dY)
+                if N == 1:
+                    assert head.forward(X[0]).tobytes() == head.forward(X)[0].tobytes()
+
+    @pytest.mark.parametrize("N", [1, 13, 64, 500])
+    def test_projection_shaped_layer(self, N):
+        # d_f -> d_f, one group per dimension, as KdcpProjection builds it
+        r = RngStream(29).substream("proj", N)
+        layer = DgLayer(1, 16, 16, 16, W=r.normal(scale=0.1, size=(16, 16)),
+                        centers=r.normal(size=16), widths=r.uniform(0.5, 4.0, 16))
+        X = r.normal(scale=2.0, size=(N, 16))
+        dY = r.normal(size=(N, 16))
+        _assert_module_bytes(layer, dglayer_reference(layer, X, dY), X, dY)
+
+    def test_calls_of_a_real_run(self, monkeypatch):
+        # every head and projection-layer call of a short data-free run,
+        # checked against the references at the parameters of the call
+        checked = Counter()
+        inputs = {}
+
+        def check_forward(kind, reference_of, module, X, Y):
+            X = np.asarray(X, dtype=np.float64)
+            Y_ref = reference_of(module, X, np.zeros((len(X), module.d_out)))[0]
+            assert Y.tobytes() == Y_ref.tobytes()
+            checked[kind + "-forward"] += 1
+            return X
+
+        def wrap(cls, kind, reference_of):
+            forward, forward_cached, backward = cls.forward, cls.forward_cached, cls.backward
+
+            def traced_forward(self, X):       # runs apart from forward_cached
+                Y = forward(self, X)
+                check_forward(kind + "-read-only", reference_of, self, X, Y)
+                return Y
+
+            def traced_forward_cached(self, X):
+                Y, cache = forward_cached(self, X)
+                inputs[id(cache)] = check_forward(kind, reference_of, self, X, Y)
+                return Y, cache
+
+            def traced_backward(self, dY, cache):
+                dX, grads = backward(self, dY, cache)
+                _, dX_ref, g_ref = reference_of(self, inputs.pop(id(cache)), dY)
+                assert dX.tobytes() == dX_ref.tobytes() and grads.tobytes() == g_ref.tobytes()
+                checked[kind] += 1
+                return dX, grads
+
+            monkeypatch.setattr(cls, "forward", traced_forward)
+            monkeypatch.setattr(cls, "forward_cached", traced_forward_cached)
+            monkeypatch.setattr(cls, "backward", traced_backward)
+
+        def head_reference(head, X, dY):
+            return dgkd_head_reference(head.layers, X, dY)
+
+        wrap(DgkdHead, "head", head_reference)
+        wrap(DgLayer, "layer", dglayer_reference)
+        stream = gen_sequence("four-task", 11, train_n=65, eval_n=32)
+        trainer = Trainer(TrainerConfig(epochs=2, memory_budget=40), 11)
+        for t in range(4):
+            trainer.train_task(*dataset(stream, t, "train"))
+            trainer.evaluate_all([dataset(stream, k, "eval") for k in range(t + 1)])
+        # 65 rows in batches of 64 for two epochs: four steps a task; the
+        # projection trains from task 2 on, and moves the memory at each of
+        # those steps and once at each task end
+        assert checked["head"] == checked["head-forward"] == 4 * 4
+        assert checked["head-read-only-forward"] == 1 + 2 + 3 + 4    # evaluate_all
+        assert checked["layer"] == checked["layer-forward"] == 3 * 4
+        assert checked["layer-read-only-forward"] == 3 * 4 + 3

@@ -183,6 +183,41 @@ class TestReport:
             report(tmp_path)
 
 
+_SCORES_HEADER = "train_step,eval_task,acc,auc\n"
+
+
+@pytest.mark.parametrize("body,message", [
+    ("1,1,90.0,0.9\n3,1,80.0,0.8\n3,2,70.0,0.7\n3,3,60.0,0.6\n",
+     r"lacks cell \(2, 1\)"),                                    # step 2 missing
+    ("1,1,90.0,0.9\n2,1,80.0,0.8\n",
+     r"lacks cell \(2, 2\)"),
+    ("1,1,90.0,0.9\n1,2,80.0,0.8\n",
+     r"line 3: cell \(1, 2\) is not in the grid"),               # eval_task > train_step
+    ("1,0,90.0,0.9\n", r"line 2: cell \(1, 0\) is not in the grid"),
+    ("1,1,90.0,0.9\n2,1,80.0\n", "line 3: expected four numbers"),
+    ("1,1,90.0,0.9,x\n", "line 2: expected four numbers"),
+    ("1,1,ninety,0.9\n", "line 2: expected four numbers"),
+    ("1,1,90.0,0.9\n1,1,91.0,0.9\n", r"line 3: cell \(1, 1\) is repeated"),
+], ids=["skipped-step", "short-row", "above-diagonal", "column-zero", "three-fields",
+        "five-fields", "not-a-number", "repeated-cell"])
+def test_parse_scores_csv_names_the_bad_line_or_cell(body, message):
+    with pytest.raises(ContractViolation, match=message):
+        parse_scores_csv(_SCORES_HEADER + body)
+
+
+def test_report_exits_3_naming_the_bad_scores_line(tiny_run, tmp_path, capsys):
+    _, out, _ = tiny_run
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    for name in ("scores.csv", "summary.json"):
+        (bad / name).write_bytes((out / name).read_bytes())
+    lines = (bad / "scores.csv").read_text().splitlines()
+    lines[4] = lines[4].rsplit(",", 1)[0]
+    (bad / "scores.csv").write_text("\n".join(lines) + "\n")
+    assert main(["report", "--dir", str(bad)]) == 3
+    assert "scores CSV line 5: expected four numbers" in capsys.readouterr().err
+
+
 class TestCliVerbs:
     def test_run_and_verify(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"

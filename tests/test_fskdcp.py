@@ -483,6 +483,43 @@ class TestMemorySnapshot:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert load_memory(tmp_path / "b.csv").inputs is None
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("d_f", "x", "'d_f' must be a non-negative integer, got 'x'"),
+        ("rows", "4.0", "'rows' must be a non-negative integer, got '4.0'"),
+        ("version", "one", "'version' must be a non-negative integer, got 'one'"),
+        ("rows", "-1", "'rows' must be a non-negative integer, got '-1'"),
+        ("budget", "-3", "'budget' must be a non-negative integer, got '-3'"),
+    ], ids=["d_f-word", "rows-float", "version-word", "rows-negative", "budget-negative"])
+    def test_bad_header_value_names_the_field(self, rng, tmp_path, field, value, message):
+        mem = FeatureMemory(features=rng.normal(size=(4, 3)), domain_class=[0, 1, 0, 1],
+                            budget=10, space_task=1)
+        path = tmp_path / "mem.csv"
+        save_memory(mem, path)
+        lines = path.read_text().splitlines()
+        lines[0] = ",".join(f"{field}={value}" if item.startswith(field + "=") else item
+                            for item in lines[0].split(","))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractViolation, match=message):
+            load_memory(path)
+
+    @pytest.mark.parametrize("col,value,message", [
+        (1, "abc", "row 2, column f1: 'abc' is not a number"),
+        (3, "1.5", "row 2, column domain_class: '1.5' is not an integer"),
+        (5, "", "row 2, column source_task: '' is not an integer"),
+    ], ids=["feature-word", "code-float", "code-empty"])
+    def test_bad_row_value_names_the_row_and_column(self, rng, tmp_path, col, value, message):
+        mem = FeatureMemory(features=rng.normal(size=(4, 3)), domain_class=[0, 1, 0, 1],
+                            budget=10, space_task=1)
+        path = tmp_path / "mem.csv"
+        save_memory(mem, path)
+        lines = path.read_text().splitlines()
+        parts = lines[4].split(",")
+        parts[col] = value
+        lines[4] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractViolation, match=message):
+            load_memory(path)
+
     def test_not_a_snapshot(self, tmp_path):
         path = tmp_path / "other.csv"
         path.write_text("a,b,c\n1,2,3\n")

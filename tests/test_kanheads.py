@@ -10,7 +10,9 @@ from dgkan.kanheads import (SIGMA_MIN, DgkdHead, DgLayer, FeatureExtractor, GrKa
                             MlpHead, _silu, activation_profile, add_task_layer,
                             group_index_map, make_baseline_head)
 from dgkan.numcore import AdamState, ContractViolation, RngStream, adam_step, finite_diff_grad, max_rel_err
+from dgkan.continual import Trainer, TrainerConfig
 from dgkan.losses import bce_loss
+from dgkan.synthbench import dataset, gen_sequence
 
 from conftest import gradcheck, gradcheck_vec
 
@@ -135,9 +137,9 @@ class TestDgLayer:
         layer = DgLayer(1, 6, 1, 3, W=np.ones((1, 6)), centers=[0.0, 0.0, 0.0],
                         widths=[1.0, 1.0, 1.0])
         x = np.full(6, 0.7)
-        phi_before, _, _ = layer._phi(x[None, :])
+        _, (phi_before, _, _) = layer.forward_cached(x)
         layer.centers[1] += 0.3
-        phi_after, _, _ = layer._phi(x[None, :])
+        _, (phi_after, _, _) = layer.forward_cached(x)
         delta = (phi_after - phi_before)[0]
         group = layer.group_of == 1
         assert np.all(delta[~group] == 0.0)
@@ -504,16 +506,45 @@ def test_copies_view_their_own_vector(kind, how, rng):
 
 
 def test_dgkd_head_deepcopy_views_its_own_layers(rng):
+    # deepcopy and pickling: a copied head whose layers view vectors apart
+    # from the copied store would forward the store's stale values
     feats = rng.normal(size=(30, 5))
     head = add_task_layer(DgkdHead(5, 1, 2), feats, rng.substream("a"))
     head = add_task_layer(head, feats + 1.0, rng.substream("b"))
-    dup = copy.deepcopy(head)
-    for layer, orig in zip(dup.layers, head.layers):
-        for name in layer.PARAMS:
-            assert np.shares_memory(getattr(layer, name), layer.params)
-            assert not np.shares_memory(getattr(layer, name), orig.params)
-    assert dup.params is dup.layers[-1].params
+    X = rng.normal(size=(7, 5))
+    Y = head.forward(X)
     before = head.param_vector()
-    dup.set_param_vector(before + 0.25)
-    assert dup.active_layer.W.tobytes() == (head.active_layer.W + 0.25).tobytes()
-    assert head.param_vector().tobytes() == before.tobytes()
+    for how in ("deepcopy", "pickle"):
+        dup = _COPIES[how](head)
+        for layer, row in zip(dup.layers, dup.store):
+            assert np.shares_memory(layer.params, row)
+            for name in layer.PARAMS:
+                assert np.shares_memory(getattr(layer, name), row)
+                assert not np.shares_memory(getattr(layer, name), head.store)
+        assert dup.layers[-1].params.base is dup.store
+        dup.set_param_vector(before + 0.25)
+        assert dup.active_layer.W.tobytes() == (head.active_layer.W + 0.25).tobytes()
+        fresh = DgkdHead(5, 1, 2, [DgLayer(l.task_id, 5, 1, 2, l.W, l.centers, l.widths)
+                                   for l in dup.layers])
+        assert not np.array_equal(dup.forward(X), Y)
+        assert dup.forward(X).tobytes() == fresh.forward(X).tobytes()
+        assert head.param_vector().tobytes() == before.tobytes()
+        assert head.forward(X).tobytes() == Y.tobytes()
+
+
+def test_trained_dgkd_layers_view_the_head_store():
+    # after each task of a run: every layer array is a view of its row of
+    # the head's one store, and the frozen rows keep their bytes
+    stream = gen_sequence("four-task", 11, train_n=65, eval_n=32)
+    trainer = Trainer(TrainerConfig(epochs=2, memory_budget=40), 11)
+    frozen = []
+    for t in range(4):
+        trainer.train_task(*dataset(stream, t, "train"))
+        head = trainer.head
+        assert head.store.shape == (t + 1, head.n_params())
+        for layer, row in zip(head.layers, head.store):
+            assert layer.params.base is head.store and np.shares_memory(layer.params, row)
+            assert all(np.shares_memory(getattr(layer, name), row) for name in layer.PARAMS)
+        assert [row.tobytes() for row in head.store[:t]] == frozen
+        assert all(layer.frozen for layer in head.layers[:t]) and not head.layers[t].frozen
+        frozen.append(head.store[t].tobytes())
