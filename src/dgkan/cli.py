@@ -54,11 +54,12 @@ def _parse_typed(name: str, raw: str, typ):
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse the flat key = value format, validating against the schema."""
+    """Parse the flat key = value format, validating against the schema.
+    Each field, ``config_version`` included, may be given once."""
     schema = {f.name: f.type for f in fields(ExperimentConfig)}
     typemap = {"int": int, "float": float, "bool": bool, "str": str}
     cfg = ExperimentConfig()
-    seen_version = False
+    seen: dict[str, int] = {}            # field -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -66,15 +67,17 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"config line {lineno}: field {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         if key == "config_version":
             if _parse_typed(key, val, int) != CONFIG_FORMAT_VERSION:
                 raise ConfigError(f"unsupported config_version {val}")
-            seen_version = True
             continue
         if key not in schema:
             raise ConfigError(f"config line {lineno}: unknown field {key!r}")
         setattr(cfg, key, _parse_typed(key, val, typemap[schema[key]]))
-    if not seen_version:
+    if "config_version" not in seen:
         raise ConfigError("config missing required 'config_version' header")
     validate_config(cfg)
     return cfg
@@ -272,6 +275,13 @@ def dump_profile(trainer: Trainer, path, group_index: int = 0, x_min: float = -3
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _require_artifacts(out: Path, *names: str) -> None:
+    """Raise ContractViolation listing each of ``names`` that is not a file in ``out``."""
+    missing = [name for name in names if not (out / name).is_file()]
+    if missing:
+        raise ContractViolation(f"missing artifacts in {out}: {', '.join(missing)}")
+
+
 def report(results_dir) -> str:
     """Render the AA/AF table from a results directory.
 
@@ -279,10 +289,7 @@ def report(results_dir) -> str:
     summary JSON; missing artifacts are listed explicitly.
     """
     out = Path(results_dir)
-    needed = ["scores.csv", "summary.json"]
-    missing = [name for name in needed if not (out / name).exists()]
-    if missing:
-        raise ContractViolation(f"missing artifacts in {out}: {', '.join(missing)}")
+    _require_artifacts(out, "scores.csv", "summary.json")
     summary = json.loads((out / "summary.json").read_text())
     matrix = parse_scores_csv((out / "scores.csv").read_text())
     lines = [
@@ -308,6 +315,7 @@ def verify(results_dir) -> bool:
     files must still match the manifest, and the re-run must write the same
     artifacts with the same hashes."""
     out = Path(results_dir)
+    _require_artifacts(out, "config_resolved.txt", "manifest.json")
     cfg = parse_config_text((out / "config_resolved.txt").read_text())
     listed = json.loads((out / "manifest.json").read_text())["artifacts"]
     stored = {name: _sha256_file(out / name) for name in listed if (out / name).is_file()}
@@ -389,6 +397,10 @@ def main(argv=None) -> int:
     try:
         if args.verb == "run":
             cfg = _load_cfg(args)
+            # the nearest existing path up from --out must be a directory
+            found = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
+            if not found.is_dir():
+                raise ConfigError(f"--out: {str(found)!r} exists and is not a directory")
             run_experiment(cfg, args.out)
             print(f"run complete: artifacts in {args.out}")
             return 0

@@ -214,17 +214,20 @@ class Trainer:
                 sc_dc = np.concatenate([dc_in, rb.domain_class])
             # the loss needs two labels and a label that occurs twice (an
             # anchor with a positive); a one-row last batch plus one replayed
-            # row of another domain-class has two labels but no positive
-            if 2 <= np.unique(sc_dc).size < len(sc_dc):
+            # row of another domain-class has two labels but no positive.
+            # Codes are >= 0, so bincount counts the labels without a sort.
+            if 2 <= np.count_nonzero(np.bincount(sc_dc)) < len(sc_dc):
                 batch = DomainLabeledBatch(features=sc_feats, domain_class=sc_dc)
                 sc, dF_sc = supcon_loss(batch, cfg.tau, normalize=cfg.sc_normalize,
                                         grad_rows=len(dF_in))
-                dF_in += cfg.lambda_sc * dF_sc
+                dF_sc *= cfg.lambda_sc           # scaled in the loss's own buffer
+                dF_in += dF_sc
 
         kd = 0.0
         if cfg.use_kd and t >= 2:
             kd, dF_kd = kd_loss(teacher_F, F)
-            dF_in[:nb] += cfg.lambda_kd * dF_kd
+            dF_kd *= cfg.lambda_kd
+            dF_in[:nb] += dF_kd
 
         overall_loss(cls, sc, kd, cfg.lambda_sc, cfg.lambda_kd)   # raises ContractViolation on a non-finite total
 

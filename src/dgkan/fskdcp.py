@@ -231,12 +231,15 @@ class KdcpProjection:
 
     def apply(self, F: np.ndarray) -> np.ndarray:
         F = np.asarray(F, dtype=np.float64)
-        return F + self.layer.forward(F)
+        out = self.layer.forward(F)
+        out += F                         # the residual, added into the layer's output
+        return out
 
     def apply_cached(self, F: np.ndarray):
         F = np.asarray(F, dtype=np.float64)
         out, cache = self.layer.forward_cached(F)
-        return F + out, cache
+        out += F
+        return out, cache
 
 
 def train_projection_step(proj: KdcpProjection, f_teacher: np.ndarray, f_student: np.ndarray,
@@ -321,8 +324,10 @@ def augment_features(mem: FeatureMemory, jitter_scale: float, rng: RngStream,
     drawn_dc = mem.domain_class[idx]
     if jitter_scale > 0.0:
         noise = rng.normal(size=feats.shape)
-        scale = np.take(_label_stds(features, mem), drawn_dc, axis=0)
-        feats += jitter_scale * scale * noise
+        jitter = np.take(_label_stds(features, mem), drawn_dc, axis=0)
+        jitter *= jitter_scale           # (jitter_scale * std) * noise, in one buffer
+        jitter *= noise
+        feats += jitter
     return DomainLabeledBatch(features=feats, domain_class=drawn_dc)
 
 

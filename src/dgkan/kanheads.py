@@ -192,23 +192,36 @@ class DgLayer(ParamArrays):
 
 def _gaussians(X: np.ndarray, c: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(phi, z): z = (X - c) / s and phi = exp(-z^2 / 2), with c and s the
-    per-dimension centers and widths."""
-    z = (X - c) / s
-    return np.exp(-0.5 * z * z), z
+    per-dimension centers and widths.  phi is (z * -0.5) * z, the bytes of
+    -0.5 * z * z, built in its own buffer: callers cache z."""
+    z = X - c
+    z /= s
+    phi = z * -0.5
+    phi *= z
+    return np.exp(phi, out=phi), z
 
 
 def _gaussian_input_grad(dY, W, phi, z, s) -> tuple[np.ndarray, np.ndarray]:
     """dX = (dY W) phi (-z / s), and the factor (dY W) phi that
     ``_gaussian_param_grad`` reuses."""
-    common = (dY @ W) * phi
-    return common * (-z / s), common
+    common = dY @ W
+    common *= phi
+    dX = np.negative(z)
+    dX /= s
+    dX *= common
+    return dX, common
 
 
 def _gaussian_param_grad(dY, common, phi, z, s, group_of, groups) -> np.ndarray:
     """One layer's (dW, dcenters, dwidths) as its parameter vector; a group's
     center and width gradients sum over its dimensions."""
-    dc_dim = (common * (z / s)).sum(axis=0)
-    ds_dim = (common * (z * z / s)).sum(axis=0)
+    term = np.divide(z, s)                 # one buffer for both terms
+    term *= common
+    dc_dim = term.sum(axis=0)
+    np.multiply(z, z, out=term)
+    term /= s
+    term *= common
+    ds_dim = term.sum(axis=0)
     return np.concatenate([(dY.T @ phi).ravel(),
                            np.bincount(group_of, weights=dc_dim, minlength=groups),
                            np.bincount(group_of, weights=ds_dim, minlength=groups)])
@@ -358,10 +371,19 @@ def activation_profile(head: DgkdHead, group_index: int, xs) -> np.ndarray:
 def _silu(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sigmoid-weighted linear unit and its derivative.  With e = exp(-|z|)
     the sigmoid is 1/(1+e) for z >= 0 and e/(1+e) below; e <= 1, so
-    max(e, z >= 0) picks the numerator."""
-    e = np.exp(-np.abs(z))
-    sig = np.maximum(e, z >= 0) / (1.0 + e)
-    return z * sig, sig * (1.0 + z * (1.0 - sig))
+    max(e, z >= 0) picks the numerator.  The slope
+    sig * (1 + z * (1 - sig)) is built in e's buffer."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    sig = np.maximum(e, z >= 0)
+    e += 1.0
+    sig /= e
+    slope = np.subtract(1.0, sig, out=e)
+    slope *= z
+    slope += 1.0
+    slope *= sig
+    return z * sig, slope
 
 
 class SiluMlp(ParamArrays):
@@ -386,24 +408,31 @@ class SiluMlp(ParamArrays):
         return cls(rng.uniform(-a1, a1, (hidden, d_in)), np.zeros(hidden),
                    rng.uniform(-a2, a2, (d_out, hidden)), np.zeros(d_out))
 
+    def _forward(self, X: np.ndarray):
+        """(Y, cache), each bias added in place.  Untraced, so ``forward``
+        and ``forward_cached`` keep separate spans."""
+        X, _ = _as_batch(X, self.d_in, f"{type(self).__name__} input")
+        z1 = X @ self.W1.T
+        z1 += self.b1
+        h, dh = _silu(z1)
+        Y = h @ self.W2.T
+        Y += self.b2
+        return Y, (X, h, dh)
+
     def forward(self, X: np.ndarray) -> np.ndarray:
-        X, squeeze = _as_batch(X, self.d_in, f"{type(self).__name__} input")
-        h, _ = _silu(X @ self.W1.T + self.b1)
-        Y = h @ self.W2.T + self.b2
-        return Y[0] if squeeze else Y
+        Y, _ = self._forward(X)
+        return Y[0] if np.ndim(X) == 1 else Y
 
     def forward_cached(self, X: np.ndarray):
-        X, _ = _as_batch(X, self.d_in, f"{type(self).__name__} input")
-        z1 = X @ self.W1.T + self.b1
-        h, dh = _silu(z1)
-        return h @ self.W2.T + self.b2, (X, h, dh)
+        return self._forward(X)
 
     def backward(self, dY: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray]:
         X, h, dh = cache
         dY = np.asarray(dY, dtype=np.float64).reshape(X.shape[0], self.d_out)
         dW2 = dY.T @ h
         db2 = dY.sum(axis=0)
-        dz1 = (dY @ self.W2) * dh
+        dz1 = dY @ self.W2
+        dz1 *= dh
         dW1 = dz1.T @ X
         db1 = dz1.sum(axis=0)
         dX = dz1 @ self.W1

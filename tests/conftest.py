@@ -31,3 +31,31 @@ def gradcheck_vec(f, x, analytic, h=1e-5, tol=1e-4):
     err = float(np.abs(a - g).max() / scale)
     assert err <= tol, f"gradient mismatch: sup-norm rel err {err:.3e} > {tol}"
     return err
+
+
+def _arrays(tree):
+    """Every array in a cache: tuples and lists walked, in order."""
+    if isinstance(tree, np.ndarray):
+        return [tree]
+    if isinstance(tree, (tuple, list)):
+        return [a for item in tree for a in _arrays(item)]
+    return []
+
+
+def assert_backward_keeps_cache(forward_cached, backward, X, dY):
+    """Guard for kernels that write in place: ``backward`` must only read the
+    cache of ``forward_cached(X)``.  Two calls on one cache give the same
+    bytes, every cached array and ``X`` keep theirs, and neither the output
+    (a caller may add into it) nor the gradients share memory with the cache."""
+    X_kept = X.tobytes()
+    Y, cache = forward_cached(X)
+    cached = _arrays(cache)
+    kept = [a.tobytes() for a in cached]
+    first = backward(dY, cache)
+    assert [a.tobytes() for a in cached] == kept
+    second = backward(dY, cache)
+    assert [a.tobytes() for a in _arrays(second)] == [a.tobytes() for a in _arrays(first)]
+    assert [a.tobytes() for a in cached] == kept
+    assert X.tobytes() == X_kept
+    for out in [Y] + _arrays(first):
+        assert not any(np.shares_memory(out, a) for a in cached)

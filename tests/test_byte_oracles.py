@@ -16,16 +16,36 @@ verbatim in its arithmetic: the library must return the same bytes.
   reference is the two-path head it replaced (the active layer through
   ``DgLayer``, the frozen layers through a stacked copy) and that
   ``DgLayer``'s own ``_phi`` and ``backward``.
+* The step's elementwise kernels run as in-place chains, each operation in
+  the order of the expression it replaced (only operands of a commutative
+  operation trade places).  The references are those expressions:
+  ``_silu`` as one-exp temporaries; ``_gaussians`` as
+  ``exp(-0.5 * z * z)``; ``_gaussian_input_grad`` as
+  ``(dY @ W) * phi * (-z / s)``; ``_gaussian_param_grad``'s center and
+  width terms as ``common * (z / s)`` and ``common * (z * z / s)``;
+  ``SiluMlp.forward``, ``forward_cached`` and ``backward`` with biases added
+  and ``dh`` applied into fresh arrays; ``KdcpProjection.apply`` and
+  ``apply_cached`` as ``F + layer(F)``; ``bce_loss`` and the MSE of
+  ``kd_loss`` / ``align_loss`` with ``np.mean`` and out-of-place
+  gradients; ``augment_features``' jitter as ``jitter_scale * scale *
+  noise``; and the trainer's contrastive gate on ``np.unique``, which
+  ``np.bincount`` replaced (the codes are >= 0).
 """
+import copy
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import dgkan.continual
+import dgkan.kanheads
+import dgkan.losses
 from dgkan.continual import Trainer, TrainerConfig
-from dgkan.kanheads import DgkdHead, DgLayer, _silu, add_task_layer
-from dgkan.losses import DomainLabeledBatch, bce_loss, supcon_loss
+from dgkan.fskdcp import FeatureMemory, KdcpProjection, _label_stds, augment_features
+from dgkan.kanheads import (DgkdHead, DgLayer, FeatureExtractor, MlpHead, SiluMlp,
+                            _gaussian_input_grad, _gaussian_param_grad, _gaussians, _silu,
+                            add_task_layer, group_index_map)
+from dgkan.losses import DomainLabeledBatch, align_loss, bce_loss, kd_loss, supcon_loss
 from dgkan.numcore import AdamState, ContractViolation, RngStream, adam_step
 from dgkan.synthbench import dataset, gen_sequence
 
@@ -410,3 +430,318 @@ class TestDgkdHeadMatchesTwoPathReference:
         assert checked["head-read-only-forward"] == 1 + 2 + 3 + 4    # evaluate_all
         assert checked["layer"] == checked["layer-forward"] == 3 * 4
         assert checked["layer-read-only-forward"] == 3 * 4 + 3
+
+
+# -- the in-place kernels ---------------------------------------------------
+# Verbatim copies of the forms the in-place chains replaced.
+
+def silu_one_exp_reference(z):
+    e = np.exp(-np.abs(z))
+    sig = np.maximum(e, z >= 0) / (1.0 + e)
+    return z * sig, sig * (1.0 + z * (1.0 - sig))
+
+
+def gaussians_reference(X, c, s):
+    z = (X - c) / s
+    return np.exp(-0.5 * z * z), z
+
+
+def gaussian_input_grad_reference(dY, W, phi, z, s):
+    common = (dY @ W) * phi
+    return common * (-z / s), common
+
+
+def gaussian_param_grad_reference(dY, common, phi, z, s, group_of, groups):
+    dc_dim = (common * (z / s)).sum(axis=0)
+    ds_dim = (common * (z * z / s)).sum(axis=0)
+    return np.concatenate([(dY.T @ phi).ravel(),
+                           np.bincount(group_of, weights=dc_dim, minlength=groups),
+                           np.bincount(group_of, weights=ds_dim, minlength=groups)])
+
+
+def silu_mlp_forward_reference(m, X):
+    h, _ = silu_one_exp_reference(X @ m.W1.T + m.b1)
+    return h @ m.W2.T + m.b2
+
+
+def silu_mlp_forward_cached_reference(m, X):
+    z1 = X @ m.W1.T + m.b1
+    h, dh = silu_one_exp_reference(z1)
+    return h @ m.W2.T + m.b2, (X, h, dh)
+
+
+def silu_mlp_backward_reference(m, dY, cache):
+    X, h, dh = cache
+    dY = np.asarray(dY, dtype=np.float64).reshape(X.shape[0], m.d_out)
+    dW2 = dY.T @ h
+    db2 = dY.sum(axis=0)
+    dz1 = (dY @ m.W2) * dh
+    dW1 = dz1.T @ X
+    db1 = dz1.sum(axis=0)
+    dX = dz1 @ m.W1
+    return dX, np.concatenate([dW1.ravel(), db1, dW2.ravel(), db2])
+
+
+def projection_apply_cached_reference(proj, F):
+    """``F + layer.forward_cached(F)[0]`` and the cache, through the
+    reference Gaussians; ``apply`` returns the same first element."""
+    F = np.asarray(F, dtype=np.float64)
+    layer = proj.layer
+    s = layer.widths[layer.group_of]
+    phi, z = gaussians_reference(F, layer.centers[layer.group_of], s)
+    return F + phi @ layer.W.T, (phi, z, s)
+
+
+def bce_one_exp_reference(logits, labels):
+    z = np.asarray(logits, dtype=np.float64).ravel()
+    y = np.asarray(labels, dtype=np.float64).ravel()
+    e = np.exp(-np.abs(z))
+    per = np.maximum(z, 0.0) - z * y + np.log1p(e)
+    grad = (np.maximum(e, z >= 0) / (1.0 + e) - y) / z.size
+    return float(per.mean()), grad
+
+
+def mse_reference(x, target):
+    diff = x - target
+    return float(np.mean(diff * diff)), 2.0 * diff / diff.size
+
+
+def augment_reference(mem, jitter_scale, rng, n_samples, features=None):
+    """``augment_features`` without its input checks."""
+    features = mem.features if features is None else features
+    idx = rng.integers(0, len(mem), size=n_samples)
+    feats = features[idx]
+    drawn_dc = mem.domain_class[idx]
+    if jitter_scale > 0.0:
+        noise = rng.normal(size=feats.shape)
+        scale = np.take(_label_stds(features, mem), drawn_dc, axis=0)
+        feats += jitter_scale * scale * noise
+    return feats, drawn_dc
+
+
+def sc_gate_reference(codes):
+    return 2 <= np.unique(codes).size < len(codes)
+
+
+def _same_bytes(got, ref):
+    """Equal bytes (and shapes) of two results: arrays, floats, or tuples of them."""
+    if isinstance(ref, tuple):
+        assert isinstance(got, tuple) and len(got) == len(ref)
+        for g, r in zip(got, ref):
+            _same_bytes(g, r)
+        return
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
+def _array_bytes(args):
+    """The bytes of every array in ``args``, tuples and lists walked."""
+    out = []
+    for a in args:
+        if isinstance(a, (tuple, list)):
+            out.extend(_array_bytes(a))
+        elif isinstance(a, np.ndarray):
+            out.append(a.tobytes())
+    return out
+
+
+def _gaussian_case(r, stack, N, d_in, d_out, groups):
+    """Random inputs of the three grouped-Gaussian helpers, 2-D or stacked
+    as ``DgkdHead`` passes them (W (T, d_out, d_in); c, s (T, 1, d_in))."""
+    lead = () if stack is None else (stack,)
+    mid = () if stack is None else (1,)
+    X = r.normal(scale=3.0, size=(N, d_in))
+    c = r.normal(size=lead + mid + (d_in,))
+    s = r.uniform(0.05, 4.0, size=lead + mid + (d_in,))
+    W = r.normal(scale=0.3, size=lead + (d_out, d_in))
+    dY = r.normal(size=(N, d_out))
+    return X, c, s, W, dY, group_index_map(d_in, groups), groups
+
+
+class TestInPlaceKernelsMatchReference:
+    @pytest.mark.parametrize("shape", [(1,), (4, 64), (64, 64), (64, 32), (1024, 64)])
+    def test_silu(self, shape):
+        r = RngStream(31).substream("silu", shape)
+        for trial in range(5):
+            z = _logits(r, int(np.prod(shape)))[:int(np.prod(shape))].reshape(shape)
+            kept = z.copy()
+            _same_bytes(_silu(z), silu_one_exp_reference(z))
+            assert z.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("stack", [None, 1, 4, 10])
+    @pytest.mark.parametrize("N,d_in,d_out,groups", [(1, 16, 1, 4), (4, 16, 1, 4),
+                                                     (64, 16, 1, 4), (500, 16, 16, 16),
+                                                     (13, 5, 3, 2)])
+    def test_gaussian_helpers(self, stack, N, d_in, d_out, groups):
+        r = RngStream(37).substream("gauss", stack, N, d_in, d_out, groups)
+        for trial in range(3):
+            X, c, s, W, dY, group_of, g = _gaussian_case(r, stack, N, d_in, d_out, groups)
+            kept = [a.copy() for a in (X, c, s, W, dY)]
+            phi, z = _gaussians(X, c, s)
+            _same_bytes((phi, z), gaussians_reference(X, c, s))
+            dX, common = _gaussian_input_grad(dY, W, phi, z, s)
+            _same_bytes((dX, common), gaussian_input_grad_reference(dY, W, phi, z, s))
+            last = (slice(None),) if stack is None else (-1,)
+            args = (dY, common[last], phi[last], z[last], s[last], group_of, g)
+            _same_bytes(_gaussian_param_grad(*args), gaussian_param_grad_reference(*args))
+            for a, k in zip((X, c, s, W, dY), kept):
+                assert a.tobytes() == k.tobytes()
+
+    def test_gaussians_of_scan_points(self):
+        # activation_profile passes 1-D scan points and one group's scalars
+        xs = np.linspace(-3.0, 3.0, 201)
+        for c, s in ((0.0, 1.0), (0.37, 0.05), (-2.5, 2.0)):
+            _same_bytes(_gaussians(xs, np.float64(c), np.float64(s)),
+                        gaussians_reference(xs, np.float64(c), np.float64(s)))
+
+    @pytest.mark.parametrize("N,d_in,hidden,d_out", [(1, 8, 64, 16), (4, 8, 64, 16),
+                                                     (64, 8, 64, 16), (128, 8, 64, 16),
+                                                     (64, 16, 32, 1), (1000, 16, 32, 1)])
+    def test_silu_mlp(self, N, d_in, hidden, d_out):
+        r = RngStream(41).substream("mlp", N, d_in, hidden, d_out)
+        for cls in (FeatureExtractor, MlpHead):
+            m = cls.init(d_in, d_out, hidden, r.substream("init", cls.__name__))
+            m.set_param_vector(r.normal(scale=0.5, size=m.n_params()))   # nonzero biases
+            X = r.normal(scale=2.0, size=(N, d_in))
+            dY = r.normal(size=(N, d_out))
+            Y, cache = m.forward_cached(X)
+            _same_bytes((Y, cache), silu_mlp_forward_cached_reference(m, X))
+            _same_bytes(m.forward(X), silu_mlp_forward_reference(m, X))
+            _same_bytes(m.forward(X[0]), silu_mlp_forward_reference(m, X[:1])[0])
+            _same_bytes(m.backward(dY, cache), silu_mlp_backward_reference(m, dY, cache))
+
+    @pytest.mark.parametrize("N", [1, 4, 64, 500, 4000])
+    def test_projection(self, N):
+        r = RngStream(43).substream("proj", N)
+        init = r.normal(size=(200, 16))
+        proj = KdcpProjection.init(init, 16, source_task=1, target_task=2)
+        proj.layer.set_param_vector(proj.layer.param_vector()
+                                    + r.normal(scale=0.1, size=proj.layer.n_params()))
+        F = r.normal(scale=1.5, size=(N, 16))
+        kept = F.copy()
+        ref = projection_apply_cached_reference(proj, F)
+        _same_bytes(proj.apply_cached(F), ref)
+        _same_bytes(proj.apply(F), ref[0])
+        _same_bytes(proj.apply(F[0]), projection_apply_cached_reference(proj, F[:1])[0][0])
+        assert F.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 4, 64, 1000])
+    def test_bce_loss(self, n):
+        r = RngStream(47).substream("bce", n)
+        for trial in range(5):
+            z = _logits(r, n)
+            y = r.integers(0, 2, z.size)
+            _same_bytes(bce_loss(z, y), bce_one_exp_reference(z, y))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 16), (64, 16), (500, 16)])
+    def test_mse(self, shape):
+        r = RngStream(53).substream("mse", shape)
+        for trial in range(5):
+            x = r.normal(scale=10.0 ** r.uniform(-3, 2), size=shape)
+            target = x + r.normal(scale=10.0 ** r.uniform(-6, 1), size=shape)
+            kept = x.copy(), target.copy()
+            _same_bytes(kd_loss(target, x), mse_reference(x, target))
+            _same_bytes(align_loss(x, target), mse_reference(x, target))
+            assert (x.tobytes(), target.tobytes()) == tuple(k.tobytes() for k in kept)
+
+    @pytest.mark.parametrize("jitter_scale", [0.0, 0.3, 0.5, 1.7])
+    @pytest.mark.parametrize("m,n_samples", [(8, 4), (500, 64), (4000, 64)])
+    def test_augment_features(self, jitter_scale, m, n_samples):
+        r = RngStream(59).substream("augment", jitter_scale, m)
+        mem = FeatureMemory(features=r.normal(scale=2.0, size=(m, 16)),
+                            domain_class=np.arange(m) % 6, budget=m, space_task=3)
+        moved = mem.features + r.normal(scale=0.1, size=mem.features.shape)
+        for features in (None, moved):
+            draw = r.substream("draw", features is None)
+            ref = augment_reference(mem, jitter_scale, copy.deepcopy(draw), n_samples, features)
+            batch = augment_features(mem, jitter_scale, draw, n_samples, features=features)
+            _same_bytes((batch.features, batch.domain_class), ref)
+
+    def test_calls_of_a_data_free_run(self, monkeypatch):
+        # every call of these kernels in short four-task data-free runs, dgkd
+        # and mlp heads, checked against the references on the call's inputs
+        checked = Counter()
+
+        def guard(kind, fn, reference):
+            def checked_fn(*args):
+                ref = reference(*args)
+                before = _array_bytes(args)
+                got = fn(*args)
+                _same_bytes(got, ref)
+                assert _array_bytes(args) == before          # no input (or cache) written
+                checked[kind] += 1
+                return got
+            return checked_fn
+
+        for name, ref in (("_silu", silu_one_exp_reference), ("_gaussians", gaussians_reference),
+                          ("_gaussian_input_grad", gaussian_input_grad_reference),
+                          ("_gaussian_param_grad", gaussian_param_grad_reference)):
+            monkeypatch.setattr(dgkan.kanheads, name,
+                                guard(name, getattr(dgkan.kanheads, name), ref))
+        monkeypatch.setattr(dgkan.losses, "_mse",
+                            guard("_mse", dgkan.losses._mse, lambda x, t, name: mse_reference(
+                                np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64))))
+        monkeypatch.setattr(dgkan.continual, "bce_loss",
+                            guard("bce_loss", bce_loss, bce_one_exp_reference))
+        for cls in (FeatureExtractor, MlpHead):
+            for name, ref in (("forward", silu_mlp_forward_reference),
+                              ("forward_cached", silu_mlp_forward_cached_reference),
+                              ("backward", silu_mlp_backward_reference)):
+                monkeypatch.setattr(cls, name, guard(f"{cls.__name__}.{name}",
+                                                     getattr(cls, name), ref))
+        def checked_augment(mem, jitter_scale, rng, n_samples, features=None):
+            ref = augment_reference(mem, jitter_scale, copy.deepcopy(rng), n_samples, features)
+            batch = augment_features(mem, jitter_scale, rng, n_samples, features=features)
+            _same_bytes((batch.features, batch.domain_class), ref)
+            checked["augment_features"] += 1
+            return batch
+
+        monkeypatch.setattr(dgkan.continual, "augment_features", checked_augment)
+        monkeypatch.setattr(KdcpProjection, "apply", guard(
+            "apply", KdcpProjection.apply,
+            lambda proj, F: projection_apply_cached_reference(proj, F)[0]))
+        monkeypatch.setattr(KdcpProjection, "apply_cached", guard(
+            "apply_cached", KdcpProjection.apply_cached, projection_apply_cached_reference))
+
+        # the gate: every code array it counts, and every loss it lets through
+        gates, supcon_calls = [], []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def bincount(self, codes, *args, **kwargs):
+                gates.append(sc_gate_reference(codes))
+                return np.bincount(codes, *args, **kwargs)
+
+        def counting_supcon(*args, **kwargs):
+            supcon_calls.append(1)
+            return supcon_loss(*args, **kwargs)
+
+        monkeypatch.setattr(dgkan.continual, "np", CountingNumpy())
+        monkeypatch.setattr(dgkan.continual, "supcon_loss", counting_supcon)
+
+        stream = gen_sequence("four-task", 11, train_n=65, eval_n=32)
+        for head in ("dgkd", "mlp"):
+            trainer = Trainer(TrainerConfig(head=head, epochs=2, memory_budget=40,
+                                            jitter_scale=0.3), 11)
+            for t in range(4):
+                trainer.train_task(*dataset(stream, t, "train"))
+                trainer.evaluate_all([dataset(stream, k, "eval") for k in range(t + 1)])
+        # four steps a task (65 rows in batches of 64, two epochs), 16 a run;
+        # from task 2 on, each step trains the projection and moves the memory
+        steps, later = 2 * 16, 2 * 12
+        assert checked["bce_loss"] == checked["FeatureExtractor.forward_cached"] == steps
+        assert checked["FeatureExtractor.backward"] == steps
+        assert checked["MlpHead.forward_cached"] == checked["MlpHead.backward"] == 16
+        assert checked["MlpHead.forward"] == 1 + 2 + 3 + 4            # evaluate_all
+        assert checked["_mse"] == 2 * later                           # kd and align
+        assert checked["apply_cached"] == later
+        assert checked["apply"] == later + 2 * 3                      # and each task end
+        assert checked["augment_features"] == later
+        assert checked["_silu"] == sum(checked[f"{cls}.{name}"] for cls in ("FeatureExtractor",
+                                       "MlpHead") for name in ("forward", "forward_cached"))
+        assert checked["_gaussian_input_grad"] == checked["_gaussian_param_grad"] == 16 + later
+        assert checked["_gaussians"] > checked["_gaussian_input_grad"]
+        assert len(gates) == steps and sum(gates) == len(supcon_calls) > 0

@@ -10,7 +10,8 @@ import pytest
 
 from dgkan.cli import (ConfigError, ExperimentConfig, build_stream, config_hash, config_lines,
                        dump_embeddings, dump_profile, main, parse_config_text, parse_scores_csv,
-                       pca_2d, report, run_experiment, trainer_config, validate_config)
+                       pca_2d, report, run_experiment, trainer_config, validate_config,
+                       verify)
 from dgkan.continual import ScoreMatrix, TrainerConfig, average_forgetting, run_stream
 from dgkan.numcore import ContractViolation, RngStream
 from dgkan.synthbench import REFERENCE_SEEDS, gen_sequence, save_stream
@@ -100,6 +101,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seed"):
             validate_config(ExperimentConfig(seed=-1))
         validate_config(ExperimentConfig(seed=0))
+
+    @pytest.mark.parametrize("text,line,field,first", [
+        ("config_version = 1\nepochs = 40\nepochs = 5\n", 3, "epochs", 2),
+        ("config_version = 1\nseed = 3\n\nconfig_version = 1\n", 4, "config_version", 1)],
+        ids=["epochs", "config_version"])
+    def test_repeated_field_rejected(self, text, line, field, first):
+        # the second line used to win silently
+        with pytest.raises(ConfigError, match=f"config line {line}: field '{field}' repeats "
+                                              f"line {first}"):
+            parse_config_text(text)
 
     def test_config_version_not_an_integer(self):
         with pytest.raises(ConfigError, match="config_version"):
@@ -275,6 +286,44 @@ class TestCliVerbs:
         cfg_path.write_text(TINY.replace("epochs = 2", "epochs = 1") + bad)
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
+
+    def test_repeated_field_exit_code(self, tmp_path):
+        cfg_path = tmp_path / "bad.txt"
+        cfg_path.write_text(TINY + "epochs = 5\n")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("out", ["taken", "taken/run"], ids=["file", "under-file"])
+    def test_run_out_not_a_directory_fails_before_training(self, out, tmp_path, monkeypatch,
+                                                           capsys):
+        # each used to exit 3 with a bare FileExistsError or NotADirectoryError
+        import dgkan.cli
+
+        def no_training(*args):
+            raise AssertionError("run_stream called")
+
+        monkeypatch.setattr(dgkan.cli, "run_stream", no_training)
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(TINY)
+        (tmp_path / "taken").write_text("a file\n")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "is not a directory" in err
+        assert (tmp_path / "taken").read_text() == "a file\n"
+
+    @pytest.mark.parametrize("present,missing", [
+        ((), "config_resolved.txt, manifest.json"),
+        (("config_resolved.txt",), "manifest.json"),
+        (("manifest.json",), "config_resolved.txt")],
+        ids=["none", "config-only", "manifest-only"])
+    def test_verify_names_missing_files(self, present, missing, tmp_path, capsys):
+        # a bare FileNotFoundError used to be the only message
+        for name in present:
+            (tmp_path / name).write_text(TINY if name.endswith(".txt") else '{"artifacts": {}}\n')
+        with pytest.raises(ContractViolation, match=f"missing artifacts in .*: {missing}$"):
+            verify(tmp_path)
+        assert main(["verify", "--dir", str(tmp_path)]) == 3
+        assert f": {missing}\n" in capsys.readouterr().err
 
     def test_memory_budget_floor_follows_protocol(self):
         validate_config(ExperimentConfig(memory_budget=8))

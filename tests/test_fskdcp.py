@@ -14,7 +14,7 @@ from dgkan.kanheads import FeatureExtractor
 from dgkan.numcore import AdamState, ContractViolation, RngStream, finite_diff_grad, max_rel_err
 from dgkan.synthbench import dataset, gen_sequence
 
-from conftest import gradcheck
+from conftest import assert_backward_keeps_cache, gradcheck
 
 
 def herding_oracle(rows, quota):
@@ -249,6 +249,16 @@ class TestProjection:
             return align_loss(probe.apply(t), s)[0]
 
         gradcheck(f, proj.layer.param_vector(), grads)
+
+    @pytest.mark.parametrize("N", [1, 64, 500])
+    def test_backward_keeps_cache(self, N, rng):
+        # apply_cached adds the residual into the layer's output, so that
+        # output must not be an array the cache holds
+        proj, _ = _projection(rng, d_f=16)
+        proj.layer.set_param_vector(proj.layer.param_vector()
+                                    + rng.normal(scale=0.1, size=proj.layer.n_params()))
+        assert_backward_keeps_cache(proj.apply_cached, proj.layer.backward,
+                                    rng.normal(size=(N, 16)), rng.normal(size=(N, 16)))
 
     def test_shape_mismatch(self, rng):
         proj, feats = _projection(rng)

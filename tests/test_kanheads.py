@@ -14,7 +14,7 @@ from dgkan.continual import Trainer, TrainerConfig
 from dgkan.losses import bce_loss
 from dgkan.synthbench import dataset, gen_sequence
 
-from conftest import gradcheck, gradcheck_vec
+from conftest import assert_backward_keeps_cache, gradcheck, gradcheck_vec
 
 
 # Scalar oracles of one grouped-RBF bump, against which the vectorized layers
@@ -548,3 +548,33 @@ def test_trained_dgkd_layers_view_the_head_store():
         assert [row.tobytes() for row in head.store[:t]] == frozen
         assert all(layer.frozen for layer in head.layers[:t]) and not head.layers[t].frozen
         frozen.append(head.store[t].tobytes())
+
+
+class TestBackwardKeepsCache:
+    """The in-place kernels never write into an array a cache holds:
+    ``backward`` twice on one cache gives the same bytes."""
+
+    @pytest.mark.parametrize("N", [1, 4, 64])
+    def test_dglayer(self, N, rng):
+        layer = _random_layer(rng, d_in=16, d_out=16, groups=4)
+        assert_backward_keeps_cache(layer.forward_cached, layer.backward,
+                                    rng.normal(size=(N, 16)), rng.normal(size=(N, 16)))
+
+    @pytest.mark.parametrize("T", [1, 4])
+    @pytest.mark.parametrize("N", [1, 64])
+    def test_dgkd_head(self, T, N, rng):
+        head = DgkdHead(16, 1, 4)
+        for k in range(T):
+            head = add_task_layer(head, rng.normal(loc=k, size=(40, 16)), rng.substream("l", k))
+        head.set_param_vector(head.param_vector() + rng.normal(scale=0.1, size=head.n_params()))
+        assert_backward_keeps_cache(head.forward_cached, head.backward,
+                                    rng.normal(loc=1.0, size=(N, 16)), rng.normal(size=(N, 1)))
+
+    @pytest.mark.parametrize("cls,d_in,hidden,d_out", [(FeatureExtractor, 8, 64, 16),
+                                                       (MlpHead, 16, 32, 1)])
+    @pytest.mark.parametrize("N", [1, 64])
+    def test_silu_mlp(self, cls, d_in, hidden, d_out, N, rng):
+        m = cls.init(d_in, d_out, hidden, rng)
+        m.set_param_vector(rng.normal(scale=0.5, size=m.n_params()))
+        assert_backward_keeps_cache(m.forward_cached, m.backward,
+                                    rng.normal(size=(N, d_in)), rng.normal(size=(N, d_out)))
