@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from dataclasses import dataclass, fields
@@ -160,19 +161,19 @@ def parse_scores_csv(text: str) -> ScoreMatrix:
     return matrix
 
 
+def summary_steps(matrix: ScoreMatrix) -> list[dict]:
+    """AA and AF, by accuracy and by AUC, after each training step (AF from step 2)."""
+    return [{"task": t,
+             "aa_acc": average_accuracy(matrix, t, "acc"),
+             "aa_auc": average_accuracy(matrix, t, "auc"),
+             "af_acc": average_forgetting(matrix, t, "acc") if t >= 2 else None,
+             "af_auc": average_forgetting(matrix, t, "auc") if t >= 2 else None}
+            for t in range(1, matrix.num_steps + 1)]
+
+
 def summary_dict(matrix: ScoreMatrix, cfg: ExperimentConfig) -> dict:
-    steps = []
-    for t in range(1, matrix.num_steps + 1):
-        entry = {
-            "task": t,
-            "aa_acc": average_accuracy(matrix, t, "acc"),
-            "aa_auc": average_accuracy(matrix, t, "auc"),
-            "af_acc": average_forgetting(matrix, t, "acc") if t >= 2 else None,
-            "af_auc": average_forgetting(matrix, t, "auc") if t >= 2 else None,
-        }
-        steps.append(entry)
     return {"schema_version": SUMMARY_SCHEMA_VERSION, "protocol": cfg.protocol,
-            "seed": cfg.seed, "head": cfg.head, "steps": steps}
+            "seed": cfg.seed, "head": cfg.head, "steps": summary_steps(matrix)}
 
 
 def _sha256_file(path: Path) -> str:
@@ -283,29 +284,33 @@ def _require_artifacts(out: Path, *names: str) -> None:
 
 
 def report(results_dir) -> str:
-    """Render the AA/AF table from a results directory.
+    """Render the AA/AF table of a results directory.
 
-    The AF column is recomputed from the score CSV and checked against the
-    summary JSON; missing artifacts are listed explicitly.
+    Every column is computed from the score CSV.  The summary JSON must list
+    the same steps with the same four values, or ContractViolation names the
+    first disagreement; missing artifacts are listed explicitly.
     """
     out = Path(results_dir)
     _require_artifacts(out, "scores.csv", "summary.json")
     summary = json.loads((out / "summary.json").read_text())
-    matrix = parse_scores_csv((out / "scores.csv").read_text())
+    steps = summary_steps(parse_scores_csv((out / "scores.csv").read_text()))
+    if len(summary["steps"]) != len(steps):
+        raise ContractViolation(f"summary.json lists {len(summary['steps'])} steps, "
+                                f"scores.csv has {len(steps)}")
+    for step, stored in zip(steps, summary["steps"]):
+        for key in ("aa_acc", "af_acc", "aa_auc", "af_auc"):
+            if stored.get(key) != step[key]:
+                raise ContractViolation(f"summary.json disagrees with scores.csv on {key} at task "
+                                        f"{step['task']}: {stored.get(key)} vs {step[key]}")
+    fmt = lambda v: "-" if v is None else f"{v:.2f}"
     lines = [
         f"Results for protocol={summary['protocol']} seed={summary['seed']} head={summary['head']}",
         "",
         "| task | AA (acc) | AF (acc) | AA (auc) | AF (auc) |",
         "|------|----------|----------|----------|----------|",
     ]
-    for step in summary["steps"]:
-        t = step["task"]
-        af_csv = average_forgetting(matrix, t, "acc") if t >= 2 else None
-        if af_csv is not None and abs(af_csv - step["af_acc"]) > 1e-9:
-            raise ContractViolation(
-                f"summary/CSV disagree on AF at task {t}: {step['af_acc']} vs {af_csv}")
-        fmt = lambda v: "-" if v is None else f"{v:.2f}"
-        lines.append(f"| {t} | {fmt(step['aa_acc'])} | {fmt(step['af_acc'])} "
+    for step in steps:
+        lines.append(f"| {step['task']} | {fmt(step['aa_acc'])} | {fmt(step['af_acc'])} "
                      f"| {fmt(step['aa_auc'])} | {fmt(step['af_auc'])} |")
     return "\n".join(lines)
 
@@ -330,7 +335,11 @@ def verify(results_dir) -> bool:
 
 def _load_cfg(args) -> ExperimentConfig:
     if args.config:
-        cfg = parse_config_text(Path(args.config).read_text())
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"--config: cannot read {args.config!r}: {exc}") from None
+        cfg = parse_config_text(text)
     else:
         cfg = ExperimentConfig()
     if args.seed is not None:
@@ -359,6 +368,9 @@ def _check_profile_args(args, cfg: ExperimentConfig) -> None:
         raise ConfigError(f"--group: must be in [0, {cfg.groups}), got {args.group}")
     if args.points < 1:
         raise ConfigError(f"--points: must be at least 1, got {args.points}")
+    for flag, x in (("--x-min", args.x_min), ("--x-max", args.x_max)):
+        if not math.isfinite(x):
+            raise ConfigError(f"{flag}: must be finite, got {x}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -50,9 +50,6 @@ class TrainerConfig:
     lambda_sc: float = 2.0
     lambda_kd: float = 1.0
     tau: float = 0.1
-    # L2-normalize features inside the contrastive loss: on by default, and a
-    # knob so that ablations of the convention are reproducible
-    sc_normalize: bool = True
     d_x: int = 8
     d_f: int = 16
     groups: int = 4
@@ -218,8 +215,7 @@ class Trainer:
             # Codes are >= 0, so bincount counts the labels without a sort.
             if 2 <= np.count_nonzero(np.bincount(sc_dc)) < len(sc_dc):
                 batch = DomainLabeledBatch(features=sc_feats, domain_class=sc_dc)
-                sc, dF_sc = supcon_loss(batch, cfg.tau, normalize=cfg.sc_normalize,
-                                        grad_rows=len(dF_in))
+                sc, dF_sc = supcon_loss(batch, cfg.tau, grad_rows=len(dF_in))
                 dF_sc *= cfg.lambda_sc           # scaled in the loss's own buffer
                 dF_in += dF_sc
 
@@ -260,7 +256,7 @@ class Trainer:
 
     # -- evaluation ----------------------------------------------------------
 
-    def scores(self, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def scores(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Probability scores and logits for one eval set."""
         F = self.extractor.forward(np.asarray(X, dtype=np.float64))
         logits = self.head.forward(F).ravel()
@@ -272,7 +268,7 @@ class Trainer:
         """Deterministic (acc, auc) per seen task, in task order."""
         accs, aucs = [], []
         for Xe, ye in eval_sets:
-            probs, logits = self.scores(Xe, ye)
+            probs, logits = self.scores(Xe)
             accs.append(accuracy(logits, ye))
             aucs.append(auc(probs, ye))
         return accs, aucs

@@ -9,7 +9,7 @@ The MLP head and the feature extractor are the same network, ``SiluMlp``.
 
 Layer conventions used throughout:
 
-* batches are float64 arrays of shape (N, d_in), single samples (d_in,);
+* inputs are float64 batches of shape (N, d_in);
 * ``forward`` is read-only; ``forward_cached`` additionally returns the
   cache consumed by ``backward``;
 * ``backward(dY, cache)`` returns ``(dX, grad_vec)`` where ``grad_vec``
@@ -168,14 +168,13 @@ class DgLayer(ParamArrays):
     # -- forward / backward -------------------------------------------------
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        X, squeeze = _as_batch(X, self.d_in, "DgLayer input")
+        X = _as_batch(X, self.d_in, "DgLayer input")
         # z is dropped before the matmul: a projection's forward runs over
         # the whole replay memory
-        Y = _gaussians(X, self.centers[self.group_of], self.widths[self.group_of])[0] @ self.W.T
-        return Y[0] if squeeze else Y
+        return _gaussians(X, self.centers[self.group_of], self.widths[self.group_of])[0] @ self.W.T
 
     def forward_cached(self, X: np.ndarray):
-        X, _ = _as_batch(X, self.d_in, "DgLayer input")
+        X = _as_batch(X, self.d_in, "DgLayer input")
         s = self.widths[self.group_of]
         phi, z = _gaussians(X, self.centers[self.group_of], s)
         return phi @ self.W.T, (phi, z, s)
@@ -276,7 +275,7 @@ class DgkdHead:
         return self.layers[-1]
 
     def _forward(self, X: np.ndarray):
-        X, _ = _as_batch(X, self.d_in, "DgkdHead input")
+        X = _as_batch(X, self.d_in, "DgkdHead input")
         if not self.layers:
             raise ContractViolation("head has no layers; add a task layer first")
         W, centers, widths = self.active_layer._views(self.store)
@@ -287,8 +286,7 @@ class DgkdHead:
         return _sum_in_layer_order(phi @ W.transpose(0, 2, 1)), (W, phi, z, s)
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        Y, _ = self._forward(X)
-        return Y[0] if np.ndim(X) == 1 else Y
+        return self._forward(X)[0]
 
     def forward_cached(self, X: np.ndarray):
         return self._forward(X)
@@ -411,7 +409,7 @@ class SiluMlp(ParamArrays):
     def _forward(self, X: np.ndarray):
         """(Y, cache), each bias added in place.  Untraced, so ``forward``
         and ``forward_cached`` keep separate spans."""
-        X, _ = _as_batch(X, self.d_in, f"{type(self).__name__} input")
+        X = _as_batch(X, self.d_in, f"{type(self).__name__} input")
         z1 = X @ self.W1.T
         z1 += self.b1
         h, dh = _silu(z1)
@@ -420,8 +418,7 @@ class SiluMlp(ParamArrays):
         return Y, (X, h, dh)
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        Y, _ = self._forward(X)
-        return Y[0] if np.ndim(X) == 1 else Y
+        return self._forward(X)[0]
 
     def forward_cached(self, X: np.ndarray):
         return self._forward(X)
@@ -491,13 +488,10 @@ class GrKanLayer(ParamArrays):
         return P, Q
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        X, squeeze = _as_batch(X, self.d_in, "GrKanLayer input")
-        P, Q = self._rational(X)
-        Y = (P / Q) @ self.W.T + self.b
-        return Y[0] if squeeze else Y
+        return self.forward_cached(X)[0]
 
     def forward_cached(self, X: np.ndarray):
-        X, _ = _as_batch(X, self.d_in, "GrKanLayer input")
+        X = _as_batch(X, self.d_in, "GrKanLayer input")
         P, Q = self._rational(X)
         R = P / Q
         return R @ self.W.T + self.b, (X, P, Q, R)
@@ -612,11 +606,8 @@ class FeatureExtractor(SiluMlp):
         return FeatureExtractor(self.W1, self.b1, self.W2, self.b2)
 
 
-def _as_batch(X: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
+def _as_batch(X: np.ndarray, dim: int, what: str) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    squeeze = X.ndim == 1
-    if squeeze:
-        X = X[None, :]
     if X.ndim != 2 or X.shape[1] != dim:
-        raise ContractViolation(f"{what} must have {dim} columns, got shape {X.shape}")
-    return X, squeeze
+        raise ContractViolation(f"{what} must be an (N, {dim}) batch, got shape {X.shape}")
+    return X

@@ -52,10 +52,11 @@ def bce_loss(logits, labels) -> tuple[float, np.ndarray]:
     return float(per.sum() / per.size), grad      # np.mean's bytes, without its wrapper
 
 
-def supcon_loss(batch: DomainLabeledBatch, tau: float, normalize: bool = True,
+def supcon_loss(batch: DomainLabeledBatch, tau: float,
                 grad_rows: int | None = None) -> tuple[float, np.ndarray]:
     """Supervised contrastive separation over domain-class labels.
 
+    Features are L2-normalized first, so every logit lies in [-1/tau, 1/tau].
     Per anchor the log-term is averaged over all its positives, and the
     denominator sums over negatives only (different domain-class), so the
     value can legitimately be negative.  Anchors lacking a positive or a
@@ -73,8 +74,8 @@ def supcon_loss(batch: DomainLabeledBatch, tau: float, normalize: bool = True,
     row maxima over negatives), the softmax and G = dL/dS.  exp runs on
     finite values only, which is its fast path: the clamp changes nothing
     at negatives, where S <= m, and keeps positives from overflowing
-    without normalization.  Rows of anchors without a positive are zeroed
-    in G and never divide by zero.
+    when 2/tau exceeds exp's range (tau below about 0.0028).  Rows of
+    anchors without a positive are zeroed in G and never divide by zero.
 
     U U^T is a gemm on a contiguous U^T when n is a multiple of 8, several
     times faster than numpy's syrk path for ``U @ U.T``; on OpenBLAS 0.3.31
@@ -99,13 +100,10 @@ def supcon_loss(batch: DomainLabeledBatch, tau: float, normalize: bool = True,
         raise ContractViolation("supcon_loss: no negatives (single domain label in batch)")
     pos.ravel()[::n + 1] = False                # clear the diagonal
 
-    if normalize:
-        norms = np.sqrt((F * F).sum(axis=1))     # the sums np.linalg.norm(F, axis=1) takes
-        if np.any(norms < 1e-12):
-            raise ContractViolation("supcon_loss: zero-norm feature row")
-        U = F / norms[:, None]
-    else:
-        U = F
+    norms = np.sqrt((F * F).sum(axis=1))         # the sums np.linalg.norm(F, axis=1) takes
+    if np.any(norms < 1e-12):
+        raise ContractViolation("supcon_loss: zero-norm feature row")
+    U = F / norms[:, None]
 
     S = U @ (np.ascontiguousarray(U.T) if n % 8 == 0 else U.T)
     S /= tau
@@ -141,14 +139,10 @@ def supcon_loss(batch: DomainLabeledBatch, tau: float, normalize: bool = True,
 
     k = max(r, 2)
     gU = (np.add(G[:k], G.T[:k], out=S[:k]) @ U)[:r] / tau
-    if normalize:
-        # back through row normalization: (g - (g.u) u) / ||f||
-        Ur = U[:r]
-        proj = (gU * Ur).sum(axis=1, keepdims=True)
-        gF = (gU - proj * Ur) / norms[:r, None]
-    else:
-        gF = gU
-    return loss, gF
+    # back through row normalization: (g - (g.u) u) / ||f||
+    Ur = U[:r]
+    proj = (gU * Ur).sum(axis=1, keepdims=True)
+    return loss, (gU - proj * Ur) / norms[:r, None]
 
 
 def _mse(x: np.ndarray, target: np.ndarray, name: str) -> tuple[float, np.ndarray]:

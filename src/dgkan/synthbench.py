@@ -8,13 +8,11 @@ disjoint substreams of the same counter-based generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .numcore import ContractViolation, RngStream
 
-STREAM_FORMAT_VERSION = 1
 PROTOCOLS = ("four-task", "ten-task", "two-task-overlap", "two-task-separated")
 
 # reference seeds used by the trend benchmarks and acceptance runs
@@ -37,7 +35,6 @@ class DomainSpec:
     real_means: np.ndarray     # (2, d_x)
     fake_means: np.ndarray     # (2, d_x)
     cov_diag: np.ndarray       # (d_x,)
-    shift: np.ndarray          # displacement applied relative to the previous domain
     train_n: int
     eval_n: int
 
@@ -45,7 +42,6 @@ class DomainSpec:
         self.real_means = np.asarray(self.real_means, dtype=np.float64)
         self.fake_means = np.asarray(self.fake_means, dtype=np.float64)
         self.cov_diag = np.asarray(self.cov_diag, dtype=np.float64)
-        self.shift = np.asarray(self.shift, dtype=np.float64)
         if np.array_equal(self.real_means, self.fake_means):
             raise ContractViolation("real and fake generators must differ")
 
@@ -58,7 +54,6 @@ class DomainSpec:
 class TaskStream:
     """Ordered domain sequence, regenerable exactly from (seed, specs)."""
 
-    protocol: str
     seed: int
     specs: list[DomainSpec]
 
@@ -135,7 +130,6 @@ def _build_specs(num_tasks: int, shift_mag: float, d_x: int, train_n: int, eval_
     """
     geom = _protocol_geometry(d_x)
     specs = []
-    prev_mu = np.zeros(d_x)
     for t in range(num_tasks):
         mu = t * shift_mag * geom["shift"]
         if style_scale > 0.0:
@@ -147,8 +141,7 @@ def _build_specs(num_tasks: int, shift_mag: float, d_x: int, train_n: int, eval_
         fake = real + FAKE_SCALE * fake_dir
         specs.append(DomainSpec(domain_id=t, real_means=real, fake_means=fake,
                                 cov_diag=np.full(d_x, SIGMA * SIGMA),
-                                shift=mu - prev_mu, train_n=train_n, eval_n=eval_n))
-        prev_mu = mu
+                                train_n=train_n, eval_n=eval_n))
     return specs
 
 
@@ -166,69 +159,5 @@ def gen_sequence(protocol: str, seed: int, d_x: int = 8, train_n: int = 1024,
     num_tasks, step, styled = LAYOUTS[protocol]
     specs = _build_specs(num_tasks, step * SIGMA, d_x, train_n, eval_n,
                          style_scale=STYLE_SCALE if styled else 0.0)
-    return TaskStream(protocol=protocol, seed=int(seed), specs=specs)
+    return TaskStream(seed=int(seed), specs=specs)
 
-
-def _fmt_matrix(a: np.ndarray) -> str:
-    return ";".join(",".join(repr(float(v)) for v in row) for row in np.atleast_2d(a))
-
-
-def _parse_matrix(s: str) -> np.ndarray:
-    return np.array([[float(v) for v in row.split(",")] for row in s.split(";")])
-
-
-def save_stream(stream: TaskStream, path) -> None:
-    """Versioned key = value text with exact (repr) float round-tripping."""
-    lines = [
-        f"dgkan_stream_version = {STREAM_FORMAT_VERSION}",
-        f"protocol = {stream.protocol}",
-        f"seed = {stream.seed}",
-        f"num_tasks = {len(stream.specs)}",
-    ]
-    for i, s in enumerate(stream.specs):
-        lines += [
-            f"task{i}.domain_id = {s.domain_id}",
-            f"task{i}.train_n = {s.train_n}",
-            f"task{i}.eval_n = {s.eval_n}",
-            f"task{i}.real_means = {_fmt_matrix(s.real_means)}",
-            f"task{i}.fake_means = {_fmt_matrix(s.fake_means)}",
-            f"task{i}.cov_diag = {_fmt_matrix(s.cov_diag)}",
-            f"task{i}.shift = {_fmt_matrix(s.shift)}",
-        ]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_stream(path) -> TaskStream:
-    """Parse a stream file; malformed input raises with the offending field."""
-    text = Path(path).read_text()
-    kv: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ContractViolation(f"stream file line {lineno}: expected 'key = value', got {raw!r}")
-        key, val = line.split("=", 1)
-        kv[key.strip()] = val.strip()
-
-    def need(key: str) -> str:
-        if key not in kv:
-            raise ContractViolation(f"stream file missing field {key!r}")
-        return kv[key]
-
-    version = int(need("dgkan_stream_version"))
-    if version != STREAM_FORMAT_VERSION:
-        raise ContractViolation(f"unsupported stream version {version}")
-    num_tasks = int(need("num_tasks"))
-    specs = []
-    for i in range(num_tasks):
-        specs.append(DomainSpec(
-            domain_id=int(need(f"task{i}.domain_id")),
-            real_means=_parse_matrix(need(f"task{i}.real_means")),
-            fake_means=_parse_matrix(need(f"task{i}.fake_means")),
-            cov_diag=_parse_matrix(need(f"task{i}.cov_diag")).ravel(),
-            shift=_parse_matrix(need(f"task{i}.shift")).ravel(),
-            train_n=int(need(f"task{i}.train_n")),
-            eval_n=int(need(f"task{i}.eval_n")),
-        ))
-    return TaskStream(protocol=need("protocol"), seed=int(need("seed")), specs=specs)

@@ -259,14 +259,14 @@ def test_c03_locality_on_separated_protocol():
     X1e, y1e = dataset(stream, 0, "eval")
     tr.train_task(X1, y1)
     acc_before = tr.evaluate_all([(X1e, y1e)])[0][0]
-    _, logit_before = tr.scores(X1e, y1e)
+    _, logit_before = tr.scores(X1e)
     F_before = tr.extractor.forward(X1e)
     frozen_bytes = tr.head.layers[0].param_vector().tobytes()
 
     X2, y2 = dataset(stream, 1, "train")
     tr.train_task(X2, y2)
     acc_after = tr.evaluate_all([(X1e, y1e)])[0][0]
-    _, logit_after = tr.scores(X1e, y1e)
+    _, logit_after = tr.scores(X1e)
     F_after = tr.extractor.forward(X1e)
 
     frozen_ok = tr.head.layers[0].param_vector().tobytes() == frozen_bytes

@@ -14,7 +14,7 @@ from dgkan.cli import (ConfigError, ExperimentConfig, build_stream, config_hash,
                        verify)
 from dgkan.continual import ScoreMatrix, TrainerConfig, average_forgetting, run_stream
 from dgkan.numcore import ContractViolation, RngStream
-from dgkan.synthbench import REFERENCE_SEEDS, gen_sequence, save_stream
+from dgkan.synthbench import REFERENCE_SEEDS, dataset, gen_sequence
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -51,7 +51,7 @@ class TestConfig:
         assert cfg.train_samples == 1024 and cfg.eval_samples == 512
 
     @pytest.mark.parametrize("protocol", ["four-task", "ten-task"])
-    def test_defaults_are_the_acceptance_reference_run(self, protocol, monkeypatch, tmp_path):
+    def test_defaults_are_the_acceptance_reference_run(self, protocol, monkeypatch):
         import test_acceptance
         used = []
         monkeypatch.setattr(test_acceptance, "_RUN_CACHE", {})
@@ -62,9 +62,13 @@ class TestConfig:
             stream, tcfg = used.pop()
             cfg = ExperimentConfig(protocol=protocol, seed=seed)
             assert tcfg == trainer_config(cfg)
-            save_stream(stream, tmp_path / "bench.txt")
-            save_stream(build_stream(cfg), tmp_path / "cli.txt")
-            assert (tmp_path / "bench.txt").read_text() == (tmp_path / "cli.txt").read_text()
+            cli_stream = build_stream(cfg)
+            assert stream.seed == cli_stream.seed and len(stream) == len(cli_stream)
+            for a, b in zip(stream.specs, cli_stream.specs):
+                for f in fields(a):
+                    assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+            draws = [dataset(s, len(stream) - 1, "eval") for s in (stream, cli_stream)]
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(*draws))
 
     def test_every_trainer_field_reaches_trainer_config(self):
         for f in fields(TrainerConfig):
@@ -192,6 +196,29 @@ class TestReport:
     def test_missing_artifacts_listed(self, tmp_path):
         with pytest.raises(ContractViolation, match="scores.csv"):
             report(tmp_path)
+
+    @pytest.mark.parametrize("key,step,value,message", [
+        ("aa_acc", 3, 99.99, "on aa_acc at task 4: 99.99 vs "),
+        ("af_acc", 1, 0.0, "on af_acc at task 2: 0.0 vs "),
+        ("aa_auc", 0, 1.0, "on aa_auc at task 1: 1.0 vs "),
+        ("af_auc", 3, -5.0, "on af_auc at task 4: -5.0 vs "),
+        ("steps", 2, None, "summary.json lists 2 steps, scores.csv has 4"),
+    ], ids=["aa-acc", "af-acc", "aa-auc", "af-auc", "cut-steps"])
+    def test_summary_that_disagrees_with_the_csv_is_rejected(self, key, step, value, message,
+                                                             tiny_run, tmp_path, capsys):
+        _, out, _ = tiny_run
+        (tmp_path / "scores.csv").write_bytes((out / "scores.csv").read_bytes())
+        summary = json.loads((out / "summary.json").read_text())
+        if key == "steps":
+            del summary["steps"][step:]
+        else:
+            assert summary["steps"][step][key] != value
+            summary["steps"][step][key] = value
+        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        with pytest.raises(ContractViolation, match=message):
+            report(tmp_path)
+        assert main(["report", "--dir", str(tmp_path)]) == 3
+        assert message in capsys.readouterr().err
 
 
 _SCORES_HEADER = "train_step,eval_task,acc,auc\n"
@@ -387,6 +414,44 @@ class TestCliVerbs:
         assert main(["dump-profile", "--config", str(cfg_path), "--out", str(out)] + extra) == 2
         assert trained == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--x-min", "--x-max"])
+    def test_dump_profile_non_finite_range_fails_before_training(self, flag, value, tmp_path,
+                                                                 monkeypatch, capsys):
+        import dgkan.cli
+
+        def no_training(*args):
+            raise AssertionError("run_stream called")
+
+        monkeypatch.setattr(dgkan.cli, "run_stream", no_training)
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(TINY)
+        out = tmp_path / "profile.csv"
+        assert main(["dump-profile", "--config", str(cfg_path), "--out", str(out),
+                     f"{flag}={value}"]) == 2
+        assert f"{flag}: must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["run", "dump-profile", "dump-embeddings"])
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_fails_before_anything_is_written(self, verb, case, tmp_path,
+                                                                monkeypatch, capsys):
+        import dgkan.cli
+
+        def no_training(*args):
+            raise AssertionError("run_stream called")
+
+        monkeypatch.setattr(dgkan.cli, "run_stream", no_training)
+        cfg_path = tmp_path / "cfg.txt"
+        if case == "directory":
+            cfg_path.mkdir()
+        elif case == "not-utf8":
+            cfg_path.write_bytes(TINY.encode() + b"# \xff\xfe\n")
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "config error: --config: cannot read" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if case == "missing" else ["cfg.txt"])
 
     def test_dump_embeddings_one_feature_dim_fails_before_training(self, tmp_path, monkeypatch):
         import dgkan.cli

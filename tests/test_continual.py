@@ -277,7 +277,7 @@ class TestTrainer:
         tr.train_task(X, y)
         Xe, ye = dataset(stream, 0, "eval")
         accs, aucs = tr.evaluate_all([(Xe, ye)])
-        probs, logits = tr.scores(Xe, ye)
+        probs, logits = tr.scores(Xe)
         assert accs[0] == accuracy(logits, ye)
         assert aucs[0] == auc(probs, ye)
 
@@ -389,7 +389,7 @@ def reference_train_step(self, xb, yb, t, proj_opt, opt_ext, opt_head, rng_repla
             sc_dc = dc_now
         if np.unique(sc_dc).size >= 2:
             batch = DomainLabeledBatch(features=sc_feats, domain_class=sc_dc)
-            sc, dF_sc = supcon_loss(batch, cfg.tau, normalize=cfg.sc_normalize)
+            sc, dF_sc = supcon_loss(batch, cfg.tau)
             dF_total += cfg.lambda_sc * dF_sc[:nb]
             if raw_replay is not None:
                 dF_sc_replay = cfg.lambda_sc * dF_sc[nb:]

@@ -102,8 +102,8 @@ def _random_layer(rng, d_in=5, d_out=3, groups=2, task_id=1):
 class TestDgLayer:
     def test_hand_value(self):
         layer = DgLayer(1, 2, 1, 1, W=[[1.0, 1.0]], centers=[0.0], widths=[1.0])
-        assert layer.forward(np.array([0.0, 0.0]))[0] == pytest.approx(2.0)
-        out = layer.forward(np.array([0.0, 10.0]))[0]
+        assert layer.forward(np.array([[0.0, 0.0]]))[0, 0] == pytest.approx(2.0)
+        out = layer.forward(np.array([[0.0, 10.0]]))[0, 0]
         assert out == pytest.approx(1.0 + math.exp(-50.0), abs=1e-20)
 
     def test_zero_weights(self, rng):
@@ -111,8 +111,10 @@ class TestDgLayer:
         assert np.array_equal(layer.forward(rng.normal(size=(6, 4))), np.zeros((6, 2)))
 
     def test_length_mismatch(self, rng):
-        with pytest.raises(ContractViolation):
-            _random_layer(rng).forward(np.zeros(4))
+        # a batch of the wrong width, and a single sample without its batch axis
+        for shape in ((2, 4), (5,)):
+            with pytest.raises(ContractViolation, match=r"must be an \(N, 5\) batch"):
+                _random_layer(rng).forward(np.zeros(shape))
 
     def test_gradients_match_finite_diff(self, rng):
         for trial in range(30):
@@ -136,7 +138,7 @@ class TestDgLayer:
         # group identically and leaves other groups untouched
         layer = DgLayer(1, 6, 1, 3, W=np.ones((1, 6)), centers=[0.0, 0.0, 0.0],
                         widths=[1.0, 1.0, 1.0])
-        x = np.full(6, 0.7)
+        x = np.full((1, 6), 0.7)
         _, (phi_before, _, _) = layer.forward_cached(x)
         layer.centers[1] += 0.3
         _, (phi_after, _, _) = layer.forward_cached(x)
@@ -166,8 +168,8 @@ class TestDgLayer:
 class TestDgkdHead:
     def test_empty_head_raises(self):
         head = DgkdHead(4, 1, 2)
-        with pytest.raises(ContractViolation):
-            head.forward(np.zeros(4))
+        with pytest.raises(ContractViolation, match="no layers"):
+            head.forward(np.zeros((1, 4)))
 
     def test_single_layer_equals_layer(self, rng):
         layer = _random_layer(rng)
@@ -306,8 +308,6 @@ class TestStackedHeadMatchesLayerLoop:
                     dX, grads = head.backward(dY, cache)
                     assert Y.tobytes() == Y_ref.tobytes()
                     assert head.forward(X).tobytes() == Y_ref.tobytes()
-                    if N == 1:
-                        assert head.forward(X[0]).tobytes() == Y_ref[0].tobytes()
                     assert dX.tobytes() == dX_ref.tobytes()
                     assert grads.tobytes() == g_ref.tobytes()
 
@@ -368,7 +368,7 @@ class TestActivationProfile:
 class TestBaselineHeads:
     def test_mlp_zero_weights(self):
         head = MlpHead(np.zeros((6, 4)), np.zeros(6), np.zeros((1, 6)), np.zeros(1))
-        assert np.array_equal(head.forward(np.ones(4)), np.zeros(1))
+        assert np.array_equal(head.forward(np.ones((2, 4))), np.zeros((2, 1)))
 
     def test_groupkan_identity_activation_is_linear(self, rng):
         # P(x) = x, Q(x) = 1 reduces to an affine layer
@@ -415,8 +415,8 @@ class TestBaselineHeads:
 class TestFeatureExtractor:
     def test_zero_weights_give_bias_image(self):
         ext = FeatureExtractor(np.zeros((6, 4)), np.zeros(6), np.zeros((3, 6)), np.full(3, 0.7))
-        out = ext.forward(np.ones(4))
-        assert np.array_equal(out, np.full(3, 0.7))
+        out = ext.forward(np.ones((2, 4)))
+        assert np.array_equal(out, np.full((2, 3), 0.7))
 
     def test_deterministic(self, rng):
         ext = FeatureExtractor.init(4, 3, 8, rng.substream("e"))

@@ -13,11 +13,10 @@ from dgkan.numcore import ContractViolation, RngStream, finite_diff_grad, max_re
 from conftest import gradcheck
 
 
-def supcon_bruteforce(features, labels, tau, normalize=True):
+def supcon_bruteforce(features, labels, tau):
     """Independent double-loop oracle for the contrastive separation loss."""
     F = [np.array(f, dtype=float) for f in features]
-    if normalize:
-        F = [f / math.sqrt(sum(x * x for x in f)) for f in F]
+    F = [f / math.sqrt(sum(x * x for x in f)) for f in F]
     n = len(F)
     terms = []
     for i in range(n):
@@ -31,7 +30,7 @@ def supcon_bruteforce(features, labels, tau, normalize=True):
     return math.fsum(terms) / len(terms)
 
 
-def supcon_row_gather(batch, tau, normalize=True):
+def supcon_row_gather(batch, tau):
     """Frozen copy of the row-gathering ``supcon_loss`` that the full-block
     form replaced: same arithmetic in the same order, so the two must agree
     bit for bit."""
@@ -45,13 +44,10 @@ def supcon_row_gather(batch, tau, normalize=True):
     if np.unique(d).size < 2:
         raise ContractViolation("supcon_loss: no negatives (single domain label in batch)")
 
-    if normalize:
-        norms = np.linalg.norm(F, axis=1)
-        if np.any(norms < 1e-12):
-            raise ContractViolation("supcon_loss: zero-norm feature row")
-        U = F / norms[:, None]
-    else:
-        U = F
+    norms = np.linalg.norm(F, axis=1)
+    if np.any(norms < 1e-12):
+        raise ContractViolation("supcon_loss: zero-norm feature row")
+    U = F / norms[:, None]
 
     S = (U @ U.T) / tau
     same = d[:, None] == d[None, :]
@@ -83,13 +79,9 @@ def supcon_row_gather(batch, tau, normalize=True):
     G[vi] = (expn / denom[:, None] - posv / n_pos[vi, None]) / n_valid
 
     gU = (G + G.T) @ U / tau
-    if normalize:
-        # back through row normalization: (g - (g.u) u) / ||f||
-        proj = (gU * U).sum(axis=1, keepdims=True)
-        gF = (gU - proj * U) / norms[:, None]
-    else:
-        gF = gU
-    return loss, gF
+    # back through row normalization: (g - (g.u) u) / ||f||
+    proj = (gU * U).sum(axis=1, keepdims=True)
+    return loss, (gU - proj * U) / norms[:, None]
 
 
 def _batch(F, d):
@@ -173,13 +165,6 @@ class TestSupcon:
             gradcheck(lambda flat: supcon_loss(_batch(flat.reshape(6, 4), d), 0.1)[0],
                       F.ravel(), g.ravel())
 
-    def test_gradient_unnormalized(self, rng):
-        F = rng.normal(size=(5, 3))
-        d = np.array([0, 0, 1, 1, 1])
-        _, g = supcon_loss(_batch(F, d), 0.5, normalize=False)
-        gradcheck(lambda flat: supcon_loss(_batch(flat.reshape(5, 3), d), 0.5,
-                                           normalize=False)[0], F.ravel(), g.ravel())
-
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_permutation_invariance(self, seed):
@@ -223,9 +208,9 @@ class TestSupcon:
         d = np.concatenate([2 * (t - 1) + rng.integers(0, 2, 64), rng.integers(0, 2 * (t - 1), 64)])
         return _batch(F, d)
 
-    def _assert_bitwise(self, batch, tau, normalize=True):
-        loss, g = supcon_loss(batch, tau, normalize=normalize)
-        ref_loss, ref_g = supcon_row_gather(batch, tau, normalize=normalize)
+    def _assert_bitwise(self, batch, tau):
+        loss, g = supcon_loss(batch, tau)
+        ref_loss, ref_g = supcon_row_gather(batch, tau)
         assert np.array_equal(loss, ref_loss)
         assert np.array_equal(g, ref_g)
 
@@ -242,25 +227,28 @@ class TestSupcon:
         self._assert_bitwise(batch, 0.1)
 
     def test_skipped_anchors_raise_no_floating_point_error(self, rng):
-        # row 0 has no positive: its row of dL/dS is computed, then zeroed
+        # row 0 has no positive: its row of dL/dS is computed, then zeroed.
+        # At tau = 1e-3 a positive's S - m passes exp's overflow threshold,
+        # which only the clamp min(S - m, 0) keeps out of exp
         F = rng.normal(size=(4, 3)) * 50.0
         d = np.array([0, 1, 1, 1])
+        U = F / np.linalg.norm(F, axis=1, keepdims=True)
+        S = U @ U.T / 1e-3
+        assert (S[1:, 1:] - S[1:, :1]).max() > 710.0       # m is S[i, 0], the one negative
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            loss, g = supcon_loss(_batch(F, d), 0.01, normalize=False)
+            loss, g = supcon_loss(_batch(F, d), 1e-3)
         assert np.isfinite(loss) and np.all(np.isfinite(g))
 
     @pytest.mark.parametrize("tau", [0.1, 0.5])
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_bitwise_equal_across_tau_and_normalization(self, rng, tau, normalize):
+    def test_bitwise_equal_across_tau(self, rng, tau):
         for t in (2, 5):
-            self._assert_bitwise(self._trainer_shaped(rng, t), tau, normalize=normalize)
+            self._assert_bitwise(self._trainer_shaped(rng, t), tau)
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_leaves_features_unchanged_and_returns_fresh_gradients(self, rng, normalize):
+    def test_leaves_features_unchanged_and_returns_fresh_gradients(self, rng):
         batch = self._trainer_shaped(rng, 3)
         before = batch.features.tobytes()
-        _, g1 = supcon_loss(batch, 0.1, normalize=normalize)
-        _, g2 = supcon_loss(batch, 0.1, normalize=normalize)
+        _, g1 = supcon_loss(batch, 0.1)
+        _, g2 = supcon_loss(batch, 0.1)
         assert batch.features.tobytes() == before
         assert not np.shares_memory(g1, g2)
         assert not np.shares_memory(g1, batch.features)

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from dgkan.numcore import ContractViolation, RngStream
-from dgkan.synthbench import (PROTOCOLS, DomainSpec, TaskStream, dataset, gen_domain,
-                              gen_sequence, load_stream, save_stream)
+from dgkan.synthbench import LAYOUTS, SIGMA, DomainSpec, dataset, gen_domain, gen_sequence
 
 
 class TestGenDomain:
     def _spec(self, rng, n=200):
         real = rng.normal(size=(2, 8))
         return DomainSpec(domain_id=0, real_means=real, fake_means=real + 1.0,
-                          cov_diag=np.full(8, 0.25), shift=np.zeros(8), train_n=n, eval_n=64)
+                          cov_diag=np.full(8, 0.25), train_n=n, eval_n=64)
 
     def test_deterministic(self, rng):
         spec = self._spec(rng)
@@ -46,7 +45,7 @@ class TestGenDomain:
         real = rng.normal(size=(2, 8))
         with pytest.raises(ContractViolation):
             DomainSpec(domain_id=0, real_means=real, fake_means=real.copy(),
-                       cov_diag=np.full(8, 0.1), shift=np.zeros(8), train_n=10, eval_n=10)
+                       cov_diag=np.full(8, 0.1), train_n=10, eval_n=10)
 
 
 class TestSequences:
@@ -75,13 +74,13 @@ class TestSequences:
             gen_sequence("five-task", 7)
 
     def test_shift_monotonicity(self):
-        # consecutive domain means differ by exactly the stored shift vector
-        stream = gen_sequence("four-task", 3)
-        prev = np.zeros(8)
-        for spec in stream.specs:
-            mu = spec.real_means.mean(axis=0)
-            assert np.allclose(mu - prev, spec.shift, atol=1e-9)
-            prev = mu
+        # along the unit ones-vector, consecutive real-class means march by
+        # exactly the protocol's step; the ring offsets are orthogonal to it
+        ones = np.ones(8) / np.sqrt(8)
+        for protocol, (num_tasks, step, _) in LAYOUTS.items():
+            mus = np.array([s.real_means.mean(axis=0) for s in gen_sequence(protocol, 3).specs])
+            assert len(mus) == num_tasks
+            assert np.allclose(np.diff(mus, axis=0) @ ones, step * SIGMA, atol=1e-9), protocol
 
     def test_train_eval_disjoint_by_substream(self):
         stream = gen_sequence("four-task", 11, train_n=64, eval_n=64)
@@ -102,42 +101,3 @@ class TestSequences:
         stream = gen_sequence("four-task", 11)
         with pytest.raises(ContractViolation):
             dataset(stream, 0, "validation")
-
-
-class TestStreamSerialization:
-    def test_round_trip(self, tmp_path):
-        stream = gen_sequence("ten-task", 23)
-        path = tmp_path / "stream.txt"
-        save_stream(stream, path)
-        back = load_stream(path)
-        assert back.protocol == stream.protocol and back.seed == stream.seed
-        assert len(back) == len(stream)
-        for a, b in zip(stream.specs, back.specs):
-            assert np.array_equal(a.real_means, b.real_means)
-            assert np.array_equal(a.fake_means, b.fake_means)
-            assert np.array_equal(a.cov_diag, b.cov_diag)
-            assert np.array_equal(a.shift, b.shift)
-            assert (a.train_n, a.eval_n, a.domain_id) == (b.train_n, b.eval_n, b.domain_id)
-        # regeneration from the loaded stream is bit-identical
-        assert np.array_equal(dataset(stream, 4, "eval")[0], dataset(back, 4, "eval")[0])
-
-    def test_truncated_file(self, tmp_path):
-        stream = gen_sequence("four-task", 23)
-        path = tmp_path / "stream.txt"
-        save_stream(stream, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[: len(lines) // 2]))
-        with pytest.raises(ContractViolation, match="missing field"):
-            load_stream(path)
-
-    def test_version_mismatch(self, tmp_path):
-        path = tmp_path / "stream.txt"
-        path.write_text("dgkan_stream_version = 9\nprotocol = four-task\nseed = 1\nnum_tasks = 0\n")
-        with pytest.raises(ContractViolation, match="unsupported stream version"):
-            load_stream(path)
-
-    def test_malformed_line(self, tmp_path):
-        path = tmp_path / "stream.txt"
-        path.write_text("dgkan_stream_version = 1\nnot a key value line\n")
-        with pytest.raises(ContractViolation, match="line 2"):
-            load_stream(path)
