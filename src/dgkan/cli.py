@@ -283,6 +283,25 @@ def _require_artifacts(out: Path, *names: str) -> None:
         raise ContractViolation(f"missing artifacts in {out}: {', '.join(missing)}")
 
 
+def _read_json_object(path: Path, **fields: type) -> dict:
+    """The JSON object stored in ``path``, which must hold each of ``fields``
+    with a value of the given type; ContractViolation names the file and the
+    first thing wrong."""
+    try:
+        obj = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ContractViolation(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ContractViolation(f"{path} must hold a JSON object, got {type(obj).__name__}")
+    for name, typ in fields.items():
+        if name not in obj:
+            raise ContractViolation(f"{path} lacks the field {name!r}")
+        if not isinstance(obj[name], typ):
+            raise ContractViolation(f"{path}: field {name!r} must be a {typ.__name__}, "
+                                    f"got {type(obj[name]).__name__}")
+    return obj
+
+
 def report(results_dir) -> str:
     """Render the AA/AF table of a results directory.
 
@@ -292,7 +311,11 @@ def report(results_dir) -> str:
     """
     out = Path(results_dir)
     _require_artifacts(out, "scores.csv", "summary.json")
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _read_json_object(out / "summary.json", steps=list, protocol=object,
+                                seed=object, head=object)
+    for i, stored in enumerate(summary["steps"], 1):
+        if not isinstance(stored, dict):
+            raise ContractViolation(f"{out / 'summary.json'}: steps entry {i} is not an object")
     steps = summary_steps(parse_scores_csv((out / "scores.csv").read_text()))
     if len(summary["steps"]) != len(steps):
         raise ContractViolation(f"summary.json lists {len(summary['steps'])} steps, "
@@ -322,7 +345,7 @@ def verify(results_dir) -> bool:
     out = Path(results_dir)
     _require_artifacts(out, "config_resolved.txt", "manifest.json")
     cfg = parse_config_text((out / "config_resolved.txt").read_text())
-    listed = json.loads((out / "manifest.json").read_text())["artifacts"]
+    listed = _read_json_object(out / "manifest.json", artifacts=dict)["artifacts"]
     stored = {name: _sha256_file(out / name) for name in listed if (out / name).is_file()}
     with tempfile.TemporaryDirectory() as tmp:
         run_experiment(cfg, tmp)

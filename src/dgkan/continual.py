@@ -115,6 +115,14 @@ class Trainer:
         self.projection: KdcpProjection | None = None
         self.task = 0
 
+    def _inputs(self, X: np.ndarray, what: str) -> np.ndarray:
+        """``X`` as a float64 array, which must be finite and (N, d_x);
+        ContractViolation names ``what`` otherwise."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.cfg.d_x:
+            raise ContractViolation(f"{what} must have shape (N, {self.cfg.d_x}), got {X.shape}")
+        return check_finite(X, what)
+
     # -- training ------------------------------------------------------------
 
     def train_task(self, X: np.ndarray, y: np.ndarray) -> None:
@@ -124,11 +132,8 @@ class Trainer:
         with both present; a call that breaks this raises ContractViolation
         before any state changes.
         """
-        X = np.asarray(X, dtype=np.float64)
+        X = self._inputs(X, "task inputs")
         y = np.asarray(y)
-        if X.ndim != 2 or X.shape[1] != self.cfg.d_x:
-            raise ContractViolation(f"task inputs must have shape (N, {self.cfg.d_x}), got {X.shape}")
-        check_finite(X, "task inputs")
         if y.shape != (X.shape[0],):
             raise ContractViolation(f"task labels must have shape ({X.shape[0]},), got {y.shape}")
         if not np.array_equal(np.unique(y), [0, 1]):
@@ -257,8 +262,9 @@ class Trainer:
     # -- evaluation ----------------------------------------------------------
 
     def scores(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Probability scores and logits for one eval set."""
-        F = self.extractor.forward(np.asarray(X, dtype=np.float64))
+        """Probability scores and logits for one eval set, a finite (N, d_x)
+        array; other inputs raise ContractViolation before any forward."""
+        F = self.extractor.forward(self._inputs(X, "eval inputs"))
         logits = self.head.forward(F).ravel()
         with np.errstate(over="ignore"):   # exp overflow below -709 gives the exact limit 0
             probs = 1.0 / (1.0 + np.exp(-logits))

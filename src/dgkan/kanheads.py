@@ -10,8 +10,10 @@ The MLP head and the feature extractor are the same network, ``SiluMlp``.
 Layer conventions used throughout:
 
 * inputs are float64 batches of shape (N, d_in);
-* ``forward`` is read-only; ``forward_cached`` additionally returns the
-  cache consumed by ``backward``;
+* ``forward`` is read-only and computes values only; ``forward_cached``
+  additionally returns the cache consumed by ``backward``.  ``SiluMlp``'s
+  ``forward`` holds at most one (N, hidden) buffer beyond one row block's
+  temporaries, since its silu overwrites the pre-activation in place;
 * ``backward(dY, cache)`` returns ``(dX, grad_vec)`` where ``grad_vec``
   lines up with ``param_vector()`` so one Adam state per module suffices;
 * a layer's parameter vector is its ``PARAMS`` arrays, ravelled and
@@ -366,17 +368,28 @@ def activation_profile(head: DgkdHead, group_index: int, xs) -> np.ndarray:
     return vals
 
 
-def _silu(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sigmoid-weighted linear unit and its derivative.  With e = exp(-|z|)
-    the sigmoid is 1/(1+e) for z >= 0 and e/(1+e) below; e <= 1, so
-    max(e, z >= 0) picks the numerator.  The slope
-    sig * (1 + z * (1 - sig)) is built in e's buffer."""
+# Rows per block of ``SiluMlp.forward``'s in-place silu: its temporaries stay
+# a few hundred rows deep whatever the batch.
+SILU_BLOCK_ROWS = 256
+
+
+def _sigmoid(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigmoid(z) and the buffer 1 + e, with e = exp(-|z|): the sigmoid is
+    1/(1+e) for z >= 0 and e/(1+e) below; e <= 1, so max(e, z >= 0) picks
+    the numerator."""
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)
     sig = np.maximum(e, z >= 0)
     e += 1.0
     sig /= e
+    return sig, e
+
+
+def _silu(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sigmoid-weighted linear unit and its derivative; the slope
+    sig * (1 + z * (1 - sig)) is built in ``_sigmoid``'s 1 + e buffer."""
+    sig, e = _sigmoid(z)
     slope = np.subtract(1.0, sig, out=e)
     slope *= z
     slope += 1.0
@@ -385,7 +398,9 @@ def _silu(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class SiluMlp(ParamArrays):
-    """affine -> silu -> affine, d_in -> hidden -> d_out."""
+    """affine -> silu -> affine, d_in -> hidden -> d_out.  ``forward`` is
+    value-only and holds at most one (N, hidden) buffer beyond one row
+    block's temporaries."""
 
     PARAMS = ("W1", "b1", "W2", "b2")
 
@@ -406,22 +421,34 @@ class SiluMlp(ParamArrays):
         return cls(rng.uniform(-a1, a1, (hidden, d_in)), np.zeros(hidden),
                    rng.uniform(-a2, a2, (d_out, hidden)), np.zeros(d_out))
 
-    def _forward(self, X: np.ndarray):
-        """(Y, cache), each bias added in place.  Untraced, so ``forward``
-        and ``forward_cached`` keep separate spans."""
+    def _hidden(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The checked batch and its pre-activation X W1^T + b1, the bias
+        added in place (as ``_out`` adds b2).  Both helpers are untraced, so
+        ``forward`` and ``forward_cached`` keep separate spans."""
         X = _as_batch(X, self.d_in, f"{type(self).__name__} input")
         z1 = X @ self.W1.T
         z1 += self.b1
-        h, dh = _silu(z1)
+        return X, z1
+
+    def _out(self, h: np.ndarray) -> np.ndarray:
         Y = h @ self.W2.T
         Y += self.b2
-        return Y, (X, h, dh)
+        return Y
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        return self._forward(X)[0]
+        """Values only: silu overwrites the pre-activation in place, one block
+        of ``SILU_BLOCK_ROWS`` rows at a time.  Both gemms stay whole-batch,
+        so no byte depends on the block size."""
+        _, z1 = self._hidden(X)
+        for start in range(0, z1.shape[0], SILU_BLOCK_ROWS):
+            block = z1[start:start + SILU_BLOCK_ROWS]
+            block *= _sigmoid(block)[0]
+        return self._out(z1)
 
     def forward_cached(self, X: np.ndarray):
-        return self._forward(X)
+        X, z1 = self._hidden(X)
+        h, dh = _silu(z1)
+        return self._out(h), (X, h, dh)
 
     def backward(self, dY: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray]:
         X, h, dh = cache

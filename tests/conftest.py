@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,23 @@ def gradcheck_vec(f, x, analytic, h=1e-5, tol=1e-4):
     err = float(np.abs(a - g).max() / scale)
     assert err <= tol, f"gradient mismatch: sup-norm rel err {err:.3e} > {tol}"
     return err
+
+
+def peak_alloc_bytes(fn, *args):
+    """Most bytes ``fn(*args)`` held allocated at once beyond what was live
+    before the call, its result included, as tracemalloc sees them (numpy
+    reports its array buffers to it)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def _arrays(tree):

@@ -24,8 +24,9 @@ verbatim in its arithmetic: the library must return the same bytes.
   ``(dY @ W) * phi * (-z / s)``; ``_gaussian_param_grad``'s center and
   width terms as ``common * (z / s)`` and ``common * (z * z / s)``;
   ``SiluMlp.forward``, ``forward_cached`` and ``backward`` with biases added
-  and ``dh`` applied into fresh arrays; ``KdcpProjection.apply`` and
-  ``apply_cached`` as ``F + layer(F)``; ``bce_loss`` and the MSE of
+  and ``dh`` applied into fresh arrays (``forward`` runs its silu in place
+  over row blocks); ``KdcpProjection.apply`` and ``apply_cached`` as
+  ``F + layer(F)``; ``bce_loss`` and the MSE of
   ``kd_loss`` / ``align_loss`` with ``np.mean`` and out-of-place
   gradients; ``augment_features``' jitter as ``jitter_scale * scale *
   noise``; and the trainer's contrastive gate on ``np.unique``, which
@@ -585,9 +586,10 @@ class TestInPlaceKernelsMatchReference:
             _same_bytes(_gaussians(xs, np.float64(c), np.float64(s)),
                         gaussians_reference(xs, np.float64(c), np.float64(s)))
 
-    @pytest.mark.parametrize("N,d_in,hidden,d_out", [(1, 8, 64, 16), (4, 8, 64, 16),
-                                                     (64, 8, 64, 16), (128, 8, 64, 16),
-                                                     (64, 16, 32, 1), (1000, 16, 32, 1)])
+    # row counts on both sides of forward's silu blocks (SILU_BLOCK_ROWS = 256)
+    @pytest.mark.parametrize("N,d_in,hidden,d_out", [
+        (N, *shape) for N in (1, 2, 4, 64, 128, 255, 256, 257, 1000, 4096)
+        for shape in ((8, 64, 16), (16, 32, 1))])
     def test_silu_mlp(self, N, d_in, hidden, d_out):
         r = RngStream(41).substream("mlp", N, d_in, hidden, d_out)
         for cls in (FeatureExtractor, MlpHead):
@@ -595,9 +597,13 @@ class TestInPlaceKernelsMatchReference:
             m.set_param_vector(r.normal(scale=0.5, size=m.n_params()))   # nonzero biases
             X = r.normal(scale=2.0, size=(N, d_in))
             dY = r.normal(size=(N, d_out))
+            kept = X.tobytes(), m.params.tobytes()
             Y, cache = m.forward_cached(X)
             _same_bytes((Y, cache), silu_mlp_forward_cached_reference(m, X))
-            _same_bytes(m.forward(X), silu_mlp_forward_reference(m, X))
+            Y = m.forward(X)
+            _same_bytes(Y, silu_mlp_forward_reference(m, X))
+            assert (X.tobytes(), m.params.tobytes()) == kept
+            assert not any(np.shares_memory(Y, a) for a in (X, m.W1, m.W2))
             _same_bytes(m.backward(dY, cache), silu_mlp_backward_reference(m, dY, cache))
 
     @pytest.mark.parametrize("N", [1, 4, 64, 500, 4000])
@@ -728,8 +734,9 @@ class TestInPlaceKernelsMatchReference:
         assert checked["apply_cached"] == later
         assert checked["apply"] == later + 2 * 3                      # and each task end
         assert checked["augment_features"] == later
-        assert checked["_silu"] == sum(checked[f"{cls}.{name}"] for cls in ("FeatureExtractor",
-                                       "MlpHead") for name in ("forward", "forward_cached"))
+        # the value-only forward builds no slope, so only forward_cached calls _silu
+        assert checked["_silu"] == sum(checked[f"{cls}.forward_cached"]
+                                       for cls in ("FeatureExtractor", "MlpHead"))
         assert checked["_gaussian_input_grad"] == checked["_gaussian_param_grad"] == 16 + later
         assert checked["_gaussians"] > checked["_gaussian_input_grad"]
         assert len(gates) == steps and sum(gates) == len(supcon_calls) > 0

@@ -220,6 +220,29 @@ class TestReport:
         assert main(["report", "--dir", str(tmp_path)]) == 3
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda s: "not json", "summary.json is not valid JSON"),
+        (lambda s: "[1, 2]", "summary.json must hold a JSON object, got list"),
+        (lambda s: json.dumps({"seed": 1}), "summary.json lacks the field 'steps'"),
+        *[(lambda s, k=k: json.dumps({n: v for n, v in s.items() if n != k}),
+           f"summary.json lacks the field '{k}'") for k in ("protocol", "seed", "head")],
+        (lambda s: json.dumps({**s, "steps": {"1": {}}}),
+         "summary.json: field 'steps' must be a list, got dict"),
+        (lambda s: json.dumps({**s, "steps": s["steps"][:1] + [7] + s["steps"][2:]}),
+         "summary.json: steps entry 2 is not an object"),
+    ], ids=["not-json", "not-object", "no-steps", "no-protocol", "no-seed", "no-head",
+            "steps-not-list", "step-not-object"])
+    def test_malformed_summary_is_named(self, edit, message, tiny_run, tmp_path, capsys):
+        # a bare KeyError, JSONDecodeError or AttributeError used to be the only message
+        _, out, _ = tiny_run
+        (tmp_path / "scores.csv").write_bytes((out / "scores.csv").read_bytes())
+        (tmp_path / "summary.json").write_text(
+            edit(json.loads((out / "summary.json").read_text())))
+        with pytest.raises(ContractViolation, match=message):
+            report(tmp_path)
+        assert main(["report", "--dir", str(tmp_path)]) == 3
+        assert message in capsys.readouterr().err
+
 
 _SCORES_HEADER = "train_step,eval_task,acc,auc\n"
 
@@ -351,6 +374,20 @@ class TestCliVerbs:
             verify(tmp_path)
         assert main(["verify", "--dir", str(tmp_path)]) == 3
         assert f": {missing}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        ("{", "manifest.json is not valid JSON"),
+        ('"artifacts"', "manifest.json must hold a JSON object, got str"),
+        ('{"status": "complete"}', "manifest.json lacks the field 'artifacts'"),
+        ('{"artifacts": ["scores.csv"]}', "manifest.json: field 'artifacts' must be a dict"),
+    ], ids=["not-json", "not-object", "no-artifacts", "artifacts-not-object"])
+    def test_verify_names_a_malformed_manifest(self, text, message, tmp_path, capsys):
+        (tmp_path / "config_resolved.txt").write_text(TINY)
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(ContractViolation, match=message):
+            verify(tmp_path)
+        assert main(["verify", "--dir", str(tmp_path)]) == 3
+        assert message in capsys.readouterr().err
 
     def test_memory_budget_floor_follows_protocol(self):
         validate_config(ExperimentConfig(memory_budget=8))

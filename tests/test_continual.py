@@ -197,6 +197,34 @@ class TestTrainer:
         assert tr.extractor.param_vector().tobytes() == extractor
         assert tr.memory is memory and tr.teacher is teacher and tr.projection is None
 
+    @pytest.mark.parametrize("bad,message", [
+        ("nan", "non-finite"), ("inf", "non-finite"),
+        ("columns", r"shape \(N, 8\)"), ("inputs-1d", r"shape \(N, 8\)")])
+    def test_bad_eval_inputs_rejected_before_any_forward(self, bad, message, monkeypatch):
+        # an all-NaN eval set used to score acc 50.0 / AUC 41.8 with only a RuntimeWarning
+        stream = tiny_stream()
+        tr = Trainer(tiny_config(), 11)
+        tr.train_task(*dataset(stream, 0, "train"))
+        X, y = dataset(stream, 0, "eval")
+        X = X.copy()
+        if bad == "nan":
+            X[:] = np.nan
+        elif bad == "inf":
+            X[3, 1] = np.inf
+        elif bad == "columns":
+            X = X[:, :-1]
+        elif bad == "inputs-1d":
+            X = X[:, 0]
+
+        def no_forward(_):
+            raise AssertionError("forward called")
+
+        monkeypatch.setattr(tr.extractor, "forward", no_forward)
+        with pytest.raises(ContractViolation, match=f"eval inputs .*{message}"):
+            tr.scores(X)
+        with pytest.raises(ContractViolation, match=f"eval inputs .*{message}"):
+            tr.evaluate_all([(X, y)])
+
     @pytest.mark.parametrize("field,value", [("tau", 0.0), ("lambda_sc", -1.0),
                                              ("lambda_kd", -0.5), ("jitter_scale", -0.1)])
     def test_bad_config_rejected_before_training(self, field, value):

@@ -14,7 +14,7 @@ from dgkan.continual import Trainer, TrainerConfig
 from dgkan.losses import bce_loss
 from dgkan.synthbench import dataset, gen_sequence
 
-from conftest import assert_backward_keeps_cache, gradcheck, gradcheck_vec
+from conftest import assert_backward_keeps_cache, gradcheck, gradcheck_vec, peak_alloc_bytes
 
 
 # Scalar oracles of one grouped-RBF bump, against which the vectorized layers
@@ -437,6 +437,14 @@ class TestFeatureExtractor:
                 return float((probe.forward(X) * R).sum())
 
             gradcheck(f, ext.param_vector(), grads)
+
+    def test_forward_holds_one_hidden_buffer(self, rng):
+        # the value-only forward keeps the (N, hidden) pre-activation and one
+        # row block's silu temporaries, never whole-batch sigmoid or slope arrays
+        N, hidden = 4096, 64
+        ext = FeatureExtractor.init(8, 16, hidden, rng.substream("e"))
+        X = rng.normal(size=(N, 8))
+        assert peak_alloc_bytes(ext.forward, X) < 1.5 * N * hidden * 8
 
     def test_snapshot_is_independent(self, rng):
         ext = FeatureExtractor.init(4, 3, 6, rng)
