@@ -306,8 +306,10 @@ def report(results_dir) -> str:
     """Render the AA/AF table of a results directory.
 
     Every column is computed from the score CSV.  The summary JSON must list
-    the same steps with the same four values, or ContractViolation names the
-    first disagreement; missing artifacts are listed explicitly.
+    the same steps, numbered 1, 2, ..., with the same four values, and when
+    ``config_resolved.txt`` is present, the protocol, seed and head it
+    holds; otherwise ContractViolation names the first disagreement.
+    Missing artifacts are listed explicitly.
     """
     out = Path(results_dir)
     _require_artifacts(out, "scores.csv", "summary.json")
@@ -316,12 +318,18 @@ def report(results_dir) -> str:
     for i, stored in enumerate(summary["steps"], 1):
         if not isinstance(stored, dict):
             raise ContractViolation(f"{out / 'summary.json'}: steps entry {i} is not an object")
+    if (out / "config_resolved.txt").is_file():
+        cfg = parse_config_text((out / "config_resolved.txt").read_text())
+        for name in ("protocol", "seed", "head"):
+            if summary[name] != getattr(cfg, name):
+                raise ContractViolation(f"summary.json field {name!r} is {summary[name]!r}, "
+                                        f"config_resolved.txt has {getattr(cfg, name)!r}")
     steps = summary_steps(parse_scores_csv((out / "scores.csv").read_text()))
     if len(summary["steps"]) != len(steps):
         raise ContractViolation(f"summary.json lists {len(summary['steps'])} steps, "
                                 f"scores.csv has {len(steps)}")
     for step, stored in zip(steps, summary["steps"]):
-        for key in ("aa_acc", "af_acc", "aa_auc", "af_auc"):
+        for key in ("task", "aa_acc", "af_acc", "aa_auc", "af_auc"):
             if stored.get(key) != step[key]:
                 raise ContractViolation(f"summary.json disagrees with scores.csv on {key} at task "
                                         f"{step['task']}: {stored.get(key)} vs {step[key]}")

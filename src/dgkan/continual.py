@@ -4,8 +4,9 @@ forgetting metrics and the per-(train step, eval task) score grid.
 Per-task flow (the detector head grows one grouped-RBF layer per domain;
 baseline heads keep one global parameter set):
 
-* task start: add the new head layer over the new task's current features
-  and create a fresh identity projection for the incoming transition;
+* task start: one forward of the new task's inputs places the new head layer
+  and the RBFs of a fresh identity projection for the incoming transition
+  (over those features and the stored memory);
 * task 1 trains on classification (plus within-task contrastive separation
   when enabled); later tasks add the replay-separation and feature
   distillation terms and train the drift projection concurrently;
@@ -141,21 +142,30 @@ class Trainer:
         y = y.astype(np.int64)
         self.task += 1
         t = self.task
-        rng_task = self.rng.substream("task", t)
+        self._train_epochs(X, y, t)
+        self._end_of_task(X, y, t)
 
-        if isinstance(self.head, DgkdHead):
-            feats_now = self.extractor.forward(X)
-            self.head = add_task_layer(self.head, feats_now, rng_task.substream("layer-init"))
+    def _train_epochs(self, X: np.ndarray, y: np.ndarray, t: int) -> None:
+        """Task ``t``'s start and every training step.  The task-start
+        features of ``X`` live in this frame through every step and end with
+        it, before the transition's herding allocates."""
+        rng_task = self.rng.substream("task", t)
+        dgkd = isinstance(self.head, DgkdHead)
+        kdcp = t >= 2 and self.cfg.use_kdcp and not self.cfg.use_raw_replay
+        # one forward serves both: the teacher is the extractor's snapshot
+        # from the last task end, and nothing has trained since
+        feats = self.extractor.forward(X) if dgkd or kdcp else None
+        if dgkd:
+            self.head = add_task_layer(self.head, feats, rng_task.substream("layer-init"))
 
         proj_opt = None
-        if t >= 2 and self.cfg.use_kdcp and not self.cfg.use_raw_replay:
-            # RBFs over the old space, one group per feature dimension.  ``pool``
-            # keeps the teacher features alive through the task: freeing them
-            # here let glibc trim and regrow the heap on every training step
-            # (tens of times the page faults of a four-task-mlp run).
-            pool = [self.teacher.forward(X), self.memory.features]
-            self.projection = KdcpProjection.init(np.vstack(pool), self.cfg.d_f,
-                                                  source_task=t - 1, target_task=t)
+        if kdcp:
+            # RBFs over the old space, one group per feature dimension.
+            # ``feats`` stays alive through the steps: freeing it here let
+            # glibc trim and regrow the heap on every training step (tens
+            # of times the page faults of a four-task-mlp run).
+            self.projection = KdcpProjection.init(np.vstack([feats, self.memory.features]),
+                                                  self.cfg.d_f, source_task=t - 1, target_task=t)
             proj_opt = AdamState.init(self.projection.layer.n_params(), lr=self.cfg.proj_lr)
 
         opt_ext = AdamState.init(self.extractor.n_params(), lr=self.cfg.main_lr)
@@ -170,8 +180,6 @@ class Trainer:
             for start in range(0, n, batch_size):
                 idx = order[start:start + batch_size]
                 self._train_step(X[idx], y[idx], t, proj_opt, opt_ext, opt_head, rng_replay)
-
-        self._end_of_task(X, y, t)
 
     def _train_step(self, xb: np.ndarray, yb: np.ndarray, t: int, proj_opt: AdamState | None,
                     opt_ext: AdamState, opt_head: AdamState, rng_replay: RngStream) -> None:

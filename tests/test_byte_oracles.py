@@ -31,6 +31,10 @@ verbatim in its arithmetic: the library must return the same bytes.
   gradients; ``augment_features``' jitter as ``jitter_scale * scale *
   noise``; and the trainer's contrastive gate on ``np.unique``, which
   ``np.bincount`` replaced (the codes are >= 0).
+* ``Trainer``'s task start places the projection's RBFs over the one
+  extractor forward of the task inputs that also places the new DG-KD
+  layer; the reference pool is the teacher's own forward of those inputs
+  stacked over the stored rows.
 """
 import copy
 from collections import Counter
@@ -740,3 +744,41 @@ class TestInPlaceKernelsMatchReference:
         assert checked["_gaussian_input_grad"] == checked["_gaussian_param_grad"] == 16 + later
         assert checked["_gaussians"] > checked["_gaussian_input_grad"]
         assert len(gates) == steps and sum(gates) == len(supcon_calls) > 0
+
+
+def projection_init_pool_reference(trainer, X):
+    """The task-start placement pool before one extractor forward served both
+    the new DG-KD layer and the projection: the teacher's own forward of the
+    task inputs, then the stored rows."""
+    return np.vstack([trainer.teacher.forward(X), trainer.memory.features])
+
+
+class TestTaskStartMatchesReference:
+    @pytest.mark.parametrize("head", ["dgkd", "mlp"])
+    def test_one_forward_serves_layer_and_projection(self, head, monkeypatch):
+        # every task start from t = 2 of four-task data-free runs with KDCP
+        init = KdcpProjection.init.__func__
+        built = []                       # pool and placement, copied before any step
+
+        def recording_init(cls, init_features, *args, **kwargs):
+            proj = init(cls, init_features, *args, **kwargs)
+            built.append([a.tobytes() for a in (init_features, proj.layer.centers,
+                                                proj.layer.widths)])
+            return proj
+
+        monkeypatch.setattr(KdcpProjection, "init", classmethod(recording_init))
+        stream = gen_sequence("four-task", 11, train_n=65, eval_n=32)
+        trainer = Trainer(TrainerConfig(head=head, epochs=2, memory_budget=40), 11)
+        for t in range(1, 5):
+            X, y = dataset(stream, t - 1, "train")
+            if t >= 2:
+                # the teacher is the last task end's snapshot of the extractor
+                assert trainer.teacher.forward(X).tobytes() == trainer.extractor.forward(X).tobytes()
+                pool = projection_init_pool_reference(trainer, X)
+                ref = init(KdcpProjection, pool, trainer.cfg.d_f, source_task=t - 1, target_task=t)
+                expected = [a.tobytes() for a in (pool, ref.layer.centers, ref.layer.widths)]
+            trainer.train_task(X, y)
+            assert len(built) == t - 1
+            if t >= 2:
+                assert built[-1] == expected
+            trainer.evaluate_all([dataset(stream, k, "eval") for k in range(t)])

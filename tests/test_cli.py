@@ -243,6 +243,33 @@ class TestReport:
         assert main(["report", "--dir", str(tmp_path)]) == 3
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda s: s["steps"][2].update(task=4), "on task at task 3: 4 vs 3"),
+        (lambda s: s["steps"][0].pop("task"), "on task at task 1: None vs 1"),
+        (lambda s: s.update(protocol="ten-task"),
+         "summary.json field 'protocol' is 'ten-task', config_resolved.txt has 'four-task'"),
+        (lambda s: s.update(seed=12345),
+         "summary.json field 'seed' is 12345, config_resolved.txt has 11"),
+        (lambda s: s.update(head="groupkan"),
+         "summary.json field 'head' is 'groupkan', config_resolved.txt has 'dgkd'"),
+        (lambda s: s.update(seed=12345, head="groupkan",
+                            steps=[{**step, "task": 99} for step in s["steps"]]),
+         "summary.json field 'seed' is 12345, config_resolved.txt has 11"),
+    ], ids=["task-number", "task-missing", "protocol", "seed", "head", "seed-head-tasks"])
+    def test_summary_that_disagrees_with_its_run_is_rejected(self, edit, message, tiny_run,
+                                                            tmp_path, capsys):
+        # the header and the task numbers used to be printed from summary.json unchecked
+        _, out, _ = tiny_run
+        for name in ("scores.csv", "config_resolved.txt"):
+            (tmp_path / name).write_bytes((out / name).read_bytes())
+        summary = json.loads((out / "summary.json").read_text())
+        edit(summary)
+        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        with pytest.raises(ContractViolation, match=message):
+            report(tmp_path)
+        assert main(["report", "--dir", str(tmp_path)]) == 3
+        assert message in capsys.readouterr().err
+
 
 _SCORES_HEADER = "train_step,eval_task,acc,auc\n"
 

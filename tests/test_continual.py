@@ -15,6 +15,8 @@ from dgkan.losses import DomainLabeledBatch, bce_loss, kd_loss, overall_loss, su
 from dgkan.numcore import ContractViolation, RngStream, adam_step
 from dgkan.synthbench import dataset, gen_sequence
 
+from conftest import peak_alloc_bytes
+
 
 class TestAccuracy:
     def test_all_correct(self):
@@ -463,6 +465,20 @@ class TestTrainStepMatchesReference:
         assert (new.memory.inputs is None) != ("use_raw_replay" in kw)
         for a, b in zip(state(new), state(ref)):
             assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+class TestTransitionPeak:
+    @pytest.mark.parametrize("head", ["dgkd", "mlp"])
+    def test_second_task_holds_no_dead_arrays_at_the_transition(self, head):
+        # the task-start features (one forward serves the new layer and the
+        # projection's placement) end before herding, so the transition holds
+        # the extractor's hidden buffer and pool-sized feature arrays only
+        N, cfg = 4096, TrainerConfig(head=head, epochs=1, memory_budget=4000)
+        stream = gen_sequence("four-task", 11, train_n=N, eval_n=64)
+        tr = Trainer(cfg, 11)
+        tr.train_task(*dataset(stream, 0, "train"))
+        peak = peak_alloc_bytes(tr.train_task, *dataset(stream, 1, "train"))
+        assert peak < N * cfg.hidden * 8 + 3 * N * cfg.d_f * 8
 
 
 class TestMemoryOwnsItsInputs:
