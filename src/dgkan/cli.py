@@ -13,6 +13,7 @@ import math
 import sys
 import tempfile
 from dataclasses import dataclass, fields
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,11 @@ def summary_dict(matrix: ScoreMatrix, cfg: ExperimentConfig) -> dict:
             "seed": cfg.seed, "head": cfg.head, "steps": summary_steps(matrix)}
 
 
+def summary_text(matrix: ScoreMatrix, cfg: ExperimentConfig) -> str:
+    """The bytes of ``summary.json``."""
+    return json.dumps(summary_dict(matrix, cfg), indent=2, sort_keys=True) + "\n"
+
+
 def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -208,7 +214,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ScoreMatrix:
         stream = build_stream(cfg)
         matrix, trainer = run_stream(stream, trainer_config(cfg))
         write("scores.csv", scores_csv_text(matrix))
-        write("summary.json", json.dumps(summary_dict(matrix, cfg), indent=2, sort_keys=True) + "\n")
+        write("summary.json", summary_text(matrix, cfg))
         if trainer.memory is not None:
             save_memory(trainer.memory, out / "memory_final.csv")
             written.append("memory_final.csv")
@@ -305,42 +311,31 @@ def _read_json_object(path: Path, **fields: type) -> dict:
 def report(results_dir) -> str:
     """Render the AA/AF table of a results directory.
 
-    Every column is computed from the score CSV.  The summary JSON must list
-    the same steps, numbered 1, 2, ..., with the same four values, and when
-    ``config_resolved.txt`` is present, the protocol, seed and head it
-    holds; otherwise ContractViolation names the first disagreement.
-    Missing artifacts are listed explicitly.
+    The header comes from ``config_resolved.txt`` and every column from the
+    score CSV.  ``summary.json`` must hold exactly the bytes these two give;
+    otherwise ContractViolation names its first differing line.  Missing
+    artifacts are listed explicitly.
     """
     out = Path(results_dir)
-    _require_artifacts(out, "scores.csv", "summary.json")
-    summary = _read_json_object(out / "summary.json", steps=list, protocol=object,
-                                seed=object, head=object)
-    for i, stored in enumerate(summary["steps"], 1):
-        if not isinstance(stored, dict):
-            raise ContractViolation(f"{out / 'summary.json'}: steps entry {i} is not an object")
-    if (out / "config_resolved.txt").is_file():
-        cfg = parse_config_text((out / "config_resolved.txt").read_text())
-        for name in ("protocol", "seed", "head"):
-            if summary[name] != getattr(cfg, name):
-                raise ContractViolation(f"summary.json field {name!r} is {summary[name]!r}, "
-                                        f"config_resolved.txt has {getattr(cfg, name)!r}")
-    steps = summary_steps(parse_scores_csv((out / "scores.csv").read_text()))
-    if len(summary["steps"]) != len(steps):
-        raise ContractViolation(f"summary.json lists {len(summary['steps'])} steps, "
-                                f"scores.csv has {len(steps)}")
-    for step, stored in zip(steps, summary["steps"]):
-        for key in ("task", "aa_acc", "af_acc", "aa_auc", "af_auc"):
-            if stored.get(key) != step[key]:
-                raise ContractViolation(f"summary.json disagrees with scores.csv on {key} at task "
-                                        f"{step['task']}: {stored.get(key)} vs {step[key]}")
+    _require_artifacts(out, "config_resolved.txt", "scores.csv", "summary.json")
+    cfg = parse_config_text((out / "config_resolved.txt").read_text())
+    matrix = parse_scores_csv((out / "scores.csv").read_text())
+    # a byte that is not UTF-8 decodes to U+FFFD, which the ASCII summary never holds
+    stored = (out / "summary.json").read_bytes().decode(errors="replace").split("\n")
+    derived = summary_text(matrix, cfg).split("\n")
+    for n, (got, want) in enumerate(zip_longest(stored, derived), start=1):
+        if got != want:
+            show = lambda line: "<end of file>" if line is None else repr(line)
+            raise ContractViolation(f"{out / 'summary.json'} line {n} is {show(got)}; scores.csv "
+                                    f"and config_resolved.txt give {show(want)}")
     fmt = lambda v: "-" if v is None else f"{v:.2f}"
     lines = [
-        f"Results for protocol={summary['protocol']} seed={summary['seed']} head={summary['head']}",
+        f"Results for protocol={cfg.protocol} seed={cfg.seed} head={cfg.head}",
         "",
         "| task | AA (acc) | AF (acc) | AA (auc) | AF (auc) |",
         "|------|----------|----------|----------|----------|",
     ]
-    for step in steps:
+    for step in summary_steps(matrix):
         lines.append(f"| {step['task']} | {fmt(step['aa_acc'])} | {fmt(step['af_acc'])} "
                      f"| {fmt(step['aa_auc'])} | {fmt(step['af_auc'])} |")
     return "\n".join(lines)
@@ -354,7 +349,12 @@ def verify(results_dir) -> bool:
     _require_artifacts(out, "config_resolved.txt", "manifest.json")
     cfg = parse_config_text((out / "config_resolved.txt").read_text())
     listed = _read_json_object(out / "manifest.json", artifacts=dict)["artifacts"]
-    stored = {name: _sha256_file(out / name) for name in listed if (out / name).is_file()}
+    for name in listed:
+        if name in ("", "..") or Path(name).name != name:
+            raise ContractViolation(f"{out / 'manifest.json'} lists {name!r}, "
+                                    f"which is not a file name in {out}")
+    _require_artifacts(out, *listed)
+    stored = {name: _sha256_file(out / name) for name in listed}
     with tempfile.TemporaryDirectory() as tmp:
         run_experiment(cfg, tmp)
         rerun = json.loads((Path(tmp) / "manifest.json").read_text())["artifacts"]
@@ -456,8 +456,13 @@ def main(argv=None) -> int:
                 _check_profile_args(args, cfg)
             elif cfg.d_f < 2:
                 raise ConfigError(f"dump-embeddings: the 2-D PCA dump needs d_f >= 2, got {cfg.d_f}")
-            if not Path(args.out).parent.is_dir():
-                raise ConfigError(f"--out: directory {str(Path(args.out).parent)!r} does not exist")
+            dest = Path(args.out)
+            if not dest.parent.exists():
+                raise ConfigError(f"--out: directory {str(dest.parent)!r} does not exist")
+            if not dest.parent.is_dir():
+                raise ConfigError(f"--out: {str(dest.parent)!r} is not a directory")
+            if dest.is_dir():
+                raise ConfigError(f"--out: {str(dest)!r} is a directory")
             stream = build_stream(cfg)
             _, trainer = run_stream(stream, trainer_config(cfg))
         if args.verb == "dump-profile":

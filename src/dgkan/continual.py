@@ -130,8 +130,9 @@ class Trainer:
         """Train on one task's data and run the transition bookkeeping.
 
         ``X`` must be a finite (N, d_x) array and ``y`` N labels, each 0 or 1,
-        with both present; a call that breaks this raises ContractViolation
-        before any state changes.
+        with both present, and the memory budget must hold a row of every
+        domain-class seen so far; a call that breaks this raises
+        ContractViolation before any state changes.
         """
         X = self._inputs(X, "task inputs")
         y = np.asarray(y)
@@ -139,6 +140,7 @@ class Trainer:
             raise ContractViolation(f"task labels must have shape ({X.shape[0]},), got {y.shape}")
         if not np.array_equal(np.unique(y), [0, 1]):
             raise ContractViolation("task labels must be 0 or 1, with both classes present")
+        check_memory_budget(self.cfg.memory_budget, self.task + 1)
         y = y.astype(np.int64)
         self.task += 1
         t = self.task

@@ -349,55 +349,3 @@ def save_memory(mem: FeatureMemory, path) -> None:
 def _snapshot_columns(d_f: int) -> list[str]:
     return [f"f{i}" for i in range(d_f)] + ["domain_class", "label", "source_task"]
 
-
-def _header_int(meta: dict, name: str) -> int:
-    if name not in meta:
-        raise ContractViolation(f"memory snapshot header lacks field {name!r}")
-    if not (meta[name].isascii() and meta[name].isdigit()):
-        raise ContractViolation(f"memory snapshot header field {name!r} must be a non-negative "
-                                f"integer, got {meta[name]!r}")
-    return int(meta[name])
-
-
-def load_memory(path) -> FeatureMemory:
-    """Read a snapshot written by save_memory, validating the version and
-    every header field, that exactly ``rows`` data lines follow, that every
-    field parses (a bad one is named by header field, or by row and column)
-    and that each row's label and source_task columns decode its
-    domain_class."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("dgkan_memory,"):
-        raise ContractViolation("not a memory snapshot file")
-    meta = dict(item.partition("=")[::2] for item in lines[0].split(",")[1:])
-    version = _header_int(meta, "version")
-    if version != MEMORY_FORMAT_VERSION:
-        raise ContractViolation(f"unsupported memory snapshot version {version}")
-    space_task, budget, d_f, rows = (_header_int(meta, name)
-                                     for name in ("space_task", "budget", "d_f", "rows"))
-    if len(lines) != 2 + rows:
-        raise ContractViolation(f"{'truncated' if len(lines) < 2 + rows else 'overlong'} memory "
-                                f"snapshot: {len(lines) - 2} data lines, header says rows={rows}")
-    columns = _snapshot_columns(d_f)
-    feats = np.empty((rows, d_f))
-    codes = np.empty((rows, 3), dtype=np.int64)      # domain_class, label, source_task
-    for i in range(rows):
-        parts = lines[2 + i].split(",")
-        if len(parts) != d_f + 3:
-            raise ContractViolation(f"memory snapshot row {i} has {len(parts)} fields, expected {d_f + 3}")
-        for j, text in enumerate(parts):
-            try:
-                if j < d_f:
-                    feats[i, j] = float(text)
-                else:
-                    codes[i, j - d_f] = int(text)
-            except ValueError:
-                raise ContractViolation(f"memory snapshot row {i}, column {columns[j]}: {text!r} "
-                                        f"is not {'a number' if j < d_f else 'an integer'}") from None
-    mem = FeatureMemory(features=feats, domain_class=codes[:, 0], budget=budget,
-                        space_task=space_task)
-    for j, name in enumerate(("label", "source_task"), start=1):
-        bad = np.flatnonzero(codes[:, j] != getattr(mem, name))
-        if bad.size:
-            raise ContractViolation(f"memory snapshot row {bad[0]}: {name} {codes[bad[0], j]} "
-                                    f"contradicts domain_class {codes[bad[0], 0]}")
-    return mem

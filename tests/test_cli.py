@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -10,8 +11,8 @@ import pytest
 
 from dgkan.cli import (ConfigError, ExperimentConfig, build_stream, config_hash, config_lines,
                        dump_embeddings, dump_profile, main, parse_config_text, parse_scores_csv,
-                       pca_2d, report, run_experiment, trainer_config, validate_config,
-                       verify)
+                       pca_2d, report, run_experiment, summary_text, trainer_config,
+                       validate_config, verify)
 from dgkan.continual import ScoreMatrix, TrainerConfig, average_forgetting, run_stream
 from dgkan.numcore import ContractViolation, RngStream
 from dgkan.synthbench import REFERENCE_SEEDS, dataset, gen_sequence
@@ -176,6 +177,37 @@ class TestRunArtifacts:
         assert manifest["config_hash"] == config_hash(tiny_run[0])
 
 
+def _canonical(obj) -> str:
+    """JSON text in the form ``run`` writes ``summary.json``."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _without(summary: dict, key: str) -> dict:
+    return {name: value for name, value in summary.items() if name != key}
+
+
+def _at(n: int, stored, derived=...) -> str:
+    """The start of report's message for line ``n`` of ``summary.json``; a
+    line given as None is past the end of its file, and an omitted
+    ``derived`` line is left out."""
+    show = lambda line: "<end of file>" if line is None else repr(line)
+    message = f"summary.json line {n} is {show(stored)}; scores.csv and config_resolved.txt give "
+    return message + (show(derived) if derived is not ... else "")
+
+
+def _assert_report_rejects(edit, message, tiny_run, tmp_path, capsys):
+    """Write ``edit``(the run's summary) as summary.json next to the run's
+    config and scores; report must exit 3 with ``message``."""
+    _, out, _ = tiny_run
+    for name in ("scores.csv", "config_resolved.txt"):
+        (tmp_path / name).write_bytes((out / name).read_bytes())
+    (tmp_path / "summary.json").write_text(edit(json.loads((out / "summary.json").read_text())))
+    with pytest.raises(ContractViolation, match=re.escape(message)):
+        report(tmp_path)
+    assert main(["report", "--dir", str(tmp_path)]) == 3
+    assert message in capsys.readouterr().err
+
+
 class TestReport:
     def test_report_matches_summary(self, tiny_run):
         _, out, _ = tiny_run
@@ -197,78 +229,95 @@ class TestReport:
         with pytest.raises(ContractViolation, match="scores.csv"):
             report(tmp_path)
 
+    def test_missing_config_is_named(self, tiny_run, tmp_path, capsys):
+        # report takes its header from the config, so it needs the file
+        _, out, _ = tiny_run
+        for name in ("scores.csv", "summary.json"):
+            (tmp_path / name).write_bytes((out / name).read_bytes())
+        with pytest.raises(ContractViolation, match="missing artifacts in .*: config_resolved.txt$"):
+            report(tmp_path)
+        assert main(["report", "--dir", str(tmp_path)]) == 3
+        assert ": config_resolved.txt\n" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key,step,value,message", [
-        ("aa_acc", 3, 99.99, "on aa_acc at task 4: 99.99 vs "),
-        ("af_acc", 1, 0.0, "on af_acc at task 2: 0.0 vs "),
-        ("aa_auc", 0, 1.0, "on aa_auc at task 1: 1.0 vs "),
-        ("af_auc", 3, -5.0, "on af_auc at task 4: -5.0 vs "),
-        ("steps", 2, None, "summary.json lists 2 steps, scores.csv has 4"),
+        ("aa_acc", 3, 99.99, _at(29, '      "aa_acc": 99.99,')),
+        ("af_acc", 1, 0.0, _at(17, '      "af_acc": 0.0,')),
+        ("aa_auc", 0, 1.0, _at(9, '      "aa_auc": 1.0,')),
+        ("af_auc", 3, -5.0, _at(32, '      "af_auc": -5.0,')),
+        ("steps", 2, None, _at(20, "    }", "    },")),
     ], ids=["aa-acc", "af-acc", "aa-auc", "af-auc", "cut-steps"])
     def test_summary_that_disagrees_with_the_csv_is_rejected(self, key, step, value, message,
                                                              tiny_run, tmp_path, capsys):
-        _, out, _ = tiny_run
-        (tmp_path / "scores.csv").write_bytes((out / "scores.csv").read_bytes())
-        summary = json.loads((out / "summary.json").read_text())
-        if key == "steps":
-            del summary["steps"][step:]
-        else:
-            assert summary["steps"][step][key] != value
-            summary["steps"][step][key] = value
-        (tmp_path / "summary.json").write_text(json.dumps(summary))
-        with pytest.raises(ContractViolation, match=message):
-            report(tmp_path)
-        assert main(["report", "--dir", str(tmp_path)]) == 3
-        assert message in capsys.readouterr().err
+        def edit(summary):
+            if key == "steps":
+                del summary["steps"][step:]
+            else:
+                assert summary["steps"][step][key] != value
+                summary["steps"][step][key] = value
+            return _canonical(summary)
+
+        _assert_report_rejects(edit, message, tiny_run, tmp_path, capsys)
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda s: "not json", "summary.json is not valid JSON"),
-        (lambda s: "[1, 2]", "summary.json must hold a JSON object, got list"),
-        (lambda s: json.dumps({"seed": 1}), "summary.json lacks the field 'steps'"),
-        *[(lambda s, k=k: json.dumps({n: v for n, v in s.items() if n != k}),
-           f"summary.json lacks the field '{k}'") for k in ("protocol", "seed", "head")],
-        (lambda s: json.dumps({**s, "steps": {"1": {}}}),
-         "summary.json: field 'steps' must be a list, got dict"),
-        (lambda s: json.dumps({**s, "steps": s["steps"][:1] + [7] + s["steps"][2:]}),
-         "summary.json: steps entry 2 is not an object"),
+        (lambda s: "not json", _at(1, "not json", "{")),
+        (lambda s: _canonical([1, 2]), _at(1, "[", "{")),
+        (lambda s: _canonical({"seed": 1}), _at(2, '  "seed": 1', '  "head": "dgkd",')),
+        (lambda s: _canonical(_without(s, "protocol")),
+         _at(3, '  "schema_version": 1,', '  "protocol": "four-task",')),
+        (lambda s: _canonical(_without(s, "seed")), _at(5, '  "steps": [', '  "seed": 11,')),
+        (lambda s: _canonical(_without(s, "head")),
+         _at(2, '  "protocol": "four-task",', '  "head": "dgkd",')),
+        (lambda s: _canonical({**s, "steps": {"1": {}}}), _at(6, '  "steps": {', '  "steps": [')),
+        (lambda s: _canonical({**s, "steps": s["steps"][:1] + [7] + s["steps"][2:]}),
+         _at(14, "    7,", "    {")),
+        (lambda s: _canonical(s)[:-1], _at(37, None, "")),
+        (lambda s: _canonical(s) + "\n", _at(38, "", None)),
+        (lambda s: json.dumps(s, indent=4, sort_keys=True) + "\n",
+         _at(2, '    "head": "dgkd",', '  "head": "dgkd",')),
+        (lambda s: _canonical({**s, "note": "x"}),
+         _at(3, '  "note": "x",', '  "protocol": "four-task",')),
+        (lambda s: _canonical({**s, "schema_version": 2}),
+         _at(4, '  "schema_version": 2,', '  "schema_version": 1,')),
     ], ids=["not-json", "not-object", "no-steps", "no-protocol", "no-seed", "no-head",
-            "steps-not-list", "step-not-object"])
+            "steps-not-list", "step-not-object", "no-final-newline", "extra-line",
+            "indent-4", "extra-key", "schema-version"])
     def test_malformed_summary_is_named(self, edit, message, tiny_run, tmp_path, capsys):
         # a bare KeyError, JSONDecodeError or AttributeError used to be the only message
-        _, out, _ = tiny_run
-        (tmp_path / "scores.csv").write_bytes((out / "scores.csv").read_bytes())
-        (tmp_path / "summary.json").write_text(
-            edit(json.loads((out / "summary.json").read_text())))
-        with pytest.raises(ContractViolation, match=message):
-            report(tmp_path)
-        assert main(["report", "--dir", str(tmp_path)]) == 3
-        assert message in capsys.readouterr().err
+        _assert_report_rejects(edit, message, tiny_run, tmp_path, capsys)
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda s: s["steps"][2].update(task=4), "on task at task 3: 4 vs 3"),
-        (lambda s: s["steps"][0].pop("task"), "on task at task 1: None vs 1"),
+        (lambda s: s["steps"][2].update(task=4), _at(26, '      "task": 4', '      "task": 3')),
+        (lambda s: s["steps"][0].pop("task"),
+         _at(11, '      "af_auc": null', '      "af_auc": null,')),
         (lambda s: s.update(protocol="ten-task"),
-         "summary.json field 'protocol' is 'ten-task', config_resolved.txt has 'four-task'"),
-        (lambda s: s.update(seed=12345),
-         "summary.json field 'seed' is 12345, config_resolved.txt has 11"),
-        (lambda s: s.update(head="groupkan"),
-         "summary.json field 'head' is 'groupkan', config_resolved.txt has 'dgkd'"),
+         _at(3, '  "protocol": "ten-task",', '  "protocol": "four-task",')),
+        (lambda s: s.update(seed=12345), _at(5, '  "seed": 12345,', '  "seed": 11,')),
+        (lambda s: s.update(head="groupkan"), _at(2, '  "head": "groupkan",', '  "head": "dgkd",')),
         (lambda s: s.update(seed=12345, head="groupkan",
                             steps=[{**step, "task": 99} for step in s["steps"]]),
-         "summary.json field 'seed' is 12345, config_resolved.txt has 11"),
+         _at(2, '  "head": "groupkan",', '  "head": "dgkd",')),
     ], ids=["task-number", "task-missing", "protocol", "seed", "head", "seed-head-tasks"])
     def test_summary_that_disagrees_with_its_run_is_rejected(self, edit, message, tiny_run,
                                                             tmp_path, capsys):
         # the header and the task numbers used to be printed from summary.json unchecked
-        _, out, _ = tiny_run
-        for name in ("scores.csv", "config_resolved.txt"):
-            (tmp_path / name).write_bytes((out / name).read_bytes())
-        summary = json.loads((out / "summary.json").read_text())
-        edit(summary)
-        (tmp_path / "summary.json").write_text(json.dumps(summary))
-        with pytest.raises(ContractViolation, match=message):
-            report(tmp_path)
-        assert main(["report", "--dir", str(tmp_path)]) == 3
-        assert message in capsys.readouterr().err
+        def canonical_edit(summary):
+            edit(summary)
+            return _canonical(summary)
+
+        _assert_report_rejects(canonical_edit, message, tiny_run, tmp_path, capsys)
+
+    @pytest.mark.parametrize("head", ["dgkd", "mlp", "groupkan"])
+    @pytest.mark.parametrize("variant", ["default", "raw-replay", "no-kdcp"])
+    def test_summary_re_derives_from_scores_and_config(self, head, variant, tmp_path):
+        extra = {"default": "", "raw-replay": "use_raw_replay = true\n",
+                 "no-kdcp": "use_kdcp = false\n"}[variant]
+        cfg = parse_config_text(TINY.replace("epochs = 2", "epochs = 1")
+                                + f"head = {head}\n" + extra)
+        run_experiment(cfg, tmp_path)
+        derived = summary_text(parse_scores_csv((tmp_path / "scores.csv").read_text()),
+                               parse_config_text((tmp_path / "config_resolved.txt").read_text()))
+        assert derived.encode() == (tmp_path / "summary.json").read_bytes()
+        assert report(tmp_path).startswith(f"Results for protocol=four-task seed=11 head={head}\n")
 
 
 _SCORES_HEADER = "train_step,eval_task,acc,auc\n"
@@ -297,13 +346,16 @@ def test_report_exits_3_naming_the_bad_scores_line(tiny_run, tmp_path, capsys):
     _, out, _ = tiny_run
     bad = tmp_path / "bad"
     bad.mkdir()
-    for name in ("scores.csv", "summary.json"):
+    for name in ("scores.csv", "summary.json", "config_resolved.txt"):
         (bad / name).write_bytes((out / name).read_bytes())
     lines = (bad / "scores.csv").read_text().splitlines()
     lines[4] = lines[4].rsplit(",", 1)[0]
     (bad / "scores.csv").write_text("\n".join(lines) + "\n")
     assert main(["report", "--dir", str(bad)]) == 3
     assert "scores CSV line 5: expected four numbers" in capsys.readouterr().err
+
+
+_BOTH = ("config_resolved.txt", "manifest.json")
 
 
 class TestCliVerbs:
@@ -388,19 +440,39 @@ class TestCliVerbs:
         assert "--out" in err and "is not a directory" in err
         assert (tmp_path / "taken").read_text() == "a file\n"
 
-    @pytest.mark.parametrize("present,missing", [
-        ((), "config_resolved.txt, manifest.json"),
-        (("config_resolved.txt",), "manifest.json"),
-        (("manifest.json",), "config_resolved.txt")],
-        ids=["none", "config-only", "manifest-only"])
-    def test_verify_names_missing_files(self, present, missing, tmp_path, capsys):
-        # a bare FileNotFoundError used to be the only message
+    @pytest.mark.parametrize("present,listed,message", [
+        ((), [], "missing artifacts in .*: config_resolved.txt, manifest.json$"),
+        (("config_resolved.txt",), [], "missing artifacts in .*: manifest.json$"),
+        (("manifest.json",), [], "missing artifacts in .*: config_resolved.txt$"),
+        (_BOTH, ["config_resolved.txt", "scores.csv", "memory_final.csv"],
+         "missing artifacts in .*: scores.csv, memory_final.csv$"),
+        (_BOTH, ["config_resolved.txt", "../x"], "lists '../x', which is not a file name in "),
+        (_BOTH, ["/x"], "lists '/x', which is not a file name in "),
+        (_BOTH, ["sub/x"], "lists 'sub/x', which is not a file name in "),
+        (_BOTH, [".."], "lists '..', which is not a file name in "),
+    ], ids=["none", "config-only", "manifest-only", "listed-missing", "listed-parent",
+            "listed-absolute", "listed-subdir", "listed-dotdot"])
+    def test_verify_names_missing_files(self, present, listed, message, tmp_path, monkeypatch,
+                                        capsys):
+        # a bare FileNotFoundError, or for a listed artifact "hashes differ",
+        # used to be the only message; "../x" used to hash a file outside the run
+        import dgkan.cli
+
+        def no_rerun(*args):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr(dgkan.cli, "run_experiment", no_rerun)
+        run = tmp_path / "run"
+        (run / "sub").mkdir(parents=True)
+        (run / "sub" / "x").write_text("x\n")
+        (tmp_path / "x").write_text("x\n")
+        manifest = json.dumps({"artifacts": {name: "0" * 64 for name in listed}})
         for name in present:
-            (tmp_path / name).write_text(TINY if name.endswith(".txt") else '{"artifacts": {}}\n')
-        with pytest.raises(ContractViolation, match=f"missing artifacts in .*: {missing}$"):
-            verify(tmp_path)
-        assert main(["verify", "--dir", str(tmp_path)]) == 3
-        assert f": {missing}\n" in capsys.readouterr().err
+            (run / name).write_text(TINY if name.endswith(".txt") else manifest)
+        with pytest.raises(ContractViolation, match=message):
+            verify(run)
+        assert main(["verify", "--dir", str(run)]) == 3
+        assert re.search(message, capsys.readouterr().err, re.MULTILINE)
 
     @pytest.mark.parametrize("text,message", [
         ("{", "manifest.json is not valid JSON"),
@@ -528,9 +600,20 @@ class TestCliVerbs:
         assert trained == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("verb", ["dump-profile", "dump-embeddings"])
-    def test_dump_out_in_missing_directory_fails_before_training(self, verb, tmp_path, monkeypatch,
-                                                                 capsys):
+    @pytest.mark.parametrize("verb,out,message", [
+        ("dump-profile", "missing/out.csv", "directory '.*missing' does not exist"),
+        ("dump-embeddings", "missing/out.csv", "directory '.*missing' does not exist"),
+        ("dump-profile", "taken", "'.*taken' is a directory"),
+        ("dump-embeddings", "taken", "'.*taken' is a directory"),
+        ("dump-profile", "afile/out.csv", "'.*afile' is not a directory"),
+        ("dump-embeddings", "afile/out.csv", "'.*afile' is not a directory"),
+    ], ids=["dump-profile", "dump-embeddings", "dump-profile-out-is-directory",
+            "dump-embeddings-out-is-directory", "dump-profile-under-file",
+            "dump-embeddings-under-file"])
+    def test_dump_out_in_missing_directory_fails_before_training(self, verb, out, message,
+                                                                 tmp_path, monkeypatch, capsys):
+        # an existing directory used to train the whole run, then exit 3
+        # with IsADirectoryError
         import dgkan.cli
 
         def no_training(*args):
@@ -539,10 +622,13 @@ class TestCliVerbs:
         monkeypatch.setattr(dgkan.cli, "run_stream", no_training)
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(TINY)
-        out = tmp_path / "missing" / "out.csv"
-        assert main([verb, "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "does not exist" in capsys.readouterr().err
-        assert not out.parent.exists()
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "afile").write_text("a file\n")
+        assert main([verb, "--config", str(cfg_path), "--out", str(tmp_path / out)]) == 2
+        assert re.search(f"--out: {message}", capsys.readouterr().err)
+        assert not (tmp_path / "missing").exists()
+        assert list((tmp_path / "taken").iterdir()) == []
+        assert (tmp_path / "afile").read_text() == "a file\n"
 
 
 class TestEmbeddings:

@@ -162,10 +162,13 @@ class TestTrainer:
             tr.train_task(X, np.zeros(10, dtype=int))
 
     @pytest.mark.parametrize("bad", ["labels-0-2", "label-0.5", "nan", "inf", "columns",
-                                     "length", "labels-2d", "inputs-1d", "one-class"])
+                                     "length", "labels-2d", "inputs-1d", "one-class",
+                                     "budget-3"])
     def test_rejected_task_leaves_state_unchanged(self, bad):
+        # budget 3 holds task 1's two domain-classes but not task 2's four;
+        # herding used to raise only after task 2 had trained
         stream = tiny_stream()
-        tr = Trainer(tiny_config(), 11)
+        tr = Trainer(tiny_config(memory_budget=3 if bad == "budget-3" else 60), 11)
         tr.train_task(*dataset(stream, 0, "train"))
         X, y = dataset(stream, 1, "train")
         X, y = X.copy(), y.astype(float)
