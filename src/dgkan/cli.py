@@ -182,8 +182,22 @@ def summary_text(matrix: ScoreMatrix, cfg: ExperimentConfig) -> str:
     return json.dumps(summary_dict(matrix, cfg), indent=2, sort_keys=True) + "\n"
 
 
+def _read_utf8(path: Path) -> str:
+    """The text of ``path``, decoded as UTF-8; a byte that is not UTF-8
+    raises ContractViolation naming the file and the byte's offset."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ContractViolation(f"{path}: byte {exc.start} ({data[exc.start]:#04x}) "
+                                f"is not UTF-8") from None
+
+
 def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """Digest of an artifact's bytes.  Every artifact a run writes is UTF-8
+    text, so the file is read through ``_read_utf8`` (re-encoding gives its
+    bytes back) and one that is not UTF-8 is named."""
+    return hashlib.sha256(_read_utf8(path).encode()).hexdigest()
 
 
 def _write_manifest(out: Path, manifest: dict, written: list[str]) -> None:
@@ -294,7 +308,7 @@ def _read_json_object(path: Path, **fields: type) -> dict:
     with a value of the given type; ContractViolation names the file and the
     first thing wrong."""
     try:
-        obj = json.loads(path.read_text())
+        obj = json.loads(_read_utf8(path))
     except ValueError as exc:
         raise ContractViolation(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
@@ -318,8 +332,8 @@ def report(results_dir) -> str:
     """
     out = Path(results_dir)
     _require_artifacts(out, "config_resolved.txt", "scores.csv", "summary.json")
-    cfg = parse_config_text((out / "config_resolved.txt").read_text())
-    matrix = parse_scores_csv((out / "scores.csv").read_text())
+    cfg = parse_config_text(_read_utf8(out / "config_resolved.txt"))
+    matrix = parse_scores_csv(_read_utf8(out / "scores.csv"))
     # a byte that is not UTF-8 decodes to U+FFFD, which the ASCII summary never holds
     stored = (out / "summary.json").read_bytes().decode(errors="replace").split("\n")
     derived = summary_text(matrix, cfg).split("\n")
@@ -344,10 +358,11 @@ def report(results_dir) -> str:
 def verify(results_dir) -> bool:
     """Re-run from the stored config and compare artifact hashes: the stored
     files must still match the manifest, and the re-run must write the same
-    artifacts with the same hashes."""
+    artifacts with the same hashes.  A stored file that is not UTF-8 text is
+    named by ContractViolation."""
     out = Path(results_dir)
     _require_artifacts(out, "config_resolved.txt", "manifest.json")
-    cfg = parse_config_text((out / "config_resolved.txt").read_text())
+    cfg = parse_config_text(_read_utf8(out / "config_resolved.txt"))
     listed = _read_json_object(out / "manifest.json", artifacts=dict)["artifacts"]
     for name in listed:
         if name in ("", "..") or Path(name).name != name:

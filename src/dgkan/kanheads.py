@@ -26,8 +26,10 @@ Layer conventions used throughout:
   one (T, n_params) array;
 * the grouped-Gaussian formulas of the DG-KD layers are written once, in
   ``_gaussians``, ``_gaussian_input_grad`` and ``_gaussian_param_grad``,
-  which ``DgLayer`` calls with its own arrays and ``DgkdHead`` with all its
-  layers stacked.
+  which ``DgLayer`` calls with its own arrays and ``DgkdHead``'s
+  ``forward_cached`` and ``backward`` with all its layers stacked.
+  ``DgkdHead.forward`` goes layer by layer through ``DgLayer.forward``, so
+  its Gaussians never grow with the number of layers.
 """
 from __future__ import annotations
 
@@ -237,12 +239,16 @@ class DgkdHead:
 
     The head owns one (T, n_params) array, ``store``, whose row k - 1 is
     layer k's parameter vector, and each layer's arrays are views of its
-    row.  Forward and backward view the store as W (T, d_out, d_in),
-    centers and widths (T, groups), evaluate every layer's Gaussians with
-    one broadcast exp and every layer with one batched matmul, and add the
-    per-layer outputs and input gradients in layer order, which gives the
-    same bytes as a loop over ``layers``.  The parameter gradient is the
-    active layer's, from the last slice.
+    row.  ``forward_cached`` and ``backward``, which training needs every
+    layer's cache for, view the store as W (T, d_out, d_in), centers and
+    widths (T, groups), evaluate every layer's Gaussians with one broadcast
+    exp and every layer with one batched matmul, and add the per-layer
+    outputs and input gradients in layer order, which gives the same bytes
+    as a loop over ``layers``.  The parameter gradient is the active
+    layer's, from the last slice.  The read-only ``forward`` is that loop:
+    one ``DgLayer.forward`` per layer, its output added into the first
+    layer's, so it holds one layer's Gaussians, never the (T, N, d_in)
+    stack.
     """
 
     def __init__(self, d_in: int, d_out: int, groups: int, layers: list[DgLayer] | None = None):
@@ -276,22 +282,30 @@ class DgkdHead:
     def active_layer(self) -> DgLayer:
         return self.layers[-1]
 
-    def _forward(self, X: np.ndarray):
+    def _checked(self, X: np.ndarray) -> np.ndarray:
         X = _as_batch(X, self.d_in, "DgkdHead input")
         if not self.layers:
             raise ContractViolation("head has no layers; add a task layer first")
+        return X
+
+    def forward(self, X: np.ndarray) -> np.ndarray:
+        """Values only, one layer at a time: each ``DgLayer.forward`` output
+        is added into the first layer's in layer order, so at most one
+        layer's (N, d_in) Gaussians are alive at once."""
+        X = self._checked(X)
+        Y = self.layers[0].forward(X)
+        for layer in self.layers[1:]:
+            Y += layer.forward(X)
+        return Y
+
+    def forward_cached(self, X: np.ndarray):
+        X = self._checked(X)
         W, centers, widths = self.active_layer._views(self.store)
         # np.take gathers C-contiguous (T, d_in) arrays, so phi is (T, N, d_in)
         # in C order and each layer's matmul sees the layout DgLayer's does
         s = np.take(widths, self.group_of, axis=1)[:, None, :]
         phi, z = _gaussians(X, np.take(centers, self.group_of, axis=1)[:, None, :], s)
         return _sum_in_layer_order(phi @ W.transpose(0, 2, 1)), (W, phi, z, s)
-
-    def forward(self, X: np.ndarray) -> np.ndarray:
-        return self._forward(X)[0]
-
-    def forward_cached(self, X: np.ndarray):
-        return self._forward(X)
 
     def backward(self, dY: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray]:
         """Input gradient flows through every layer; parameter gradients are

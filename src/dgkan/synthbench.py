@@ -87,7 +87,7 @@ def dataset(stream: TaskStream, task_index: int, split: str) -> tuple[np.ndarray
         raise ContractViolation(f"unknown split {split!r}")
     spec = stream.specs[task_index]
     n = spec.train_n if split == "train" else spec.eval_n
-    rng = RngStream(stream.seed).substream("data", spec.domain_id, split)
+    rng = RngStream(stream.seed, ("data", spec.domain_id, split))
     return gen_domain(spec, rng, n)
 
 

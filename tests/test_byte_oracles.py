@@ -11,11 +11,15 @@ verbatim in its arithmetic: the library must return the same bytes.
   guarantee: on another BLAS build this file is the check that fails.
 * ``bce_loss`` and ``_silu`` build the sigmoid from one exp(-|z|).
 * ``adam_step`` updates the parameter vector in place.
-* ``DgkdHead`` runs all its layers as one stack viewed from one parameter
-  store, through the grouped-Gaussian helpers that ``DgLayer`` shares; the
-  reference is the two-path head it replaced (the active layer through
-  ``DgLayer``, the frozen layers through a stacked copy) and that
-  ``DgLayer``'s own ``_phi`` and ``backward``.
+* ``DgkdHead.forward_cached`` and ``backward`` run all the head's layers as
+  one stack viewed from one parameter store, through the grouped-Gaussian
+  helpers that ``DgLayer`` shares; the reference is the two-path head they
+  replaced (the active layer through ``DgLayer``, the frozen layers through
+  a stacked copy) and that ``DgLayer``'s own ``_phi`` and ``backward``.
+  ``DgkdHead.forward`` runs one ``DgLayer.forward`` per layer and adds the
+  outputs in layer order; its reference is the stacked forward it replaced,
+  ``_sum_in_layer_order(phi @ W.transpose(0, 2, 1))``, which is
+  ``forward_cached``'s output, and through it the two-path head.
 * The step's elementwise kernels run as in-place chains, each operation in
   the order of the expression it replaced (only operands of a commutative
   operation trade places).  The references are those expressions:
@@ -356,7 +360,7 @@ class TestDgkdHeadMatchesTwoPathReference:
                                   r.substream("init", T))
             # move the active layer off its init, as training does
             head.set_param_vector(head.param_vector() + r.normal(scale=0.1, size=head.n_params()))
-            for N in (1, 13, 64):
+            for N in (1, 13, 64, 512):             # 512: the eval sets' size
                 X = r.normal(loc=T / 2, scale=3.0, size=(N, 16))
                 dY = r.normal(size=(N, d_out))
                 _assert_module_bytes(head, dgkd_head_reference(head.layers, X, dY), X, dY)
@@ -424,7 +428,9 @@ class TestDgkdHeadMatchesTwoPathReference:
         assert checked["head"] == checked["head-forward"] == 4 * 4
         assert checked["head-read-only-forward"] == 1 + 2 + 3 + 4    # evaluate_all
         assert checked["layer"] == checked["layer-forward"] == 3 * 4
-        assert checked["layer-read-only-forward"] == 3 * 4 + 3
+        # the projection's 3 * 4 + 3, then evaluate_all's head forwards: after
+        # task t, t eval sets each through t layers
+        assert checked["layer-read-only-forward"] == 3 * 4 + 3 + (1 + 4 + 9 + 16)
 
 
 # -- the in-place kernels ---------------------------------------------------

@@ -488,6 +488,29 @@ class TestCliVerbs:
         assert main(["verify", "--dir", str(tmp_path)]) == 3
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["config_resolved.txt", "scores.csv"])
+    @pytest.mark.parametrize("verb", ["report", "verify"])
+    def test_non_utf8_byte_is_named(self, verb, name, tiny_run, tmp_path, monkeypatch, capsys):
+        # a bare UnicodeDecodeError naming no file, or for verify's scores.csv
+        # "hashes differ", used to be the only message
+        import dgkan.cli
+
+        def no_rerun(*args):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr(dgkan.cli, "run_experiment", no_rerun)
+        _, out, _ = tiny_run
+        for artifact in out.iterdir():
+            (tmp_path / artifact.name).write_bytes(artifact.read_bytes())
+        offset = (tmp_path / name).stat().st_size
+        with (tmp_path / name).open("ab") as f:
+            f.write(b"\xff")
+        message = f"{tmp_path / name}: byte {offset} (0xff) is not UTF-8"
+        with pytest.raises(ContractViolation, match=re.escape(message)):
+            getattr(dgkan.cli, verb)(tmp_path)
+        assert main([verb, "--dir", str(tmp_path)]) == 3
+        assert message in capsys.readouterr().err
+
     def test_memory_budget_floor_follows_protocol(self):
         validate_config(ExperimentConfig(memory_budget=8))
         validate_config(ExperimentConfig(protocol="ten-task", memory_budget=20))

@@ -195,6 +195,17 @@ class TestDgkdHead:
         bound = 2 * 4 * np.abs(l2.W).max() * 1.6e-8
         assert np.abs(full - only1).max() <= bound
 
+    def test_forward_holds_one_layer_of_gaussians(self, rng):
+        # the value-only forward runs one layer at a time, so its peak does
+        # not grow with T: never the stacked (T, N, d_f) z and phi that
+        # forward_cached keeps for backward
+        T, N, d_f = 10, 512, 16
+        head = DgkdHead(d_f, 1, 4)
+        for t in range(1, T + 1):
+            head = add_task_layer(head, rng.normal(loc=t, size=(40, d_f)), rng.substream("init", t))
+        X = rng.normal(size=(N, d_f))
+        assert peak_alloc_bytes(head.forward, X) < 3 * N * d_f * 8
+
     def test_add_task_layer_structure(self, rng):
         head = DgkdHead(5, 1, 2)
         feats = rng.normal(size=(30, 5))
