@@ -322,6 +322,18 @@ def _read_json_object(path: Path, **fields: type) -> dict:
     return obj
 
 
+def _require_lines(path: Path, derived: str, source: str) -> None:
+    """Raise ContractViolation at the first line where the file ``path``
+    differs from the text ``derived``, naming the stored line and the one
+    ``source`` (a subject and its verb) gives."""
+    # a byte that is not UTF-8 decodes to U+FFFD, which the ASCII artifacts never hold
+    stored = path.read_bytes().decode(errors="replace").split("\n")
+    for n, (got, want) in enumerate(zip_longest(stored, derived.split("\n")), start=1):
+        if got != want:
+            show = lambda line: "<end of file>" if line is None else repr(line)
+            raise ContractViolation(f"{path} line {n} is {show(got)}; {source} {show(want)}")
+
+
 def report(results_dir) -> str:
     """Render the AA/AF table of a results directory.
 
@@ -334,14 +346,8 @@ def report(results_dir) -> str:
     _require_artifacts(out, "config_resolved.txt", "scores.csv", "summary.json")
     cfg = parse_config_text(_read_utf8(out / "config_resolved.txt"))
     matrix = parse_scores_csv(_read_utf8(out / "scores.csv"))
-    # a byte that is not UTF-8 decodes to U+FFFD, which the ASCII summary never holds
-    stored = (out / "summary.json").read_bytes().decode(errors="replace").split("\n")
-    derived = summary_text(matrix, cfg).split("\n")
-    for n, (got, want) in enumerate(zip_longest(stored, derived), start=1):
-        if got != want:
-            show = lambda line: "<end of file>" if line is None else repr(line)
-            raise ContractViolation(f"{out / 'summary.json'} line {n} is {show(got)}; scores.csv "
-                                    f"and config_resolved.txt give {show(want)}")
+    _require_lines(out / "summary.json", summary_text(matrix, cfg),
+                   "scores.csv and config_resolved.txt give")
     fmt = lambda v: "-" if v is None else f"{v:.2f}"
     lines = [
         f"Results for protocol={cfg.protocol} seed={cfg.seed} head={cfg.head}",
@@ -356,10 +362,10 @@ def report(results_dir) -> str:
 
 
 def verify(results_dir) -> bool:
-    """Re-run from the stored config and compare artifact hashes: the stored
-    files must still match the manifest, and the re-run must write the same
-    artifacts with the same hashes.  A stored file that is not UTF-8 text is
-    named by ContractViolation."""
+    """Re-run from the stored config: the stored files must still match the
+    manifest's hashes, and the re-run must write the manifest's bytes
+    (ContractViolation names the first line that differs).  A stored file
+    that is not UTF-8 text is named by ContractViolation."""
     out = Path(results_dir)
     _require_artifacts(out, "config_resolved.txt", "manifest.json")
     cfg = parse_config_text(_read_utf8(out / "config_resolved.txt"))
@@ -372,8 +378,9 @@ def verify(results_dir) -> bool:
     stored = {name: _sha256_file(out / name) for name in listed}
     with tempfile.TemporaryDirectory() as tmp:
         run_experiment(cfg, tmp)
-        rerun = json.loads((Path(tmp) / "manifest.json").read_text())["artifacts"]
-    return stored == listed == rerun
+        _require_lines(out / "manifest.json", (Path(tmp) / "manifest.json").read_text(),
+                       "the re-run writes")
+    return stored == listed
 
 
 # -- command line --------------------------------------------------------------

@@ -22,8 +22,7 @@ Layer conventions used throughout:
   a view into it: ``adam_update`` steps the vector in place,
   ``set_param_vector`` writes into it in place, and ``param_vector`` returns
   a copy.  ``GrKanHead`` keeps its two layers' vectors as views into one
-  vector of its own, and ``DgkdHead`` its layers' vectors as the rows of
-  one (T, n_params) array;
+  vector of its own; each of ``DgkdHead``'s layers keeps its own vector;
 * the grouped-Gaussian formulas of the DG-KD layers are written once, in
   ``_gaussians``, ``_gaussian_input_grad`` and ``_gaussian_param_grad``,
   which ``DgLayer`` calls with its own arrays and ``DgkdHead``'s
@@ -237,18 +236,18 @@ class DgkdHead:
     frozen, so training touches only the newest layer's parameters while the
     frozen Gaussians keep responding in their own regions.
 
-    The head owns one (T, n_params) array, ``store``, whose row k - 1 is
-    layer k's parameter vector, and each layer's arrays are views of its
-    row.  ``forward_cached`` and ``backward``, which training needs every
-    layer's cache for, view the store as W (T, d_out, d_in), centers and
-    widths (T, groups), evaluate every layer's Gaussians with one broadcast
-    exp and every layer with one batched matmul, and add the per-layer
-    outputs and input gradients in layer order, which gives the same bytes
-    as a loop over ``layers``.  The parameter gradient is the active
-    layer's, from the last slice.  The read-only ``forward`` is that loop:
-    one ``DgLayer.forward`` per layer, its output added into the first
-    layer's, so it holds one layer's Gaussians, never the (T, N, d_in)
-    stack.
+    The head is its ordered list of layers, each the only owner of its
+    parameter vector; building a head leaves the given layers as they are.
+    ``forward_cached`` and ``backward``, which training needs every layer's
+    cache for, stack the vectors into one (T, n_params) array, view it as
+    W (T, d_out, d_in), centers and widths (T, groups), evaluate every
+    layer's Gaussians with one broadcast exp and every layer with one
+    batched matmul, and add the per-layer outputs and input gradients in
+    layer order, which gives the same bytes as a loop over ``layers``.  The
+    parameter gradient is the active layer's, from the last slice.  The
+    read-only ``forward`` is that loop: one ``DgLayer.forward`` per layer,
+    its output added into the first layer's, so it holds one layer's
+    Gaussians, never the (T, N, d_in) stack.
     """
 
     def __init__(self, d_in: int, d_out: int, groups: int, layers: list[DgLayer] | None = None):
@@ -262,17 +261,6 @@ class DgkdHead:
                 raise ContractViolation("head layers must carry consecutive task ids from 1")
             if (layer.d_in, layer.d_out, layer.groups) != (self.d_in, self.d_out, self.groups):
                 raise ContractViolation("all head layers must share (d_in, d_out, groups)")
-        self._bind(np.array([layer.params for layer in self.layers]))
-
-    def _bind(self, store: np.ndarray) -> None:
-        """Make each layer's vector a view of its row of ``store``."""
-        self.store = store
-        for layer, row in zip(self.layers, store):
-            layer._bind(row)
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._bind(self.store)
 
     @property
     def active_task(self) -> int:
@@ -300,9 +288,10 @@ class DgkdHead:
 
     def forward_cached(self, X: np.ndarray):
         X = self._checked(X)
-        W, centers, widths = self.active_layer._views(self.store)
         # np.take gathers C-contiguous (T, d_in) arrays, so phi is (T, N, d_in)
         # in C order and each layer's matmul sees the layout DgLayer's does
+        stack = np.array([layer.params for layer in self.layers])
+        W, centers, widths = self.active_layer._views(stack)
         s = np.take(widths, self.group_of, axis=1)[:, None, :]
         phi, z = _gaussians(X, np.take(centers, self.group_of, axis=1)[:, None, :], s)
         return _sum_in_layer_order(phi @ W.transpose(0, 2, 1)), (W, phi, z, s)
@@ -348,11 +337,10 @@ def add_task_layer(head: DgkdHead, features: np.ndarray, rng: RngStream) -> Dgkd
     """Freeze every existing layer and append a fresh one for the new domain,
     initialized over the supplied feature sample.
 
-    The layers are frozen in place and shared with the returned head, whose
-    constructor copies their vectors into its own store and makes each
-    layer a view of its row.  ``head`` itself must not be trained any
-    further: its active layer is now frozen, so its ``set_param_vector`` and
-    ``adam_update`` raise.
+    The layers are frozen in place and shared, unchanged, with the returned
+    head.  ``head`` itself must not be trained any further: its active
+    layer is now frozen, so its ``set_param_vector`` and ``adam_update``
+    raise.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] == 0:

@@ -12,7 +12,7 @@ verbatim in its arithmetic: the library must return the same bytes.
 * ``bce_loss`` and ``_silu`` build the sigmoid from one exp(-|z|).
 * ``adam_step`` updates the parameter vector in place.
 * ``DgkdHead.forward_cached`` and ``backward`` run all the head's layers as
-  one stack viewed from one parameter store, through the grouped-Gaussian
+  one stack of the layers' parameter vectors, through the grouped-Gaussian
   helpers that ``DgLayer`` shares; the reference is the two-path head they
   replaced (the active layer through ``DgLayer``, the frozen layers through
   a stacked copy) and that ``DgLayer``'s own ``_phi`` and ``backward``.

@@ -488,6 +488,28 @@ class TestCliVerbs:
         assert main(["verify", "--dir", str(tmp_path)]) == 3
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [("status", "failed"), ("seed", 999),
+                                             ("config_hash", "0" * 64)],
+                             ids=["status", "seed", "config-hash"])
+    def test_verify_names_an_edited_manifest_line(self, field, value, tmp_path, capsys):
+        # verify once compared only the manifests' artifact maps, so a manifest
+        # edited to another status, seed or config hash verified OK
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(TINY.replace("four-task", "two-task-separated"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        path = out / "manifest.json"
+        written = path.read_text()
+        n, line = next((i, line) for i, line in enumerate(written.split("\n"), start=1)
+                       if line.startswith(f'  "{field}": '))
+        path.write_text(_canonical({**json.loads(written), field: value}))
+        edited = path.read_text().split("\n")[n - 1]
+        message = f"{path} line {n} is {edited!r}; the re-run writes {line!r}"
+        with pytest.raises(ContractViolation, match=re.escape(message)):
+            verify(out)
+        assert main(["verify", "--dir", str(out)]) == 3
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["config_resolved.txt", "scores.csv"])
     @pytest.mark.parametrize("verb", ["report", "verify"])
     def test_non_utf8_byte_is_named(self, verb, name, tiny_run, tmp_path, monkeypatch, capsys):

@@ -525,8 +525,8 @@ def test_copies_view_their_own_vector(kind, how, rng):
 
 
 def test_dgkd_head_deepcopy_views_its_own_layers(rng):
-    # deepcopy and pickling: a copied head whose layers view vectors apart
-    # from the copied store would forward the store's stale values
+    # deepcopy and pickling: a copy shares no memory with the original,
+    # trains apart from it, and forwards like a head built fresh from its values
     feats = rng.normal(size=(30, 5))
     head = add_task_layer(DgkdHead(5, 1, 2), feats, rng.substream("a"))
     head = add_task_layer(head, feats + 1.0, rng.substream("b"))
@@ -535,38 +535,53 @@ def test_dgkd_head_deepcopy_views_its_own_layers(rng):
     before = head.param_vector()
     for how in ("deepcopy", "pickle"):
         dup = _COPIES[how](head)
-        for layer, row in zip(dup.layers, dup.store):
-            assert np.shares_memory(layer.params, row)
+        for layer in dup.layers:
             for name in layer.PARAMS:
-                assert np.shares_memory(getattr(layer, name), row)
-                assert not np.shares_memory(getattr(layer, name), head.store)
-        assert dup.layers[-1].params.base is dup.store
+                assert np.shares_memory(getattr(layer, name), layer.params)
+                assert not any(np.shares_memory(getattr(layer, name), original.params)
+                               for original in head.layers)
         dup.set_param_vector(before + 0.25)
         assert dup.active_layer.W.tobytes() == (head.active_layer.W + 0.25).tobytes()
+        _, grads = dup.backward(np.ones((7, 1)), dup.forward_cached(X)[1])
+        dup.adam_update(grads, AdamState.init(dup.n_params(), lr=0.1))
         fresh = DgkdHead(5, 1, 2, [DgLayer(l.task_id, 5, 1, 2, l.W, l.centers, l.widths)
                                    for l in dup.layers])
         assert not np.array_equal(dup.forward(X), Y)
         assert dup.forward(X).tobytes() == fresh.forward(X).tobytes()
+        assert dup.forward_cached(X)[0].tobytes() == fresh.forward_cached(X)[0].tobytes()
         assert head.param_vector().tobytes() == before.tobytes()
         assert head.forward(X).tobytes() == Y.tobytes()
 
 
-def test_trained_dgkd_layers_view_the_head_store():
-    # after each task of a run: every layer array is a view of its row of
-    # the head's one store, and the frozen rows keep their bytes
+def test_dgkd_head_leaves_its_layers_as_given(rng):
+    # the constructor once re-homed each given layer's vector into a store of
+    # the head's, so building a head changed the caller's layers
+    layers = [_random_layer(rng, task_id=k) for k in (1, 2, 3)]
+    owned = [(layer.params, [getattr(layer, name) for name in layer.PARAMS]) for layer in layers]
+    head = DgkdHead(5, 3, 2, layers)
+    for layer, (params, arrays) in zip(head.layers, owned):
+        assert layer.params is params
+        assert all(getattr(layer, name) is array for name, array in zip(layer.PARAMS, arrays))
+
+
+def test_trained_dgkd_layers_own_their_vectors():
+    # after each task of a run: every layer's arrays view that layer's own
+    # vector, no two layers share memory, and the frozen layers keep their bytes
     stream = gen_sequence("four-task", 11, train_n=65, eval_n=32)
     trainer = Trainer(TrainerConfig(epochs=2, memory_budget=40), 11)
     frozen = []
     for t in range(4):
         trainer.train_task(*dataset(stream, t, "train"))
-        head = trainer.head
-        assert head.store.shape == (t + 1, head.n_params())
-        for layer, row in zip(head.layers, head.store):
-            assert layer.params.base is head.store and np.shares_memory(layer.params, row)
-            assert all(np.shares_memory(getattr(layer, name), row) for name in layer.PARAMS)
-        assert [row.tobytes() for row in head.store[:t]] == frozen
-        assert all(layer.frozen for layer in head.layers[:t]) and not head.layers[t].frozen
-        frozen.append(head.store[t].tobytes())
+        layers = trainer.head.layers
+        assert len(layers) == t + 1
+        for k, layer in enumerate(layers):
+            assert layer.params.flags.owndata
+            assert all(np.shares_memory(getattr(layer, name), layer.params)
+                       for name in layer.PARAMS)
+            assert not any(np.shares_memory(layer.params, other.params) for other in layers[:k])
+        assert [layer.params.tobytes() for layer in layers[:t]] == frozen
+        assert all(layer.frozen for layer in layers[:t]) and not layers[t].frozen
+        frozen.append(layers[t].params.tobytes())
 
 
 class TestBackwardKeepsCache:
