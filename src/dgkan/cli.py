@@ -361,11 +361,12 @@ def report(results_dir) -> str:
     return "\n".join(lines)
 
 
-def verify(results_dir) -> bool:
-    """Re-run from the stored config: the stored files must still match the
-    manifest's hashes, and the re-run must write the manifest's bytes
-    (ContractViolation names the first line that differs).  A stored file
-    that is not UTF-8 text is named by ContractViolation."""
+def verify(results_dir) -> None:
+    """Check each stored artifact against its manifest digest, then re-run
+    from the stored config: the re-run must write the manifest's bytes.
+    ContractViolation names the first artifact whose digest differs (before
+    any re-run), the first manifest line that differs, and a stored file
+    that is not UTF-8 text."""
     out = Path(results_dir)
     _require_artifacts(out, "config_resolved.txt", "manifest.json")
     cfg = parse_config_text(_read_utf8(out / "config_resolved.txt"))
@@ -375,12 +376,14 @@ def verify(results_dir) -> bool:
             raise ContractViolation(f"{out / 'manifest.json'} lists {name!r}, "
                                     f"which is not a file name in {out}")
     _require_artifacts(out, *listed)
-    stored = {name: _sha256_file(out / name) for name in listed}
+    for name, digest in listed.items():
+        if _sha256_file(out / name) != digest:
+            raise ContractViolation(f"{out / name} does not match its digest in "
+                                    f"{out / 'manifest.json'}")
     with tempfile.TemporaryDirectory() as tmp:
         run_experiment(cfg, tmp)
         _require_lines(out / "manifest.json", (Path(tmp) / "manifest.json").read_text(),
                        "the re-run writes")
-    return stored == listed
 
 
 # -- command line --------------------------------------------------------------
@@ -497,11 +500,9 @@ def main(argv=None) -> int:
             print(f"{n} embedding rows written to {args.out}")
             return 0
         if args.verb == "verify":
-            if verify(args.dir):
-                print("verification OK: artifacts reproduce byte-identically")
-                return 0
-            print("verification FAILED: artifact hashes differ", file=sys.stderr)
-            return 3
+            verify(args.dir)
+            print("verification OK: artifacts reproduce byte-identically")
+            return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

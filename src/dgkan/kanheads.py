@@ -3,9 +3,10 @@ non-local baseline heads, and the small trainable feature extractor.
 
 The two baselines share one shape, d_in -> hidden -> d_out: an MLP (affine ->
 silu -> affine) and KAT's group-rational KAN (Yang & Wang 2024,
-arXiv:2409.10594), which puts a learnable rational activation, shared within
-each group of input dimensions, in front of each of the two affine maps.
-The MLP head and the feature extractor are the same network, ``SiluMlp``.
+arXiv:2409.10594), one module ``GrKanHead`` that puts a learnable rational
+activation, shared within each group of input dimensions, in front of each
+of the two affine maps.  The MLP head and the feature extractor are the
+same network, ``SiluMlp``.
 
 Layer conventions used throughout:
 
@@ -21,8 +22,12 @@ Layer conventions used throughout:
   vector once, as the float64 array ``params``, and each ``PARAMS`` array is
   a view into it: ``adam_update`` steps the vector in place,
   ``set_param_vector`` writes into it in place, and ``param_vector`` returns
-  a copy.  ``GrKanHead`` keeps its two layers' vectors as views into one
-  vector of its own; each of ``DgkdHead``'s layers keeps its own vector;
+  a copy.  Every constructor copies the arrays it is given into a vector
+  of its own, never a view of another module's; ``DgkdHead`` holds no
+  vector, each of its layers keeps its own;
+* the group-rational formulas of ``GrKanHead`` are written once, in
+  ``_rational_affine`` and ``_rational_affine_grad``, which it calls once
+  per layer;
 * the grouped-Gaussian formulas of the DG-KD layers are written once, in
   ``_gaussians``, ``_gaussian_input_grad`` and ``_gaussian_param_grad``,
   which ``DgLayer`` calls with its own arrays and ``DgkdHead``'s
@@ -70,8 +75,10 @@ class ParamArrays:
     each a view into the one flat float64 vector ``params``.
 
     A constructor sets the ``PARAMS`` attributes as arrays and then calls
-    ``_bind()``.  Copies (``copy.deepcopy``, pickling) rebuild the views into
-    the copy's own vector in ``__setstate__``.
+    ``_bind()``, which copies them into a fresh vector, so a module never
+    shares memory with the arrays it was given.  Copies (``copy.deepcopy``,
+    pickling) rebuild the views into the copy's own vector in
+    ``__setstate__``.  Subclasses override neither method.
     """
 
     PARAMS: tuple[str, ...] = ()
@@ -477,7 +484,7 @@ class MlpHead(SiluMlp):
     param_vector, set_param_vector = SiluMlp.param_vector, SiluMlp.set_param_vector
 
 
-# Rational coefficients (P as p0..p3, Q as q1, q2) of the two initial
+# Rational coefficients (a p row and a q row) of the two initial
 # activations of the group-rational head.  The silu pair is the least-squares
 # fit of x * sigmoid(x) on 1201 evenly spaced points of [-3, 3]; its largest
 # error there is 0.0062.
@@ -486,128 +493,101 @@ RATIONAL_SILU_P = (0.0023568576, 0.5, 0.24234191, 0.034195499)
 RATIONAL_SILU_Q = (0.26151672, 0.0)
 
 
-class GrKanLayer(ParamArrays):
-    """One group-rational KAN layer: per-group shared rational activation,
-    then affine, y = W @ [r_group(i)(x_i)]_i + b.
+# The group-rational math of one layer Y = R @ W^T + b, R = P(X) / Q(X), with
+# per-group rational coefficients p (groups, 4) and q (groups, 2) gathered to
+# the input dimensions by ``group_of``.
 
-    r(x) = P(x)/Q(x) with cubic P and Q = 1 + (q1 x)^2 + (q2 x^2)^2, which is
-    strictly positive, so the activation is pole-free by construction.  Q
-    depends on q only through q^2, so a q that is exactly 0 gets a zero
-    gradient and stays 0.  ``GrKanHead`` chains two of these layers.
-    """
+def _rational_affine(X, W, b, pcoef, qcoef, group_of):
+    """The layer's output and the cache (X, P, Q, R) its gradient reads."""
+    p = pcoef[group_of]                    # (d_in, 4) broadcast per dimension
+    q = qcoef[group_of]                    # (d_in, 2)
+    x2 = X * X
+    P = p[:, 0] + p[:, 1] * X + p[:, 2] * x2 + p[:, 3] * x2 * X
+    Q = 1.0 + (q[:, 0] * X) ** 2 + (q[:, 1] * x2) ** 2
+    R = P / Q
+    return R @ W.T + b, (X, P, Q, R)
 
-    PARAMS = ("W", "b", "pcoef", "qcoef")
 
-    def __init__(self, W, b, pcoef, qcoef, groups: int):
-        self.W = np.asarray(W, dtype=np.float64)
-        self.b = np.asarray(b, dtype=np.float64)
-        self.pcoef = np.asarray(pcoef, dtype=np.float64).reshape(groups, 4)
-        self.qcoef = np.asarray(qcoef, dtype=np.float64).reshape(groups, 2)
-        self.d_out, self.d_in = self.W.shape
-        self.groups = groups
-        self.group_of = group_index_map(self.d_in, groups)
-        self._bind()
-
-    def _rational(self, X: np.ndarray):
-        p = self.pcoef[self.group_of]          # (d_in, 4) broadcast per dimension
-        q = self.qcoef[self.group_of]          # (d_in, 2)
-        x2 = X * X
-        P = p[:, 0] + p[:, 1] * X + p[:, 2] * x2 + p[:, 3] * x2 * X
-        Q = 1.0 + (q[:, 0] * X) ** 2 + (q[:, 1] * x2) ** 2
-        return P, Q
-
-    def forward(self, X: np.ndarray) -> np.ndarray:
-        return self.forward_cached(X)[0]
-
-    def forward_cached(self, X: np.ndarray):
-        X = _as_batch(X, self.d_in, "GrKanLayer input")
-        P, Q = self._rational(X)
-        R = P / Q
-        return R @ self.W.T + self.b, (X, P, Q, R)
-
-    def backward(self, dY: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray]:
-        X, P, Q, R = cache
-        dY = np.asarray(dY, dtype=np.float64).reshape(X.shape[0], self.d_out)
-        p = self.pcoef[self.group_of]
-        q = self.qcoef[self.group_of]
-        dW = dY.T @ R
-        db = dY.sum(axis=0)
-        dR = dY @ self.W                       # (N, d_in)
-        x2 = X * X
-        # dR/dp_m = x^m / Q, accumulated into the dimension's group
-        dp_dim = np.stack([dR / Q, dR * X / Q, dR * x2 / Q, dR * x2 * X / Q], axis=-1).sum(axis=0)
-        # dR/dq = -P/Q^2 * dQ/dq
-        ratio = dR * (-P / (Q * Q))
-        dq_dim = np.stack([(ratio * 2.0 * q[:, 0] * x2).sum(axis=0),
-                           (ratio * 2.0 * q[:, 1] * x2 * x2).sum(axis=0)], axis=-1)
-        dpcoef = np.zeros_like(self.pcoef)
-        dqcoef = np.zeros_like(self.qcoef)
-        np.add.at(dpcoef, self.group_of, dp_dim)
-        np.add.at(dqcoef, self.group_of, dq_dim)
-        Pprime = p[:, 1] + 2.0 * p[:, 2] * X + 3.0 * p[:, 3] * x2
-        Qprime = 2.0 * q[:, 0] ** 2 * X + 4.0 * q[:, 1] ** 2 * x2 * X
-        dX = dR * (Pprime * Q - P * Qprime) / (Q * Q)
-        return dX, np.concatenate([dW.ravel(), db, dpcoef.ravel(), dqcoef.ravel()])
+def _rational_affine_grad(dY, cache, W, pcoef, qcoef, group_of):
+    """dX and the layer's (dW, db, dpcoef, dqcoef), each raveled; a group's
+    coefficient gradients sum over its dimensions."""
+    X, P, Q, R = cache
+    p = pcoef[group_of]
+    q = qcoef[group_of]
+    dW = dY.T @ R
+    db = dY.sum(axis=0)
+    dR = dY @ W                            # (N, d_in)
+    x2 = X * X
+    # dR/dp_m = x^m / Q, accumulated into the dimension's group
+    dp_dim = np.stack([dR / Q, dR * X / Q, dR * x2 / Q, dR * x2 * X / Q], axis=-1).sum(axis=0)
+    # dR/dq = -P/Q^2 * dQ/dq
+    ratio = dR * (-P / (Q * Q))
+    dq_dim = np.stack([(ratio * 2.0 * q[:, 0] * x2).sum(axis=0),
+                       (ratio * 2.0 * q[:, 1] * x2 * x2).sum(axis=0)], axis=-1)
+    dpcoef = np.zeros_like(pcoef)
+    dqcoef = np.zeros_like(qcoef)
+    np.add.at(dpcoef, group_of, dp_dim)
+    np.add.at(dqcoef, group_of, dq_dim)
+    Pprime = p[:, 1] + 2.0 * p[:, 2] * X + 3.0 * p[:, 3] * x2
+    Qprime = 2.0 * q[:, 0] ** 2 * X + 4.0 * q[:, 1] ** 2 * x2 * X
+    dX = dR * (Pprime * Q - P * Qprime) / (Q * Q)
+    return dX, [dW.ravel(), db, dpcoef.ravel(), dqcoef.ravel()]
 
 
 class GrKanHead(ParamArrays):
     """Non-local baseline: KAT's GR-KAN (Yang & Wang 2024, arXiv:2409.10594)
     at the MLP head's shape, rational -> affine -> rational -> affine.
 
-    A chain of two ``GrKanLayer`` layers, (d_in -> hidden) and
-    (hidden -> d_out), both with the same group count, as KAT swaps the MLP
-    of a transformer block for a GR-KAN of the same width.  The parameter
-    vector is the layers' vectors concatenated in forward order; the head
-    owns it, and each layer's ``params`` is a view of its slice.
+    Two group-rational layers, (d_in -> hidden) and (hidden -> d_out), each
+    a per-group shared rational activation and then an affine map, as KAT
+    swaps the MLP of a transformer block for a GR-KAN of the same width.
+    A group's rational is r(x) = P(x)/Q(x) with P cubic in its p row and
+    Q = 1 + (q[0] x)^2 + (q[1] x^2)^2 in its q row, which is strictly
+    positive, so each activation is pole-free by construction.  Q depends on
+    q only through q^2, so a q entry that is exactly 0 gets a zero gradient
+    and stays 0.  A layer's group count is its number of coefficient rows.
     """
 
     kind = "groupkan"
+    PARAMS = ("W1", "b1", "p1", "q1", "W2", "b2", "p2", "q2")
 
-    def __init__(self, layers: list[GrKanLayer]):
-        self.layers = list(layers)
-        self.d_in = self.layers[0].d_in
-        self.d_out = self.layers[-1].d_out
-        self._bind(np.concatenate([layer.params for layer in self.layers]))
-
-    def _bind(self, params: np.ndarray) -> None:
-        """Make the layers' vectors views of consecutive slices of ``params``."""
-        self.params = params
-        i = 0
-        for layer in self.layers:
-            layer._bind(params[i:i + layer.n_params()])
-            i += layer.n_params()
+    def __init__(self, W1, b1, p1, q1, W2, b2, p2, q2):
+        for name, array in zip(self.PARAMS, (W1, b1, p1, q1, W2, b2, p2, q2)):
+            setattr(self, name, np.asarray(array, dtype=np.float64))
+        self.hidden, self.d_in = self.W1.shape
+        self.d_out = self.W2.shape[0]
+        self.group_of1 = group_index_map(self.d_in, len(self.p1))
+        self.group_of2 = group_index_map(self.hidden, len(self.p2))
+        self._bind()
 
     @classmethod
     def init(cls, d_in: int, d_out: int, hidden: int, groups: int, rng: RngStream) -> "GrKanHead":
         """Initialized as KAT initializes a GR-KAN that replaces an MLP: the
-        head starts as the MLP head drawn from the same ``rng``.  The affine maps are that head's weights, the first
-        rational is the identity (P(x) = x, Q = 1) and the second is the
-        rational fit of the MLP's silu.  The zero q entries of both stay 0
-        (see ``GrKanLayer``), so the first activation trains as a cubic."""
+        head starts as the MLP head drawn from the same ``rng``.  The affine
+        maps are that head's weights, the first rational is the identity
+        (P(x) = x, Q = 1) and the second is the rational fit of the MLP's
+        silu.  The zero q entries of both stay 0, so the first activation
+        trains as a cubic."""
         mlp = MlpHead.init(d_in, d_out, hidden, rng)
-        return cls([GrKanLayer(mlp.W1, mlp.b1, np.tile(RATIONAL_IDENTITY_P, (groups, 1)),
-                               np.zeros((groups, 2)), groups),
-                    GrKanLayer(mlp.W2, mlp.b2, np.tile(RATIONAL_SILU_P, (groups, 1)),
-                               np.tile(RATIONAL_SILU_Q, (groups, 1)), groups)])
+        rows = lambda coef: np.tile(coef, (groups, 1))
+        return cls(mlp.W1, mlp.b1, rows(RATIONAL_IDENTITY_P), np.zeros((groups, 2)),
+                   mlp.W2, mlp.b2, rows(RATIONAL_SILU_P), rows(RATIONAL_SILU_Q))
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
-            X = layer.forward(X)
-        return X
+        return self.forward_cached(X)[0]
 
     def forward_cached(self, X: np.ndarray):
-        caches = []
-        for layer in self.layers:
-            X, cache = layer.forward_cached(X)
-            caches.append(cache)
-        return X, caches
+        X = _as_batch(X, self.d_in, "GrKanHead input")
+        H, cache1 = _rational_affine(X, self.W1, self.b1, self.p1, self.q1, self.group_of1)
+        Y, cache2 = _rational_affine(H, self.W2, self.b2, self.p2, self.q2, self.group_of2)
+        return Y, (cache1, cache2)
 
-    def backward(self, dY: np.ndarray, caches) -> tuple[np.ndarray, np.ndarray]:
-        grads = []
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            dY, g = layer.backward(dY, cache)
-            grads.append(g)
-        return dY, np.concatenate(grads[::-1])
+    def backward(self, dY: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray]:
+        cache1, cache2 = cache
+        dY = np.asarray(dY, dtype=np.float64).reshape(cache2[0].shape[0], self.d_out)
+        dH, grads2 = _rational_affine_grad(dY, cache2, self.W2, self.p2, self.q2, self.group_of2)
+        dX, grads1 = _rational_affine_grad(dH, cache1, self.W1, self.p1, self.q1, self.group_of1)
+        return dX, np.concatenate(grads1 + grads2)
 
 
 def make_baseline_head(kind: str, d_in: int, d_out: int, rng: RngStream,

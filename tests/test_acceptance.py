@@ -22,7 +22,7 @@ from dgkan import continual
 from dgkan.continual import (ScoreMatrix, Trainer, TrainerConfig, accuracy, auc,
                              average_accuracy, average_forgetting, run_stream)
 from dgkan.fskdcp import (KdcpProjection, herd_indices, train_projection_step)
-from dgkan.kanheads import (DgkdHead, FeatureExtractor, GrKanLayer, MlpHead,
+from dgkan.kanheads import (DgkdHead, FeatureExtractor, MlpHead,
                             DgLayer, make_baseline_head)
 from dgkan.losses import (DomainLabeledBatch, align_loss, bce_loss, kd_loss, supcon_loss)
 from dgkan.numcore import (AdamState, RngStream, finite_diff_grad, max_rel_err)

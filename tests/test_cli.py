@@ -366,14 +366,28 @@ class TestCliVerbs:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert main(["verify", "--dir", str(out)]) == 0
 
-    def test_verify_fails_after_memory_edit(self, tmp_path):
+    def test_verify_fails_after_memory_edit(self, tmp_path, monkeypatch, capsys):
+        # verify once re-ran the whole experiment before comparing digests,
+        # then failed naming no file
+        import dgkan.cli
+
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(TINY)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         mem = out / "memory_final.csv"
         mem.write_text(mem.read_text().replace(",", ", ", 1))
+
+        def no_rerun(*args):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr(dgkan.cli, "run_experiment", no_rerun)
+        capsys.readouterr()
+        message = f"{mem} does not match its digest in {out / 'manifest.json'}"
+        with pytest.raises(ContractViolation, match=re.escape(message)):
+            verify(out)
         assert main(["verify", "--dir", str(out)]) == 3
+        assert message in capsys.readouterr().err
 
     def test_manifest_lists_only_this_runs_artifacts(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"

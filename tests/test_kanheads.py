@@ -6,8 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from dgkan.kanheads import (SIGMA_MIN, DgkdHead, DgLayer, FeatureExtractor, GrKanHead, GrKanLayer,
-                            MlpHead, _silu, activation_profile, add_task_layer,
+from dgkan.kanheads import (SIGMA_MIN, DgkdHead, DgLayer, FeatureExtractor, GrKanHead, MlpHead,
+                            ParamArrays, _silu, activation_profile, add_task_layer,
                             group_index_map, make_baseline_head)
 from dgkan.numcore import AdamState, ContractViolation, RngStream, adam_step, finite_diff_grad, max_rel_err
 from dgkan.continual import Trainer, TrainerConfig
@@ -382,19 +382,19 @@ class TestBaselineHeads:
         assert np.array_equal(head.forward(np.ones((2, 4))), np.zeros((2, 1)))
 
     def test_groupkan_identity_activation_is_linear(self, rng):
-        # P(x) = x, Q(x) = 1 reduces to an affine layer
-        W = rng.normal(size=(2, 4))
-        b = rng.normal(size=2)
-        head = GrKanLayer(W, b, pcoef=np.tile([0.0, 1.0, 0.0, 0.0], (2, 1)),
-                          qcoef=np.zeros((2, 2)), groups=2)
+        # P(x) = x, Q(x) = 1 in both layers reduces the head to two affine maps
+        W1, b1 = rng.normal(size=(3, 4)), rng.normal(size=3)
+        W2, b2 = rng.normal(size=(2, 3)), rng.normal(size=2)
+        p, q = np.tile([0.0, 1.0, 0.0, 0.0], (2, 1)), np.zeros((2, 2))
+        head = GrKanHead(W1, b1, p, q, W2, b2, p, q)
         X = rng.normal(size=(5, 4))
-        assert np.allclose(head.forward(X), X @ W.T + b, atol=1e-12)
+        assert np.allclose(head.forward(X), (X @ W1.T + b1) @ W2.T + b2, atol=1e-12)
 
     def test_groupkan_starts_as_mlp(self, rng):
         # same draw, same affine maps; the rationals start at identity and silu
         gk = make_baseline_head("groupkan", 4, 2, rng.substream("h"), hidden=6, groups=2)
         mlp = make_baseline_head("mlp", 4, 2, rng.substream("h"), hidden=6, groups=2)
-        assert [l.W.shape for l in gk.layers] == [mlp.W1.shape, mlp.W2.shape]
+        assert [gk.W1.shape, gk.W2.shape] == [mlp.W1.shape, mlp.W2.shape]
         X = rng.uniform(-1.0, 1.0, (50, 4))
         assert np.abs(X @ mlp.W1.T + mlp.b1).max() <= 3.0
         bound = 0.0062 * np.abs(mlp.W2).sum(axis=1)
@@ -468,8 +468,6 @@ class TestFeatureExtractor:
 _MODULES = {
     "mlp": lambda rng: MlpHead.init(4, 2, 5, rng),
     "extractor": lambda rng: FeatureExtractor.init(4, 3, 6, rng),
-    "groupkan-layer": lambda rng: GrKanLayer(rng.normal(size=(3, 4)), rng.normal(size=3),
-                                             rng.normal(size=(2, 4)), rng.normal(size=(2, 2)), 2),
     "groupkan": lambda rng: make_baseline_head("groupkan", 4, 2, rng, hidden=5, groups=2),
     "dglayer": _random_layer,
 }
@@ -486,10 +484,20 @@ def test_set_param_vector_rejects_wrong_length(kind, delta, rng):
     assert np.array_equal(module.param_vector(), before)
 
 
+@pytest.mark.parametrize("kind", sorted(_MODULES))
+def test_forward_rejects_a_malformed_batch(kind, rng):
+    # a batch of the wrong width, and a single sample without its batch axis
+    module = _MODULES[kind](rng)
+    for shape in ((2, module.d_in + 1), (module.d_in,)):
+        for forward in (module.forward, module.forward_cached):
+            with pytest.raises(ContractViolation,
+                               match=rf"must be an \(N, {module.d_in}\) batch"):
+                forward(np.zeros(shape))
+
+
 def _param_arrays(module):
     """The arrays a module's forward reads, in parameter-vector order."""
-    layers = module.layers if isinstance(module, GrKanHead) else [module]
-    return [getattr(layer, name) for layer in layers for name in layer.PARAMS]
+    return [getattr(module, name) for name in module.PARAMS]
 
 
 _COPIES = {
@@ -512,8 +520,6 @@ def test_copies_view_their_own_vector(kind, how, rng):
     for array in _param_arrays(dup):
         assert np.shares_memory(array, dup.params)
         assert not np.shares_memory(array, module.params)
-    if isinstance(dup, GrKanHead):
-        assert all(np.shares_memory(layer.params, dup.params) for layer in dup.layers)
     X = rng.normal(size=(5, module.d_in))
     Y = module.forward(X)
     dup.set_param_vector(before + 0.5)
@@ -562,6 +568,36 @@ def test_dgkd_head_leaves_its_layers_as_given(rng):
     for layer, (params, arrays) in zip(head.layers, owned):
         assert layer.params is params
         assert all(getattr(layer, name) is array for name, array in zip(layer.PARAMS, arrays))
+
+
+def test_groupkan_head_built_from_another_leaves_it_as_it_was(rng):
+    # the head's constructor once re-homed the layers it was given into a
+    # vector of its own: the first head's forward then followed the second
+    # head's training while its param_vector stayed as it was
+    head = _MODULES["groupkan"](rng)
+    X = rng.normal(size=(5, 4))
+    before, Y = head.param_vector(), head.forward(X)
+    dup = GrKanHead(*_param_arrays(head))
+    assert not any(np.shares_memory(a, b) for a in [head.params, *_param_arrays(head)]
+                   for b in [dup.params, *_param_arrays(dup)])
+    dup.set_param_vector(before + 0.25)
+    _, grads = dup.backward(np.ones((5, 2)), dup.forward_cached(X)[1])
+    dup.adam_update(grads, AdamState.init(dup.n_params(), lr=0.1))
+    assert not np.array_equal(dup.forward(X), Y)
+    assert head.param_vector().tobytes() == before.tobytes()
+    assert head.forward(X).tobytes() == Y.tobytes()
+
+
+def test_no_module_rebinds_its_arrays():
+    # a subclass's own _bind or __setstate__ could make its arrays views of
+    # another object's vector; ParamArrays' pair always copies into its own
+    pending, seen = list(ParamArrays.__subclasses__()), set()
+    while pending:
+        cls = pending.pop()
+        seen.add(cls)
+        pending += cls.__subclasses__()
+        assert not {"_bind", "__setstate__"} & set(vars(cls)), cls.__name__
+    assert {DgLayer, MlpHead, FeatureExtractor, GrKanHead} <= seen
 
 
 def test_trained_dgkd_layers_own_their_vectors():
