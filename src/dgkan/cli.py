@@ -303,25 +303,6 @@ def _require_artifacts(out: Path, *names: str) -> None:
         raise ContractViolation(f"missing artifacts in {out}: {', '.join(missing)}")
 
 
-def _read_json_object(path: Path, **fields: type) -> dict:
-    """The JSON object stored in ``path``, which must hold each of ``fields``
-    with a value of the given type; ContractViolation names the file and the
-    first thing wrong."""
-    try:
-        obj = json.loads(_read_utf8(path))
-    except ValueError as exc:
-        raise ContractViolation(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ContractViolation(f"{path} must hold a JSON object, got {type(obj).__name__}")
-    for name, typ in fields.items():
-        if name not in obj:
-            raise ContractViolation(f"{path} lacks the field {name!r}")
-        if not isinstance(obj[name], typ):
-            raise ContractViolation(f"{path}: field {name!r} must be a {typ.__name__}, "
-                                    f"got {type(obj[name]).__name__}")
-    return obj
-
-
 def _require_lines(path: Path, derived: str, source: str) -> None:
     """Raise ContractViolation at the first line where the file ``path``
     differs from the text ``derived``, naming the stored line and the one
@@ -368,22 +349,31 @@ def verify(results_dir) -> None:
     any re-run), the first manifest line that differs, and a stored file
     that is not UTF-8 text."""
     out = Path(results_dir)
+    manifest = out / "manifest.json"
     _require_artifacts(out, "config_resolved.txt", "manifest.json")
     cfg = parse_config_text(_read_utf8(out / "config_resolved.txt"))
-    listed = _read_json_object(out / "manifest.json", artifacts=dict)["artifacts"]
+    try:
+        stored = json.loads(_read_utf8(manifest))
+    except ValueError as exc:
+        raise ContractViolation(f"{manifest} is not valid JSON: {exc}") from None
+    if not isinstance(stored, dict):
+        raise ContractViolation(f"{manifest} must hold a JSON object, got {type(stored).__name__}")
+    if "artifacts" not in stored:
+        raise ContractViolation(f"{manifest} lacks the field 'artifacts'")
+    listed = stored["artifacts"]
+    if not isinstance(listed, dict):
+        raise ContractViolation(f"{manifest}: field 'artifacts' must be a dict, "
+                                f"got {type(listed).__name__}")
     for name in listed:
         if name in ("", "..") or Path(name).name != name:
-            raise ContractViolation(f"{out / 'manifest.json'} lists {name!r}, "
-                                    f"which is not a file name in {out}")
+            raise ContractViolation(f"{manifest} lists {name!r}, which is not a file name in {out}")
     _require_artifacts(out, *listed)
     for name, digest in listed.items():
         if _sha256_file(out / name) != digest:
-            raise ContractViolation(f"{out / name} does not match its digest in "
-                                    f"{out / 'manifest.json'}")
+            raise ContractViolation(f"{out / name} does not match its digest in {manifest}")
     with tempfile.TemporaryDirectory() as tmp:
         run_experiment(cfg, tmp)
-        _require_lines(out / "manifest.json", (Path(tmp) / "manifest.json").read_text(),
-                       "the re-run writes")
+        _require_lines(manifest, (Path(tmp) / "manifest.json").read_text(), "the re-run writes")
 
 
 # -- command line --------------------------------------------------------------
@@ -433,14 +423,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dgkan", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, out_required=True):
+    def common(p):
         p.add_argument("--config", help="path to a flat key = value config file")
         p.add_argument("--seed", type=int)
         p.add_argument("--head", choices=HEADS)
         p.add_argument("--protocol", choices=list(PROTOCOLS))
         p.add_argument("--ablate", help="comma list from {sc, kd, kdcp} to switch off")
         p.add_argument("--replay-raw", action="store_true", dest="replay_raw")
-        p.add_argument("--out", required=out_required, help="output directory/file")
+        p.add_argument("--out", required=True, help="output directory/file")
 
     common(sub.add_parser("run", help="run an experiment and write artifacts"))
     p_rep = sub.add_parser("report", help="render AA/AF tables from a results directory")

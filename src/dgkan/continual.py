@@ -167,7 +167,7 @@ class Trainer:
             # glibc trim and regrow the heap on every training step (tens
             # of times the page faults of a four-task-mlp run).
             self.projection = KdcpProjection.init(np.vstack([feats, self.memory.features]),
-                                                  self.cfg.d_f, source_task=t - 1, target_task=t)
+                                                  self.cfg.d_f, target_task=t)
             proj_opt = AdamState.init(self.projection.layer.n_params(), lr=self.cfg.proj_lr)
 
         opt_ext = AdamState.init(self.extractor.n_params(), lr=self.cfg.main_lr)

@@ -202,20 +202,22 @@ class KdcpProjection:
     previous task's feature space onto the current one.
 
     The mixing matrix starts at zero, so a fresh projection is exactly the
-    identity map; ``source_task``/``target_task`` tag the transition it is
-    trained for.
+    identity map.  It is trained for the transition into ``target_task``,
+    so it maps from ``source_task`` = ``target_task`` - 1.
     """
 
-    def __init__(self, layer: DgLayer, source_task: int, target_task: int):
+    def __init__(self, layer: DgLayer, target_task: int):
         if layer.d_in != layer.d_out:
             raise ContractViolation("projection layer must map d_f -> d_f")
         self.layer = layer
-        self.source_task = int(source_task)
         self.target_task = int(target_task)
 
+    @property
+    def source_task(self) -> int:
+        return self.target_task - 1
+
     @classmethod
-    def init(cls, init_features: np.ndarray, groups: int, source_task: int,
-             target_task: int) -> "KdcpProjection":
+    def init(cls, init_features: np.ndarray, groups: int, target_task: int) -> "KdcpProjection":
         """Identity-initialized projection with RBFs placed over ``init_features``.
 
         Widths start at 4 times the per-group feature spread: wide bumps keep
@@ -225,9 +227,9 @@ class KdcpProjection:
         centers, spread = group_stats(init_features, groups)
         d_f = np.shape(init_features)[1]
         widths = np.clip(4.0 * spread, 0.5, 10.0)
-        layer = DgLayer(task_id=max(target_task, 1), d_in=d_f, d_out=d_f, groups=groups,
+        layer = DgLayer(d_in=d_f, d_out=d_f, groups=groups,
                         W=np.zeros((d_f, d_f)), centers=centers, widths=widths)
-        return cls(layer, source_task, target_task)
+        return cls(layer, target_task)
 
     def apply(self, F: np.ndarray) -> np.ndarray:
         F = np.asarray(F, dtype=np.float64)

@@ -24,7 +24,8 @@ Layer conventions used throughout:
   ``set_param_vector`` writes into it in place, and ``param_vector`` returns
   a copy.  Every constructor copies the arrays it is given into a vector
   of its own, never a view of another module's; ``DgkdHead`` holds no
-  vector, each of its layers keeps its own;
+  vector and no task ids: it is its layers in order, each keeping its own
+  vector, and a layer's task is its position;
 * the group-rational formulas of ``GrKanHead`` are written once, in
   ``_rational_affine`` and ``_rational_affine_grad``, which it calls once
   per layer;
@@ -136,17 +137,15 @@ class DgLayer(ParamArrays):
     """One domain's grouped-RBF layer: y = W @ [phi_group(i)(x_i)]_i.
 
     Each of the g groups shares a single (center, width) pair across its
-    dimensions; W is a dense (d_out, d_in) mixing matrix.
+    dimensions; W is a dense (d_out, d_in) mixing matrix.  The layer knows
+    nothing of its domain: in a ``DgkdHead`` that is its position.  It starts
+    trainable; ``add_task_layer`` sets ``frozen`` once the next domain arrives.
     """
 
     PARAMS = ("W", "centers", "widths")
 
-    def __init__(self, task_id: int, d_in: int, d_out: int, groups: int,
-                 W: np.ndarray, centers: np.ndarray, widths: np.ndarray,
-                 frozen: bool = False):
-        if task_id < 1:
-            raise ContractViolation("task_id must be >= 1")
-        self.task_id = int(task_id)
+    def __init__(self, d_in: int, d_out: int, groups: int,
+                 W: np.ndarray, centers: np.ndarray, widths: np.ndarray):
         self.d_in = int(d_in)
         self.d_out = int(d_out)
         self.groups = int(groups)
@@ -154,11 +153,11 @@ class DgLayer(ParamArrays):
         self.W = check_finite(np.asarray(W, dtype=np.float64).reshape(d_out, d_in), "W")
         self.centers = np.asarray(centers, dtype=np.float64).reshape(groups)
         self.widths = np.maximum(np.asarray(widths, dtype=np.float64).reshape(groups), SIGMA_MIN)
-        self.frozen = bool(frozen)
+        self.frozen = False
         self._bind()
 
     @classmethod
-    def from_features(cls, task_id: int, features: np.ndarray, d_out: int, groups: int,
+    def from_features(cls, features: np.ndarray, d_out: int, groups: int,
                       rng: RngStream) -> "DgLayer":
         """Initialize a layer over the region occupied by ``features``.
 
@@ -169,7 +168,7 @@ class DgLayer(ParamArrays):
         d_in = np.shape(features)[1]
         W = rng.uniform(-0.1, 0.1, size=(d_out, d_in))
         widths = np.clip(spread, SIGMA_INIT_LO, SIGMA_INIT_HI)
-        return cls(task_id, d_in, d_out, groups, W, centers, widths)
+        return cls(d_in, d_out, groups, W, centers, widths)
 
     def _constrain(self) -> None:
         # width clamp keeps every Gaussian well defined after any update
@@ -239,9 +238,11 @@ def _gaussian_param_grad(dY, common, phi, z, s, group_of, groups) -> np.ndarray:
 class DgkdHead:
     """Detector head: elementwise sum of one grouped-RBF layer per domain.
 
-    Layer k carries task-id k; every layer below the active (last) one is
-    frozen, so training touches only the newest layer's parameters while the
-    frozen Gaussians keep responding in their own regions.
+    The k-th layer (from 1) belongs to domain k: a layer's task is its
+    position, and the layers carry no task ids.  Every layer below the
+    active (last) one is frozen, so training touches only the newest
+    layer's parameters while the frozen Gaussians keep responding in their
+    own regions.
 
     The head is its ordered list of layers, each the only owner of its
     parameter vector; building a head leaves the given layers as they are.
@@ -263,9 +264,7 @@ class DgkdHead:
         self.groups = int(groups)
         self.group_of = group_index_map(self.d_in, self.groups)
         self.layers: list[DgLayer] = list(layers) if layers else []
-        for k, layer in enumerate(self.layers, start=1):
-            if layer.task_id != k:
-                raise ContractViolation("head layers must carry consecutive task ids from 1")
+        for layer in self.layers:
             if (layer.d_in, layer.d_out, layer.groups) != (self.d_in, self.d_out, self.groups):
                 raise ContractViolation("all head layers must share (d_in, d_out, groups)")
 
@@ -341,8 +340,9 @@ def _sum_in_layer_order(terms: np.ndarray) -> np.ndarray:
 
 
 def add_task_layer(head: DgkdHead, features: np.ndarray, rng: RngStream) -> DgkdHead:
-    """Freeze every existing layer and append a fresh one for the new domain,
-    initialized over the supplied feature sample.
+    """Freeze every existing layer and append a fresh, trainable one for the
+    new domain, initialized over the supplied feature sample; its position
+    in the returned head is the new task.
 
     The layers are frozen in place and shared, unchanged, with the returned
     head.  ``head`` itself must not be trained any further: its active
@@ -354,7 +354,7 @@ def add_task_layer(head: DgkdHead, features: np.ndarray, rng: RngStream) -> Dgkd
         raise ContractViolation("add_task_layer requires a non-empty feature sample")
     if feats.shape[1] != head.d_in:
         raise ContractViolation(f"feature dim {feats.shape[1]} != head d_in {head.d_in}")
-    new = DgLayer.from_features(head.active_task + 1, feats, head.d_out, head.groups, rng)
+    new = DgLayer.from_features(feats, head.d_out, head.groups, rng)
     for layer in head.layers:
         layer.frozen = True
     return DgkdHead(head.d_in, head.d_out, head.groups, head.layers + [new])

@@ -148,7 +148,7 @@ def test_c01_gradient_suite():
 
     for trial in range(100):
         r = rng.substream("layer", trial)
-        layer = DgLayer(1, 5, 2, 2, W=r.normal(scale=0.5, size=(2, 5)),
+        layer = DgLayer(5, 2, 2, W=r.normal(scale=0.5, size=(2, 5)),
                         centers=r.uniform(-1, 1, 2), widths=r.uniform(0.4, 1.2, 2))
         X = r.uniform(-2, 2, (3, 5))
         R = r.normal(size=(3, 2))
@@ -193,7 +193,7 @@ def test_c01_gradient_suite():
     for trial in range(100):
         r = rng.substream("proj", trial)
         feats = r.normal(size=(10, 4))
-        proj = KdcpProjection.init(feats, groups=4, source_task=1, target_task=2)
+        proj = KdcpProjection.init(feats, groups=4, target_task=2)
         vec = proj.layer.param_vector()
         vec[:16] = r.normal(scale=0.3, size=16)
         proj.layer.set_param_vector(vec)
@@ -420,7 +420,7 @@ def test_c09_drift_compensation():
     Xtrain = rng.substream("x").normal(scale=1.5, size=(2000, 8))
     Xheld = rng.substream("xh").normal(scale=1.5, size=(500, 8))
     Ft = teacher.forward(Xtrain)
-    proj = KdcpProjection.init(Ft, groups=16, source_task=1, target_task=2)
+    proj = KdcpProjection.init(Ft, groups=16, target_task=2)
     opt = AdamState.init(proj.layer.n_params(), lr=5e-4)
     batches = rng.substream("batches")
     for _ in range(4000):

@@ -369,7 +369,7 @@ class TestDgkdHeadMatchesTwoPathReference:
     def test_projection_shaped_layer(self, N):
         # d_f -> d_f, one group per dimension, as KdcpProjection builds it
         r = RngStream(29).substream("proj", N)
-        layer = DgLayer(1, 16, 16, 16, W=r.normal(scale=0.1, size=(16, 16)),
+        layer = DgLayer(16, 16, 16, W=r.normal(scale=0.1, size=(16, 16)),
                         centers=r.normal(size=16), widths=r.uniform(0.5, 4.0, 16))
         X = r.normal(scale=2.0, size=(N, 16))
         dY = r.normal(size=(N, 16))
@@ -620,7 +620,7 @@ class TestInPlaceKernelsMatchReference:
     def test_projection(self, N):
         r = RngStream(43).substream("proj", N)
         init = r.normal(size=(200, 16))
-        proj = KdcpProjection.init(init, 16, source_task=1, target_task=2)
+        proj = KdcpProjection.init(init, 16, target_task=2)
         proj.layer.set_param_vector(proj.layer.param_vector()
                                     + r.normal(scale=0.1, size=proj.layer.n_params()))
         F = r.normal(scale=1.5, size=(N, 16))
@@ -781,7 +781,7 @@ class TestTaskStartMatchesReference:
                 # the teacher is the last task end's snapshot of the extractor
                 assert trainer.teacher.forward(X).tobytes() == trainer.extractor.forward(X).tobytes()
                 pool = projection_init_pool_reference(trainer, X)
-                ref = init(KdcpProjection, pool, trainer.cfg.d_f, source_task=t - 1, target_task=t)
+                ref = init(KdcpProjection, pool, trainer.cfg.d_f, target_task=t)
                 expected = [a.tobytes() for a in (pool, ref.layer.centers, ref.layer.widths)]
             trainer.train_task(X, y)
             assert len(built) == t - 1

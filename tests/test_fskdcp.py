@@ -203,7 +203,7 @@ class TestSelection:
 
 def _projection(rng, d_f=6):
     feats = rng.normal(size=(40, d_f))
-    return KdcpProjection.init(feats, groups=d_f, source_task=1, target_task=2), feats
+    return KdcpProjection.init(feats, groups=d_f, target_task=2), feats
 
 
 class TestProjection:
@@ -222,7 +222,7 @@ class TestProjection:
 
     def test_constant_shift_learned(self, rng):
         batch = rng.normal(size=(64, 6))
-        proj = KdcpProjection.init(batch, groups=6, source_task=1, target_task=2)
+        proj = KdcpProjection.init(batch, groups=6, target_task=2)
         shift = rng.normal(scale=0.3, size=6)
         opt = AdamState.init(proj.layer.n_params(), lr=5e-4)
         loss = None
@@ -244,7 +244,7 @@ class TestProjection:
         _, grads = proj.layer.backward(dP, cache)
 
         def f(v):
-            probe = KdcpProjection.init(np.zeros((1, 4)) + 1.0, 4, 1, 2)
+            probe = KdcpProjection.init(np.zeros((1, 4)) + 1.0, 4, 2)
             probe.layer.set_param_vector(v)
             return align_loss(probe.apply(t), s)[0]
 
@@ -449,7 +449,7 @@ class TestDriftCompensation:
         Xtrain = rng.substream("x").normal(scale=1.5, size=(2000, 8))
         Xheld = rng.substream("xh").normal(scale=1.5, size=(500, 8))
         Ft = teacher.forward(Xtrain)
-        proj = KdcpProjection.init(Ft, groups=16, source_task=1, target_task=2)
+        proj = KdcpProjection.init(Ft, groups=16, target_task=2)
         opt = AdamState.init(proj.layer.n_params(), lr=5e-4)
         batches = rng.substream("batches")
         for _ in range(4000):

@@ -92,8 +92,8 @@ class TestGroupMap:
             group_index_map(4, 5)
 
 
-def _random_layer(rng, d_in=5, d_out=3, groups=2, task_id=1):
-    return DgLayer(task_id, d_in, d_out, groups,
+def _random_layer(rng, d_in=5, d_out=3, groups=2):
+    return DgLayer(d_in, d_out, groups,
                    W=rng.normal(scale=0.5, size=(d_out, d_in)),
                    centers=rng.normal(size=groups),
                    widths=rng.uniform(0.3, 1.2, groups))
@@ -101,20 +101,14 @@ def _random_layer(rng, d_in=5, d_out=3, groups=2, task_id=1):
 
 class TestDgLayer:
     def test_hand_value(self):
-        layer = DgLayer(1, 2, 1, 1, W=[[1.0, 1.0]], centers=[0.0], widths=[1.0])
+        layer = DgLayer(2, 1, 1, W=[[1.0, 1.0]], centers=[0.0], widths=[1.0])
         assert layer.forward(np.array([[0.0, 0.0]]))[0, 0] == pytest.approx(2.0)
         out = layer.forward(np.array([[0.0, 10.0]]))[0, 0]
         assert out == pytest.approx(1.0 + math.exp(-50.0), abs=1e-20)
 
     def test_zero_weights(self, rng):
-        layer = DgLayer(1, 4, 2, 2, W=np.zeros((2, 4)), centers=[0.0, 1.0], widths=[1.0, 0.5])
+        layer = DgLayer(4, 2, 2, W=np.zeros((2, 4)), centers=[0.0, 1.0], widths=[1.0, 0.5])
         assert np.array_equal(layer.forward(rng.normal(size=(6, 4))), np.zeros((6, 2)))
-
-    def test_length_mismatch(self, rng):
-        # a batch of the wrong width, and a single sample without its batch axis
-        for shape in ((2, 4), (5,)):
-            with pytest.raises(ContractViolation, match=r"must be an \(N, 5\) batch"):
-                _random_layer(rng).forward(np.zeros(shape))
 
     def test_gradients_match_finite_diff(self, rng):
         for trial in range(30):
@@ -136,7 +130,7 @@ class TestDgLayer:
     def test_group_sharing(self, rng):
         # perturbing a group's shared params changes every dimension in the
         # group identically and leaves other groups untouched
-        layer = DgLayer(1, 6, 1, 3, W=np.ones((1, 6)), centers=[0.0, 0.0, 0.0],
+        layer = DgLayer(6, 1, 3, W=np.ones((1, 6)), centers=[0.0, 0.0, 0.0],
                         widths=[1.0, 1.0, 1.0])
         x = np.full((1, 6), 0.7)
         _, (phi_before, _, _) = layer.forward_cached(x)
@@ -178,17 +172,16 @@ class TestDgkdHead:
         assert np.allclose(head.forward(X), layer.forward(X))
 
     def test_zero_weight_layer_adds_nothing(self, rng):
-        l1 = _random_layer(rng, task_id=1)
-        l2 = DgLayer(2, 5, 3, 2, W=np.zeros((3, 5)), centers=[0.0, 0.0], widths=[1.0, 1.0])
+        l1 = _random_layer(rng)
+        l2 = DgLayer(5, 3, 2, W=np.zeros((3, 5)), centers=[0.0, 0.0], widths=[1.0, 1.0])
         X = rng.normal(size=(4, 5))
         head2 = DgkdHead(5, 3, 2, [l1, l2])
         assert np.allclose(head2.forward(X), l1.forward(X))
 
     def test_disjoint_regions_tail_bound(self, rng):
         # inputs within the first layer's region but > 6 sigma from the second
-        l1 = DgLayer(1, 4, 2, 2, W=rng.normal(size=(2, 4)), centers=[0.0, 0.0], widths=[1.0, 1.0])
-        l2 = DgLayer(2, 4, 2, 2, W=rng.normal(size=(2, 4)), centers=[10.0, 10.0],
-                     widths=[1.0, 1.0], frozen=False)
+        l1 = DgLayer(4, 2, 2, W=rng.normal(size=(2, 4)), centers=[0.0, 0.0], widths=[1.0, 1.0])
+        l2 = DgLayer(4, 2, 2, W=rng.normal(size=(2, 4)), centers=[10.0, 10.0], widths=[1.0, 1.0])
         X = rng.uniform(-1, 1, size=(20, 4))   # >= 9 widths from the second layer's centers
         full = DgkdHead(4, 2, 2, [l1, l2]).forward(X)
         only1 = l1.forward(X)
@@ -211,10 +204,10 @@ class TestDgkdHead:
         feats = rng.normal(size=(30, 5))
         head = add_task_layer(head, feats, rng.substream("l1"))
         assert head.active_task == 1 and not head.layers[0].frozen
+        first = head.layers[0]
         head = add_task_layer(head, feats + 3.0, rng.substream("l2"))
-        assert head.active_task == 2
+        assert head.active_task == 2 and head.layers[0] is first
         assert head.layers[0].frozen and not head.layers[1].frozen
-        assert [l.task_id for l in head.layers] == [1, 2]
 
     def test_stale_head_cannot_train_after_add_task_layer(self, rng):
         # the layers are frozen in place and shared, so the head that was
@@ -272,8 +265,8 @@ class TestDgkdHead:
     def test_locality_invariant(self, rng):
         # removing a layer whose centers are >= 6 sigma away changes nothing
         # beyond the Gaussian tail bound
-        l1 = DgLayer(1, 6, 1, 2, W=rng.normal(size=(1, 6)), centers=[0.0, 0.5], widths=[0.8, 1.0])
-        l2 = DgLayer(2, 6, 1, 2, W=rng.normal(size=(1, 6)), centers=[20.0, -20.0], widths=[1.5, 2.0])
+        l1 = DgLayer(6, 1, 2, W=rng.normal(size=(1, 6)), centers=[0.0, 0.5], widths=[0.8, 1.0])
+        l2 = DgLayer(6, 1, 2, W=rng.normal(size=(1, 6)), centers=[20.0, -20.0], widths=[1.5, 2.0])
         X = rng.uniform(-2, 2, size=(50, 6))
         z = np.abs(X - l2.centers[l2.group_of]) / l2.widths[l2.group_of]
         assert np.all(z >= 6.0)
@@ -308,8 +301,8 @@ class TestStackedHeadMatchesLayerLoop:
             grown = add_task_layer(grown, r.normal(loc=T, scale=0.5 + 0.1 * T, size=(40, 16)),
                                    r.substream("init"))
             # the same layers, unfrozen, handed to the constructor directly
-            direct = DgkdHead(16, d_out, 4, [DgLayer(l.task_id, 16, d_out, 4, l.W, l.centers,
-                                                     l.widths) for l in grown.layers])
+            direct = DgkdHead(16, d_out, 4, [DgLayer(16, d_out, 4, l.W, l.centers, l.widths)
+                                              for l in grown.layers])
             for N in (1, 64):
                 X = r.normal(loc=T / 2, scale=3.0, size=(N, 16))
                 dY = r.normal(size=(N, d_out))
@@ -348,26 +341,25 @@ def test_silu_matches_three_exp_formula(rng):
 
 class TestActivationProfile:
     def test_single_layer_peak(self, rng):
-        layer = DgLayer(1, 4, 2, 2, W=rng.normal(size=(2, 4)), centers=[0.3, -1.0], widths=[1.0, 1.0])
+        layer = DgLayer(4, 2, 2, W=rng.normal(size=(2, 4)), centers=[0.3, -1.0], widths=[1.0, 1.0])
         head = DgkdHead(4, 2, 2, [layer])
         vals = activation_profile(head, 0, [0.3])
         w_bar = layer.W[:, layer.group_of == 0].mean()
         assert vals[0] == pytest.approx(w_bar, rel=1e-12)
 
     def test_far_tail(self, rng):
-        layer = DgLayer(1, 4, 1, 2, W=rng.normal(size=(1, 4)), centers=[0.0, 0.0], widths=[1.0, 1.0])
+        layer = DgLayer(4, 1, 2, W=rng.normal(size=(1, 4)), centers=[0.0, 0.0], widths=[1.0, 1.0])
         head = DgkdHead(4, 1, 2, [layer])
         w_bar = abs(layer.W[:, layer.group_of == 0].mean())
         assert abs(activation_profile(head, 0, [11.0])[0]) < 2e-22 * max(w_bar, 1e-30) + 1e-300
 
     def test_two_layers_sum(self, rng):
         l1 = _random_layer(rng.substream(1), d_in=4, d_out=2, groups=2)
-        l2 = _random_layer(rng.substream(2), d_in=4, d_out=2, groups=2, task_id=2)
+        l2 = _random_layer(rng.substream(2), d_in=4, d_out=2, groups=2)
         xs = np.linspace(-3, 3, 11)
         combined = activation_profile(DgkdHead(4, 2, 2, [l1, l2]), 1, xs)
         a = activation_profile(DgkdHead(4, 2, 2, [l1]), 1, xs)
-        l2_solo = DgLayer(1, 4, 2, 2, W=l2.W, centers=l2.centers, widths=l2.widths)
-        b = activation_profile(DgkdHead(4, 2, 2, [l2_solo]), 1, xs)
+        b = activation_profile(DgkdHead(4, 2, 2, [l2]), 1, xs)
         assert np.allclose(combined, a + b, atol=1e-12)
 
     def test_bad_group_index(self, rng):
@@ -550,7 +542,7 @@ def test_dgkd_head_deepcopy_views_its_own_layers(rng):
         assert dup.active_layer.W.tobytes() == (head.active_layer.W + 0.25).tobytes()
         _, grads = dup.backward(np.ones((7, 1)), dup.forward_cached(X)[1])
         dup.adam_update(grads, AdamState.init(dup.n_params(), lr=0.1))
-        fresh = DgkdHead(5, 1, 2, [DgLayer(l.task_id, 5, 1, 2, l.W, l.centers, l.widths)
+        fresh = DgkdHead(5, 1, 2, [DgLayer(5, 1, 2, l.W, l.centers, l.widths)
                                    for l in dup.layers])
         assert not np.array_equal(dup.forward(X), Y)
         assert dup.forward(X).tobytes() == fresh.forward(X).tobytes()
@@ -562,7 +554,7 @@ def test_dgkd_head_deepcopy_views_its_own_layers(rng):
 def test_dgkd_head_leaves_its_layers_as_given(rng):
     # the constructor once re-homed each given layer's vector into a store of
     # the head's, so building a head changed the caller's layers
-    layers = [_random_layer(rng, task_id=k) for k in (1, 2, 3)]
+    layers = [_random_layer(rng) for _ in range(3)]
     owned = [(layer.params, [getattr(layer, name) for name in layer.PARAMS]) for layer in layers]
     head = DgkdHead(5, 3, 2, layers)
     for layer, (params, arrays) in zip(head.layers, owned):
