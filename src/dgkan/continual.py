@@ -135,13 +135,8 @@ class Trainer:
         ContractViolation before any state changes.
         """
         X = self._inputs(X, "task inputs")
-        y = np.asarray(y)
-        if y.shape != (X.shape[0],):
-            raise ContractViolation(f"task labels must have shape ({X.shape[0]},), got {y.shape}")
-        if not np.array_equal(np.unique(y), [0, 1]):
-            raise ContractViolation("task labels must be 0 or 1, with both classes present")
+        y = check_labels(y, X.shape[0], "task labels")
         check_memory_budget(self.cfg.memory_budget, self.task + 1)
-        y = y.astype(np.int64)
         self.task += 1
         t = self.task
         self._train_epochs(X, y, t)
@@ -281,9 +276,17 @@ class Trainer:
         return probs, logits
 
     def evaluate_all(self, eval_sets: list[tuple[np.ndarray, np.ndarray]]) -> tuple[list[float], list[float]]:
-        """Deterministic (acc, auc) per seen task, in task order."""
-        accs, aucs = [], []
+        """Deterministic (acc, auc) per seen task, in task order.
+
+        Each set is a finite (N, d_x) array and N labels, each 0 or 1, with
+        both present; a bad set raises ContractViolation before any forward.
+        """
+        checked = []
         for Xe, ye in eval_sets:
+            Xe = self._inputs(Xe, "eval inputs")
+            checked.append((Xe, check_labels(ye, Xe.shape[0], "eval labels")))
+        accs, aucs = [], []
+        for Xe, ye in checked:
             probs, logits = self.scores(Xe)
             accs.append(accuracy(logits, ye))
             aucs.append(auc(probs, ye))
@@ -385,6 +388,23 @@ def average_forgetting(matrix: ScoreMatrix, t: int, metric: str = "acc") -> floa
 def average_accuracy(matrix: ScoreMatrix, t: int, metric: str = "acc") -> float:
     """Mean score over all tasks seen after learning task t."""
     return float(np.mean(matrix.row(t, metric)))
+
+
+def check_labels(y, n: int, what: str) -> np.ndarray:
+    """``y`` as int64 labels; ContractViolation names ``what`` unless it holds
+    ``n`` labels, each 0 or 1, with both present.
+
+    The rule compares with 0 and 1 instead of calling ``np.unique``, which
+    imports all of ``numpy.ma`` in numpy 2 (for ``np.ma.is_masked``): nothing
+    else in a run needs that module.
+    """
+    y = np.asarray(y)
+    if y.shape != (n,):
+        raise ContractViolation(f"{what} must have shape ({n},), got {y.shape}")
+    zero, one = y == 0, y == 1
+    if not (zero | one).all() or not zero.any() or not one.any():
+        raise ContractViolation(f"{what} must be 0 or 1, with both classes present")
+    return y.astype(np.int64)
 
 
 def check_memory_budget(budget: int, num_tasks: int) -> None:

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import types
 from dataclasses import replace
 
@@ -204,15 +207,29 @@ class TestTrainer:
 
     @pytest.mark.parametrize("bad,message", [
         ("nan", "non-finite"), ("inf", "non-finite"),
-        ("columns", r"shape \(N, 8\)"), ("inputs-1d", r"shape \(N, 8\)")])
+        ("columns", r"shape \(N, 8\)"), ("inputs-1d", r"shape \(N, 8\)"),
+        ("labels-0-2", "0 or 1"), ("label-0.5", "0 or 1"), ("label-nan", "0 or 1"),
+        ("labels-one-class", "0 or 1"), ("labels-length", r"shape \(64,\)")])
     def test_bad_eval_inputs_rejected_before_any_forward(self, bad, message, monkeypatch):
-        # an all-NaN eval set used to score acc 50.0 / AUC 41.8 with only a RuntimeWarning
+        # an all-NaN eval set used to score acc 50.0 / AUC 41.8 with only a
+        # RuntimeWarning; six labels set to 2 moved acc/AUC from 43.75/32.52
+        # to 39.06/42.69 without an error
         stream = tiny_stream()
         tr = Trainer(tiny_config(), 11)
         tr.train_task(*dataset(stream, 0, "train"))
-        X, y = dataset(stream, 0, "eval")
-        X = X.copy()
-        if bad == "nan":
+        good = dataset(stream, 0, "eval")
+        X, y = good[0].copy(), good[1].astype(float)
+        if bad == "labels-0-2":
+            y[:6] = 2
+        elif bad == "label-0.5":
+            y[0] = 0.5
+        elif bad == "label-nan":
+            y[0] = np.nan
+        elif bad == "labels-one-class":
+            y[:] = 0
+        elif bad == "labels-length":
+            y = y[:-1]
+        elif bad == "nan":
             X[:] = np.nan
         elif bad == "inf":
             X[3, 1] = np.inf
@@ -225,10 +242,13 @@ class TestTrainer:
             raise AssertionError("forward called")
 
         monkeypatch.setattr(tr.extractor, "forward", no_forward)
-        with pytest.raises(ContractViolation, match=f"eval inputs .*{message}"):
-            tr.scores(X)
-        with pytest.raises(ContractViolation, match=f"eval inputs .*{message}"):
-            tr.evaluate_all([(X, y)])
+        part = "labels" if bad.startswith("label") else "inputs"
+        if part == "inputs":
+            with pytest.raises(ContractViolation, match=f"eval inputs .*{message}"):
+                tr.scores(X)
+        # a bad set after a good one is caught before the good one's forward
+        with pytest.raises(ContractViolation, match=f"eval {part} .*{message}"):
+            tr.evaluate_all([good, (X, y)])
 
     @pytest.mark.parametrize("field,value", [("tau", 0.0), ("lambda_sc", -1.0),
                                              ("lambda_kd", -0.5), ("jitter_scale", -0.1)])
@@ -447,17 +467,22 @@ def reference_train_step(self, xb, yb, t, proj_opt, opt_ext, opt_head, rng_repla
 
 class TestTrainStepMatchesReference:
     @pytest.mark.parametrize("kw", [{}, {"use_kdcp": False}, {"use_raw_replay": True},
-                                    {"use_raw_replay": True, "use_sc": False}, {"head": "mlp"}],
-                             ids=["data-free", "data-free-no-kdcp", "raw", "raw-no-sc", "mlp"])
+                                    {"use_raw_replay": True, "use_sc": False}, {"head": "mlp"},
+                                    {"labels": np.float64}, {"labels": bool}],
+                             ids=["data-free", "data-free-no-kdcp", "raw", "raw-no-sc", "mlp",
+                                  "float-labels", "bool-labels"])
     def test_two_tasks_exact_bytes(self, kw):
+        # float 0.0/1.0 and bool labels train to the bytes of int labels
+        kw = dict(kw)
+        labels = kw.pop("labels", np.int64)
         stream = tiny_stream()
         cfg = tiny_config(**kw)
-        trainers = [Trainer(cfg, 11), Trainer(cfg, 11)]
-        trainers[1]._train_step = types.MethodType(reference_train_step, trainers[1])
-        for tr in trainers:
-            for t in range(2):
-                tr.train_task(*dataset(stream, t, "train"))
-        new, ref = trainers
+        new, ref = Trainer(cfg, 11), Trainer(cfg, 11)
+        ref._train_step = types.MethodType(reference_train_step, ref)
+        for t in range(2):
+            X, y = dataset(stream, t, "train")
+            new.train_task(X, y.astype(labels))
+            ref.train_task(X, y)
 
         def state(tr):
             proj = None if tr.projection is None else tr.projection.layer.param_vector()
@@ -516,3 +541,36 @@ class TestBudgetCheckedBeforeTraining:
             validate_config(ExperimentConfig(protocol=protocol, memory_budget=budget))
         assert str(lib.value) == str(cli.value)
         run_stream(tiny_stream(protocol=protocol), tiny_config(memory_budget=budget + 1, epochs=1))
+
+
+RUN_AFTER_SET_UP = """
+import sys
+from dgkan.continual import Trainer, TrainerConfig
+from dgkan.synthbench import dataset, gen_sequence
+
+runs = []
+for kw in ({}, {"head": "mlp"}, {"head": "groupkan"}, {"use_raw_replay": True}):
+    stream = gen_sequence("four-task", 11, train_n=48, eval_n=32)
+    sets = [dataset(stream, t, split) for t in range(2) for split in ("train", "eval")]
+    runs.append((Trainer(TrainerConfig(epochs=2, memory_budget=60, **kw), 11), sets))
+before = set(sys.modules)
+for tr, (train1, eval1, train2, eval2) in runs:
+    tr.train_task(*train1)
+    tr.train_task(*train2)
+    tr.evaluate_all([eval1, eval2])
+print(sorted(set(sys.modules) - before))
+"""
+
+
+class TestRunLoadsNoModule:
+    def test_training_and_evaluation_import_nothing_after_set_up(self):
+        # a fresh interpreter, so that no other test's imports hide one.
+        # numpy 2's np.unique calls np.ma.is_masked, which loads all of
+        # numpy.ma; fskdcp's np.unique(..., return_counts=True) skips that call
+        src = os.path.dirname(os.path.dirname(continual.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", RUN_AFTER_SET_UP], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
