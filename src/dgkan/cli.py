@@ -242,8 +242,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ScoreMatrix:
     return matrix
 
 
-def pca_2d(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Top-2 principal directions with a fixed sign convention.
+def pca_2d(features: np.ndarray) -> np.ndarray:
+    """The rows projected onto their top-2 principal directions, signs fixed.
 
     Each component is flipped so its largest-magnitude loading is positive,
     making the projection deterministic across platforms.
@@ -260,7 +260,7 @@ def pca_2d(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         j = int(np.argmax(np.abs(comps[k])))
         if comps[k, j] < 0:
             comps[k] = -comps[k]
-    return centered @ comps.T, evals[order] / max(evals.sum(), 1e-300)
+    return centered @ comps.T
 
 
 def dump_embeddings(trainer: Trainer, stream: TaskStream, path) -> int:
@@ -272,7 +272,7 @@ def dump_embeddings(trainer: Trainer, stream: TaskStream, path) -> int:
         doms.append(np.full(len(ye), t))
         labs.append(ye)
     F = np.vstack(feats)
-    proj, _ = pca_2d(F)
+    proj = pca_2d(F)
     dom = np.concatenate(doms)
     lab = np.concatenate(labs)
     lines = ["pc1,pc2,domain,label,split"]

@@ -11,8 +11,9 @@ baseline heads keep one global parameter set):
   when enabled); later tasks add the replay-separation and feature
   distillation terms and train the drift projection concurrently;
 * task end: re-project the stored memory through the trained projection
-  (exactly once per transition), merge-select current-task features into the
-  memory under the global budget, and snapshot the frozen teacher.
+  (exactly once per transition) and merge-select current-task features into
+  the memory under the global budget.  The teacher (the extractor's snapshot
+  at the task's start), the projection and the optimizers end with the task.
 """
 from __future__ import annotations
 
@@ -105,7 +106,6 @@ class Trainer:
         self.rng = RngStream(seed).substream("trainer")
         self.extractor = FeatureExtractor.init(cfg.d_x, cfg.d_f, cfg.hidden,
                                                self.rng.substream("extractor-init"))
-        self.teacher: FeatureExtractor | None = None
         if cfg.head == "dgkd":
             self.head = DgkdHead(cfg.d_f, 1, cfg.groups)
         else:   # groupkan: one rational group per feature dimension in both layers
@@ -113,7 +113,6 @@ class Trainer:
                                            self.rng.substream("head-init"),
                                            hidden=cfg.mlp_hidden, groups=cfg.d_f)
         self.memory: FeatureMemory | None = None
-        self.projection: KdcpProjection | None = None
         self.task = 0
 
     def _inputs(self, X: np.ndarray, what: str) -> np.ndarray:
@@ -138,56 +137,57 @@ class Trainer:
         y = check_labels(y, X.shape[0], "task labels")
         check_memory_budget(self.cfg.memory_budget, self.task + 1)
         self.task += 1
-        t = self.task
-        self._train_epochs(X, y, t)
-        self._end_of_task(X, y, t)
+        self._end_of_task(X, y, self._train_epochs(X, y))
 
-    def _train_epochs(self, X: np.ndarray, y: np.ndarray, t: int) -> None:
-        """Task ``t``'s start and every training step.  The task-start
-        features of ``X`` live in this frame through every step and end with
-        it, before the transition's herding allocates."""
+    def _train_epochs(self, X: np.ndarray, y: np.ndarray) -> KdcpProjection | None:
+        """The task's start and every training step; returns the projection
+        it trained, if any.  The task-start features of ``X`` live in this
+        frame through every step and end with it, before herding allocates."""
+        cfg, t = self.cfg, self.task
         rng_task = self.rng.substream("task", t)
         dgkd = isinstance(self.head, DgkdHead)
-        kdcp = t >= 2 and self.cfg.use_kdcp and not self.cfg.use_raw_replay
-        # one forward serves both: the teacher is the extractor's snapshot
-        # from the last task end, and nothing has trained since
+        kdcp = t >= 2 and cfg.use_kdcp and not cfg.use_raw_replay
+        teacher = self.extractor.snapshot() if t >= 2 and (cfg.use_kd or kdcp) else None
+        # one forward serves both, and nothing has trained since the snapshot
         feats = self.extractor.forward(X) if dgkd or kdcp else None
         if dgkd:
-            self.head = add_task_layer(self.head, feats, rng_task.substream("layer-init"))
+            add_task_layer(self.head, feats, rng_task.substream("layer-init"))
 
-        proj_opt = None
+        projection = proj_opt = None
         if kdcp:
             # RBFs over the old space, one group per feature dimension.
             # ``feats`` stays alive through the steps: freeing it here let
             # glibc trim and regrow the heap on every training step (tens
             # of times the page faults of a four-task-mlp run).
-            self.projection = KdcpProjection.init(np.vstack([feats, self.memory.features]),
-                                                  self.cfg.d_f, target_task=t)
-            proj_opt = AdamState.init(self.projection.layer.n_params(), lr=self.cfg.proj_lr)
+            projection = KdcpProjection.init(np.vstack([feats, self.memory.features]),
+                                             cfg.d_f, target_task=t)
+            proj_opt = AdamState.init(projection.layer.n_params(), lr=cfg.proj_lr)
 
-        opt_ext = AdamState.init(self.extractor.n_params(), lr=self.cfg.main_lr)
-        opt_head = AdamState.init(self.head.n_params(), lr=self.cfg.main_lr)
+        opt_ext = AdamState.init(self.extractor.n_params(), lr=cfg.main_lr)
+        opt_head = AdamState.init(self.head.n_params(), lr=cfg.main_lr)
 
         n = X.shape[0]
-        batch_size = self.cfg.batch_size
         rng_batch = rng_task.substream("batches")
         rng_replay = rng_task.substream("replay")
-        for _ in range(self.cfg.epochs):
+        for _ in range(cfg.epochs):
             order = rng_batch.permutation(n)
-            for start in range(0, n, batch_size):
-                idx = order[start:start + batch_size]
-                self._train_step(X[idx], y[idx], t, proj_opt, opt_ext, opt_head, rng_replay)
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                self._train_step(X[idx], y[idx], teacher, projection, proj_opt,
+                                 opt_ext, opt_head, rng_replay)
+        return projection
 
-    def _train_step(self, xb: np.ndarray, yb: np.ndarray, t: int, proj_opt: AdamState | None,
+    def _train_step(self, xb: np.ndarray, yb: np.ndarray, teacher: FeatureExtractor | None,
+                    projection: KdcpProjection | None, proj_opt: AdamState | None,
                     opt_ext: AdamState, opt_head: AdamState, rng_replay: RngStream) -> None:
-        """One Adam step of extractor and head on a batch (and one projection
-        step when ``proj_opt`` is given).  Raw replay rows pass through the
-        extractor after the batch rows and get only the contrastive gradient;
-        data-free replay rows are constants that join only the contrastive
-        batch."""
+        """One Adam step of extractor and head on a batch (and of ``projection``
+        when given); ``teacher`` is given when KD or the projection reads it.
+        Raw replay rows pass through the extractor after the batch rows and
+        get only the contrastive gradient; data-free replay rows are
+        constants that join only the contrastive batch."""
         cfg = self.cfg
         nb = xb.shape[0]
-        X_in, dc_in = xb, domain_class(t, yb)
+        X_in, dc_in = xb, domain_class(self.task, yb)
         if cfg.use_raw_replay and self.memory is not None:
             ridx = rng_replay.integers(0, len(self.memory), size=nb)
             X_in = np.vstack([xb, self.memory.inputs[ridx]])
@@ -195,12 +195,9 @@ class Trainer:
         F_in, cache_ext = self.extractor.forward_cached(X_in)
         F = F_in[:nb]
 
-        teacher_F = None
-        if t >= 2 and (cfg.use_kd or proj_opt is not None):
-            teacher_F = self.teacher.forward(xb)
-
-        if proj_opt is not None:
-            train_projection_step(self.projection, teacher_F, F, proj_opt)
+        teacher_F = None if teacher is None else teacher.forward(xb)
+        if projection is not None:
+            train_projection_step(projection, teacher_F, F, proj_opt)
 
         logits, cache_head = self.head.forward_cached(F)
         cls, dlogits = bce_loss(logits, yb)
@@ -215,8 +212,8 @@ class Trainer:
                 # the live projection tracks the stored rows into the current
                 # space; the exactly-once re-projection waits for the transition
                 rb = augment_features(self.memory, cfg.jitter_scale, rng_replay, n_samples=nb,
-                                      features=None if self.projection is None
-                                      else self.projection.apply(self.memory.features))
+                                      features=None if projection is None
+                                      else projection.apply(self.memory.features))
                 sc_feats = np.vstack([F_in, rb.features])
                 sc_dc = np.concatenate([dc_in, rb.domain_class])
             # the loss needs two labels and a label that occurs twice (an
@@ -230,7 +227,7 @@ class Trainer:
                 dF_in += dF_sc
 
         kd = 0.0
-        if cfg.use_kd and t >= 2:
+        if cfg.use_kd and teacher is not None:
             kd, dF_kd = kd_loss(teacher_F, F)
             dF_kd *= cfg.lambda_kd
             dF_in[:nb] += dF_kd
@@ -242,18 +239,18 @@ class Trainer:
         self.extractor.adam_update(ext_grads, opt_ext)
         self.head.adam_update(head_grads, opt_head)
 
-    def _end_of_task(self, X: np.ndarray, y: np.ndarray, t: int) -> None:
+    def _end_of_task(self, X: np.ndarray, y: np.ndarray, projection: KdcpProjection | None) -> None:
         """Keep the herding selection of one pool: old memory rows, then this
         task's.  The old rows are the stored features (re-projected first
-        when the projection trained), or with raw replay the stored inputs
-        through the current extractor, whose raw rows follow the selection."""
-        raw_replay = self.cfg.use_raw_replay
+        through the task's ``projection``, if any), or with raw replay the
+        stored inputs through the current extractor, whose raw rows follow."""
+        t, raw_replay = self.task, self.cfg.use_raw_replay
         pool_F, pool_dc, pool_X = self.extractor.forward(X), domain_class(t, y), X
         # every row is in task t's space, or (0) an unprojected data-free merge
         # left each row in its source task's space
-        space_task = t if self.memory is None or raw_replay or self.projection is not None else 0
-        if self.projection is not None:
-            self.memory = project_memory(self.memory, self.projection)
+        space_task = t if self.memory is None or raw_replay or projection is not None else 0
+        if projection is not None:
+            self.memory = project_memory(self.memory, projection)
         if self.memory is not None:
             old_F = self.extractor.forward(self.memory.inputs) if raw_replay else self.memory.features
             pool_F = np.vstack([old_F, pool_F])
@@ -262,7 +259,6 @@ class Trainer:
                 pool_X = np.vstack([self.memory.inputs, X])
         self.memory = select_features(pool_F, pool_dc, self.cfg.memory_budget, space_task,
                                       inputs=pool_X if raw_replay else None)
-        self.teacher = self.extractor.snapshot()
 
     # -- evaluation ----------------------------------------------------------
 

@@ -23,9 +23,10 @@ Layer conventions used throughout:
   a view into it: ``adam_update`` steps the vector in place,
   ``set_param_vector`` writes into it in place, and ``param_vector`` returns
   a copy.  Every constructor copies the arrays it is given into a vector
-  of its own, never a view of another module's; ``DgkdHead`` holds no
-  vector and no task ids: it is its layers in order, each keeping its own
-  vector, and a layer's task is its position;
+  of its own, never a view of another module's, and rejects a non-finite
+  entry; ``DgkdHead`` holds no vector and no task ids: it is its layers in
+  order, each keeping its own vector, and a layer's task is its position.
+  A run keeps one head, which ``add_task_layer`` grows in place;
 * the group-rational formulas of ``GrKanHead`` are written once, in
   ``_rational_affine`` and ``_rational_affine_grad``, which it calls once
   per layer;
@@ -58,11 +59,12 @@ def group_index_map(d_in: int, groups: int) -> np.ndarray:
 
 
 def group_stats(features: np.ndarray, groups: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-group mean and std of an (N, d_in) sample, each over all rows and
-    the group's dimensions (``group_index_map``), as two (groups,) arrays."""
+    """Per-group mean and std of a finite (N, d_in) sample, each over all rows
+    and the group's dimensions (``group_index_map``), as two (groups,) arrays."""
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] == 0:
         raise ContractViolation("group statistics require a non-empty (N, d_in) feature sample")
+    check_finite(feats, "group statistics sample")
     gmap = group_index_map(feats.shape[1], groups)
     mean, std = np.empty(groups), np.empty(groups)
     for g in range(groups):
@@ -77,7 +79,8 @@ class ParamArrays:
 
     A constructor sets the ``PARAMS`` attributes as arrays and then calls
     ``_bind()``, which copies them into a fresh vector, so a module never
-    shares memory with the arrays it was given.  Copies (``copy.deepcopy``,
+    shares memory with the arrays it was given and no entry is non-finite
+    (the error names the module and the array).  Copies (``copy.deepcopy``,
     pickling) rebuild the views into the copy's own vector in
     ``__setstate__``.  Subclasses override neither method.
     """
@@ -91,7 +94,7 @@ class ParamArrays:
             params = np.concatenate([getattr(self, name).ravel() for name in self.PARAMS])
         self.params = params
         for name, view in zip(self.PARAMS, self._views(params)):
-            setattr(self, name, view)
+            setattr(self, name, check_finite(view, f"{type(self).__name__} {name}"))
 
     def _views(self, params: np.ndarray) -> list[np.ndarray]:
         """A view per ``PARAMS`` array of its slice of the last axis of
@@ -137,9 +140,10 @@ class DgLayer(ParamArrays):
     """One domain's grouped-RBF layer: y = W @ [phi_group(i)(x_i)]_i.
 
     Each of the g groups shares a single (center, width) pair across its
-    dimensions; W is a dense (d_out, d_in) mixing matrix.  The layer knows
-    nothing of its domain: in a ``DgkdHead`` that is its position.  It starts
-    trainable; ``add_task_layer`` sets ``frozen`` once the next domain arrives.
+    dimensions; W is a dense (d_out, d_in) mixing matrix; all three must be
+    finite.  The layer knows nothing of its domain: in a ``DgkdHead`` that is
+    its position.  It starts trainable; ``add_task_layer`` freezes it in
+    place once the next domain arrives.
     """
 
     PARAMS = ("W", "centers", "widths")
@@ -150,7 +154,7 @@ class DgLayer(ParamArrays):
         self.d_out = int(d_out)
         self.groups = int(groups)
         self.group_of = group_index_map(d_in, groups)
-        self.W = check_finite(np.asarray(W, dtype=np.float64).reshape(d_out, d_in), "W")
+        self.W = np.asarray(W, dtype=np.float64).reshape(d_out, d_in)
         self.centers = np.asarray(centers, dtype=np.float64).reshape(groups)
         self.widths = np.maximum(np.asarray(widths, dtype=np.float64).reshape(groups), SIGMA_MIN)
         self.frozen = False
@@ -339,15 +343,13 @@ def _sum_in_layer_order(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def add_task_layer(head: DgkdHead, features: np.ndarray, rng: RngStream) -> DgkdHead:
-    """Freeze every existing layer and append a fresh, trainable one for the
-    new domain, initialized over the supplied feature sample; its position
-    in the returned head is the new task.
+def add_task_layer(head: DgkdHead, features: np.ndarray, rng: RngStream) -> None:
+    """Grow ``head`` in place for a new domain: freeze every existing layer
+    and append a fresh, trainable one, initialized over the supplied
+    (finite, non-empty) feature sample; its position is the new task.
 
-    The layers are frozen in place and shared, unchanged, with the returned
-    head.  ``head`` itself must not be trained any further: its active
-    layer is now frozen, so its ``set_param_vector`` and ``adam_update``
-    raise.
+    The new layer is built before anything changes, so a raise leaves the
+    head as it was.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] == 0:
@@ -357,7 +359,7 @@ def add_task_layer(head: DgkdHead, features: np.ndarray, rng: RngStream) -> Dgkd
     new = DgLayer.from_features(feats, head.d_out, head.groups, rng)
     for layer in head.layers:
         layer.frozen = True
-    return DgkdHead(head.d_in, head.d_out, head.groups, head.layers + [new])
+    head.layers.append(new)
 
 
 def activation_profile(head: DgkdHead, group_index: int, xs) -> np.ndarray:

@@ -21,8 +21,11 @@ per parameter vector stepped.
 
 Every workload's set-up (``worker.py setup``: config parse, the TINY
 overrides set by ``setattr``, ``validate_config``, ``trainer_config`` and a
-fresh ``Trainer``) must run, so a config change that breaks it fails here
-rather than in a benchmark run.
+fresh ``Trainer``) must run, and so must its untraced tiny measured runs
+(``worker.py measure --tiny --trace 0``, which write no file) with no failed
+operation and no problem.  A change to what ``one_run`` reads of a trainer
+(``trainer.memory``, ``head.layers[k].frozen``) then fails here rather than
+in a benchmark run.
 """
 import importlib.util
 import json
@@ -39,6 +42,8 @@ import dgkan
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 WORKLOADS = sorted(json.loads((PERFBENCH / "workloads.json").read_text())["workloads"])
+BENCH_WORKLOADS = [w["name"] for w in json.loads(
+    (PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def _load_tracing():
@@ -118,6 +123,8 @@ def test_traced_mlp_run_spans_are_flat_and_counted():
     # the extractor and the head take one Adam step each per training step,
     # the projection one per task-2 step: what numcore.adam_calls counts
     assert counts["numcore.adam_step"] == 2 * 2 * steps_per_task + steps_per_task
+    # one frozen teacher, taken at task 2's start; task 1 reads none
+    assert counts["kanheads.extractor.snapshot"] == 1
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +178,8 @@ def test_traced_dgkd_head_spans_are_flat_and_counted(traced_dgkd_run):
     assert counts["kanheads.dgkd.backward"] == 2 * steps_per_task
     # one scores call per seen task after each task: 1 + 2
     assert counts["kanheads.dgkd.forward"] == counts["continual.scores"] == 3
+    assert counts["kanheads.extractor.snapshot"] == 1
+    assert counts["kanheads.add_task_layer"] == 2
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -181,3 +190,14 @@ def test_worker_setup_runs(workload):
     assert proc.returncode == 0, proc.stderr
     setup_s = json.loads(proc.stdout.strip().splitlines()[-1])["setup_s"]
     assert isinstance(setup_s, float) and setup_s >= 0.0
+
+
+@pytest.mark.parametrize("workload", BENCH_WORKLOADS)
+def test_worker_tiny_measure_runs_clean(workload):
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "worker.py"), "measure", "--workload",
+                           workload, "--data-seed", "0", "--tiny", "--trace", "0"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["failed"] == 0 and out["problems"] == []
+    assert out["runs"] and all(run["complete"] for run in out["runs"])

@@ -356,8 +356,8 @@ class TestDgkdHeadMatchesTwoPathReference:
         r = RngStream(23).substream("dgkd", d_out)
         head = DgkdHead(16, d_out, 4)
         for T in range(1, 11):
-            head = add_task_layer(head, r.normal(loc=T, scale=0.5 + 0.1 * T, size=(40, 16)),
-                                  r.substream("init", T))
+            add_task_layer(head, r.normal(loc=T, scale=0.5 + 0.1 * T, size=(40, 16)),
+                           r.substream("init", T))
             # move the active layer off its init, as training does
             head.set_param_vector(head.param_vector() + r.normal(scale=0.1, size=head.n_params()))
             for N in (1, 13, 64, 512):             # 512: the eval sets' size
@@ -752,11 +752,11 @@ class TestInPlaceKernelsMatchReference:
         assert len(gates) == steps and sum(gates) == len(supcon_calls) > 0
 
 
-def projection_init_pool_reference(trainer, X):
+def projection_init_pool_reference(teacher, memory, X):
     """The task-start placement pool before one extractor forward served both
     the new DG-KD layer and the projection: the teacher's own forward of the
     task inputs, then the stored rows."""
-    return np.vstack([trainer.teacher.forward(X), trainer.memory.features])
+    return np.vstack([teacher.forward(X), memory.features])
 
 
 class TestTaskStartMatchesReference:
@@ -775,16 +775,18 @@ class TestTaskStartMatchesReference:
         monkeypatch.setattr(KdcpProjection, "init", classmethod(recording_init))
         stream = gen_sequence("four-task", 11, train_n=65, eval_n=32)
         trainer = Trainer(TrainerConfig(head=head, epochs=2, memory_budget=40), 11)
+        teachers = []                    # the frozen teacher the task's steps read
+        step = trainer._train_step
+        monkeypatch.setattr(trainer, "_train_step", lambda xb, yb, teacher, *rest: (
+            teachers.append(teacher), step(xb, yb, teacher, *rest)))
         for t in range(1, 5):
             X, y = dataset(stream, t - 1, "train")
-            if t >= 2:
-                # the teacher is the last task end's snapshot of the extractor
-                assert trainer.teacher.forward(X).tobytes() == trainer.extractor.forward(X).tobytes()
-                pool = projection_init_pool_reference(trainer, X)
-                ref = init(KdcpProjection, pool, trainer.cfg.d_f, target_task=t)
-                expected = [a.tobytes() for a in (pool, ref.layer.centers, ref.layer.widths)]
+            memory = trainer.memory
             trainer.train_task(X, y)
             assert len(built) == t - 1
             if t >= 2:
-                assert built[-1] == expected
+                pool = projection_init_pool_reference(teachers[-1], memory, X)
+                ref = init(KdcpProjection, pool, trainer.cfg.d_f, target_task=t)
+                assert built[-1] == [a.tobytes() for a in (pool, ref.layer.centers,
+                                                            ref.layer.widths)]
             trainer.evaluate_all([dataset(stream, k, "eval") for k in range(t)])

@@ -14,7 +14,7 @@ from dgkan.cli import (ConfigError, ExperimentConfig, build_stream, config_hash,
                        pca_2d, report, run_experiment, summary_text, trainer_config,
                        validate_config, verify)
 from dgkan.continual import ScoreMatrix, TrainerConfig, average_forgetting, run_stream
-from dgkan.numcore import ContractViolation, RngStream
+from dgkan.numcore import ContractViolation
 from dgkan.synthbench import REFERENCE_SEEDS, dataset, gen_sequence
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -699,15 +699,9 @@ class TestEmbeddings:
         lines = (tmp_path / "emb.csv").read_text().splitlines()
         assert len(lines) == n + 1
 
-    def test_pca_isotropic_explained_variance(self):
-        rng = RngStream(5)
-        F = rng.normal(size=(6000, 16))
-        _, ratios = pca_2d(F)
-        assert ratios.sum() == pytest.approx(2.0 / 16.0, abs=0.03)
-
     def test_pca_duplicated_rows(self, rng):
         F = rng.normal(size=(40, 5))
-        proj, _ = pca_2d(np.vstack([F, F]))
+        proj = pca_2d(np.vstack([F, F]))
         assert np.allclose(proj[:40], proj[40:], atol=1e-12)
 
     def test_pca_needs_two_dims(self):
@@ -716,6 +710,6 @@ class TestEmbeddings:
 
     def test_pca_sign_convention(self, rng):
         F = rng.normal(size=(100, 4)) * np.array([3.0, 1.0, 0.5, 0.1])
-        proj1, _ = pca_2d(F)
-        proj2, _ = pca_2d(F.copy())
+        proj1 = pca_2d(F)
+        proj2 = pca_2d(F.copy())
         assert np.array_equal(proj1, proj2)

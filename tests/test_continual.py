@@ -135,6 +135,11 @@ def tiny_stream(seed=11, protocol="four-task"):
     return gen_sequence(protocol, seed, train_n=96, eval_n=64)
 
 
+# What a Trainer keeps between tasks; the teacher, the projection and the
+# optimizer states are built per task and end with it.
+TRAINER_STATE = {"cfg", "rng", "extractor", "head", "memory", "task"}
+
+
 class TestTrainer:
     def test_task1_structure(self):
         stream = tiny_stream()
@@ -145,7 +150,7 @@ class TestTrainer:
         assert not tr.head.layers[0].frozen
         assert len(tr.memory) <= 60
         assert set(np.unique(tr.memory.domain_class)) == {0, 1}
-        assert tr.teacher is not None
+        assert set(vars(tr)) == TRAINER_STATE
 
     def test_multi_task_structure(self):
         stream = tiny_stream()
@@ -196,14 +201,14 @@ class TestTrainer:
         layers = list(tr.head.layers)
         params = [l.param_vector().tobytes() for l in layers]
         extractor = tr.extractor.param_vector().tobytes()
-        memory, teacher = tr.memory, tr.teacher
+        memory, head = tr.memory, tr.head
         with pytest.raises(ContractViolation):
             tr.train_task(X, y)
-        assert tr.task == 1
-        assert tr.head.layers == layers and not layers[0].frozen
+        assert tr.task == 1 and set(vars(tr)) == TRAINER_STATE
+        assert tr.head is head and tr.head.layers == layers and not layers[0].frozen
         assert [l.param_vector().tobytes() for l in layers] == params
         assert tr.extractor.param_vector().tobytes() == extractor
-        assert tr.memory is memory and tr.teacher is teacher and tr.projection is None
+        assert tr.memory is memory
 
     @pytest.mark.parametrize("bad,message", [
         ("nan", "non-finite"), ("inf", "non-finite"),
@@ -260,33 +265,40 @@ class TestTrainer:
         with pytest.raises(ConfigError, match=field):
             Trainer(cfg, 0)
 
-    def test_teacher_immutable_during_task(self):
+    def test_teacher_immutable_during_task(self, monkeypatch):
+        # the teacher every step of task t reads is the extractor as task
+        # t - 1 left it, and no step of the task changes it
         stream = tiny_stream()
         tr = Trainer(tiny_config(), 11)
-        X, y = dataset(stream, 0, "train")
-        tr.train_task(X, y)
-        teacher_bytes = tr.teacher.param_vector().tobytes()
-        X2, y2 = dataset(stream, 1, "train")
-        tr.train_task(X2, y2)
-        # the teacher snapshot is replaced only at the end of the task; the
-        # object observed during training carried the original parameters
-        assert tr.teacher.param_vector().tobytes() != teacher_bytes
-        # stronger check: re-run and snapshot mid-task via the stored reference
-        tr2 = Trainer(tiny_config(), 11)
-        tr2.train_task(X, y)
-        ref = tr2.teacher
-        before = ref.param_vector().tobytes()
-        tr2.train_task(X2, y2)
-        assert ref.param_vector().tobytes() == before
+        teachers = []
+        step = tr._train_step
+        monkeypatch.setattr(tr, "_train_step",
+                            lambda xb, yb, teacher, *rest: (teachers.append(teacher),
+                                                            step(xb, yb, teacher, *rest)))
+        for t in range(1, 4):
+            start = tr.extractor.param_vector().tobytes()
+            teachers.clear()
+            tr.train_task(*dataset(stream, t - 1, "train"))
+            if t == 1:
+                assert teachers and all(teacher is None for teacher in teachers)
+                continue
+            assert all(teacher is teachers[0] for teacher in teachers)
+            assert teachers[0].param_vector().tobytes() == start
+            assert tr.extractor.param_vector().tobytes() != start
 
-    def test_memory_exactly_once_projection_tag(self):
+    def test_memory_exactly_once_projection_tag(self, monkeypatch):
         stream = tiny_stream()
         tr = Trainer(tiny_config(), 11)
+        projections = []
+        end = tr._end_of_task
+        monkeypatch.setattr(tr, "_end_of_task", lambda X, y, projection: (
+            projections.append(projection), end(X, y, projection)))
         for t in range(2):
             X, y = dataset(stream, t, "train")
             tr.train_task(X, y)
         assert tr.memory.space_task == 2
-        assert tr.projection.source_task == 1 and tr.projection.target_task == 2
+        assert projections[0] is None
+        assert projections[1].source_task == 1 and projections[1].target_task == 2
 
     def test_unprojected_merge_tagged_source_space(self):
         # data-free replay without drift compensation never moves a stored
@@ -391,13 +403,17 @@ class TestTrainer:
         assert average_accuracy(m, 2, "auc") == pytest.approx(87.5)
 
 
-def reference_train_step(self, xb, yb, t, proj_opt, opt_ext, opt_head, rng_replay):
+def reference_train_step(self, xb, yb, teacher, projection, proj_opt, opt_ext, opt_head,
+                         rng_replay):
     """Frozen copy of the training step that forked on the replay mode, with
     its drift-compensation test (``t >= 2 and use_kdcp and not
     use_raw_replay``) written inline; the oracle for ``Trainer._train_step``."""
     cfg = self.cfg
     nb = xb.shape[0]
-    trains_projection = self.task >= 2 and cfg.use_kdcp and not cfg.use_raw_replay
+    t = self.task
+    trains_projection = t >= 2 and cfg.use_kdcp and not cfg.use_raw_replay
+    assert (teacher is not None) == (t >= 2 and (cfg.use_kd or trains_projection))
+    assert (projection is not None) == trains_projection
 
     raw_replay = None
     if cfg.use_raw_replay and self.memory is not None:
@@ -413,10 +429,10 @@ def reference_train_step(self, xb, yb, t, proj_opt, opt_ext, opt_head, rng_repla
 
     teacher_F = None
     if t >= 2 and (cfg.use_kd or trains_projection):
-        teacher_F = self.teacher.forward(xb)
+        teacher_F = teacher.forward(xb)
 
     if proj_opt is not None:
-        train_projection_step(self.projection, teacher_F, F, proj_opt)
+        train_projection_step(projection, teacher_F, F, proj_opt)
 
     logits, cache_head = self.head.forward_cached(F)
     cls, dlogits = bce_loss(logits, yb)
@@ -433,7 +449,7 @@ def reference_train_step(self, xb, yb, t, proj_opt, opt_ext, opt_head, rng_repla
         elif self.memory is not None:
             view = self.memory
             if trains_projection:
-                view = replace(self.memory, features=self.projection.apply(self.memory.features))
+                view = replace(self.memory, features=projection.apply(self.memory.features))
             rb = augment_features(view, cfg.jitter_scale, rng_replay, n_samples=nb)
             sc_feats = np.vstack([F, rb.features])
             sc_dc = np.concatenate([dc_now, rb.domain_class])
@@ -479,20 +495,46 @@ class TestTrainStepMatchesReference:
         cfg = tiny_config(**kw)
         new, ref = Trainer(cfg, 11), Trainer(cfg, 11)
         ref._train_step = types.MethodType(reference_train_step, ref)
+        projections = {}
+        for tr in (new, ref):            # the projection each task end receives
+            end = tr._end_of_task
+
+            def recording_end(X, y, projection, tr=tr, end=end):
+                projections[tr] = projection
+                end(X, y, projection)
+
+            tr._end_of_task = recording_end
         for t in range(2):
             X, y = dataset(stream, t, "train")
             new.train_task(X, y.astype(labels))
             ref.train_task(X, y)
 
         def state(tr):
-            proj = None if tr.projection is None else tr.projection.layer.param_vector()
-            return [tr.extractor.param_vector(), tr.head.param_vector(), proj,
+            proj = projections[tr]
+            return [tr.extractor.param_vector(), tr.head.param_vector(),
+                    None if proj is None else proj.layer.param_vector(),
                     tr.memory.features, tr.memory.domain_class, tr.memory.inputs]
 
-        assert (new.projection is None) == ("use_raw_replay" in kw or "use_kdcp" in kw)
+        assert (projections[new] is None) == ("use_raw_replay" in kw or "use_kdcp" in kw)
         assert (new.memory.inputs is None) != ("use_raw_replay" in kw)
         for a, b in zip(state(new), state(ref)):
             assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+class TestStateBetweenTasks:
+    @pytest.mark.parametrize("mode", [{}, {"use_kdcp": False},
+                                      {"use_raw_replay": True, "use_kdcp": False}],
+                             ids=["data-free", "no-kdcp", "raw"])
+    @pytest.mark.parametrize("head", ["dgkd", "mlp", "groupkan"])
+    def test_trainer_keeps_only_what_outlives_a_task(self, head, mode):
+        stream = tiny_stream()
+        tr = Trainer(tiny_config(head=head, epochs=1, **mode), 11)
+        built = tr.head
+        assert set(vars(tr)) == TRAINER_STATE
+        for t in range(len(stream)):
+            tr.train_task(*dataset(stream, t, "train"))
+            assert set(vars(tr)) == TRAINER_STATE
+            assert tr.head is built
 
 
 class TestTransitionPeak:

@@ -11,6 +11,7 @@ from dgkan.kanheads import (SIGMA_MIN, DgkdHead, DgLayer, FeatureExtractor, GrKa
                             group_index_map, make_baseline_head)
 from dgkan.numcore import AdamState, ContractViolation, RngStream, adam_step, finite_diff_grad, max_rel_err
 from dgkan.continual import Trainer, TrainerConfig
+from dgkan.fskdcp import KdcpProjection
 from dgkan.losses import bce_loss
 from dgkan.synthbench import dataset, gen_sequence
 
@@ -195,41 +196,43 @@ class TestDgkdHead:
         T, N, d_f = 10, 512, 16
         head = DgkdHead(d_f, 1, 4)
         for t in range(1, T + 1):
-            head = add_task_layer(head, rng.normal(loc=t, size=(40, d_f)), rng.substream("init", t))
+            add_task_layer(head, rng.normal(loc=t, size=(40, d_f)), rng.substream("init", t))
         X = rng.normal(size=(N, d_f))
         assert peak_alloc_bytes(head.forward, X) < 3 * N * d_f * 8
 
     def test_add_task_layer_structure(self, rng):
         head = DgkdHead(5, 1, 2)
         feats = rng.normal(size=(30, 5))
-        head = add_task_layer(head, feats, rng.substream("l1"))
+        add_task_layer(head, feats, rng.substream("l1"))
         assert head.active_task == 1 and not head.layers[0].frozen
         first = head.layers[0]
-        head = add_task_layer(head, feats + 3.0, rng.substream("l2"))
+        add_task_layer(head, feats + 3.0, rng.substream("l2"))
         assert head.active_task == 2 and head.layers[0] is first
         assert head.layers[0].frozen and not head.layers[1].frozen
 
     def test_stale_head_cannot_train_after_add_task_layer(self, rng):
-        # the layers are frozen in place and shared, so the head that was
-        # current before the new layer must refuse further updates
+        # the head grows in place, so no earlier head object is left behind
+        # to train a frozen layer: the given head is the grown one, its old
+        # layers the same objects, now frozen, and a raise changes nothing
         feats = rng.normal(size=(30, 5))
-        stale = add_task_layer(DgkdHead(5, 1, 2), feats, rng.substream("a"))
-        vec = stale.param_vector()
-        stale.set_param_vector(vec)
-        head = add_task_layer(stale, feats + 1.0, rng.substream("b"))
-        assert head.layers[0] is stale.layers[0] and stale.layers[0].frozen
-        with pytest.raises(ContractViolation, match="frozen"):
-            stale.set_param_vector(vec + 0.25)
-        opt = AdamState.init(vec.size, lr=0.1)
-        with pytest.raises(ContractViolation, match="frozen"):
-            stale.adam_update(np.ones(vec.size), opt)
-        assert opt.step_count == 0 and not opt.m.any()
-        assert head.layers[0].param_vector().tobytes() == vec.tobytes()
+        head = DgkdHead(5, 1, 2)
+        assert add_task_layer(head, feats, rng.substream("a")) is None
+        first = head.layers[0]
+        vec = head.param_vector()
+        assert add_task_layer(head, feats + 1.0, rng.substream("b")) is None
+        assert head.active_task == 2 and head.layers[0] is first and first.frozen
+        assert not head.layers[1].frozen
+        assert first.param_vector().tobytes() == vec.tobytes()
+        layers = list(head.layers)
+        for bad in (np.zeros((0, 5)), np.zeros((4, 6)), np.full((4, 5), np.nan)):
+            with pytest.raises(ContractViolation):
+                add_task_layer(head, bad, rng.substream("c"))
+            assert head.layers == layers and [l.frozen for l in layers] == [True, False]
 
     def test_add_task_layer_centers_match_group_means(self, rng):
         head = DgkdHead(6, 1, 3)
         feats = rng.normal(loc=2.0, size=(50, 6))
-        head = add_task_layer(head, feats, rng.substream("l"))
+        add_task_layer(head, feats, rng.substream("l"))
         layer = head.layers[0]
         for g in range(3):
             cols = np.where(layer.group_of == g)[0]
@@ -239,9 +242,10 @@ class TestDgkdHead:
 
     def test_add_task_layer_width_clamp(self, rng):
         head = DgkdHead(4, 1, 2)
-        head = add_task_layer(head, np.zeros((10, 4)), rng)   # zero spread -> clamp at 0.05
+        add_task_layer(head, np.zeros((10, 4)), rng)   # zero spread -> clamp at 0.05
         assert np.all(head.layers[0].widths == 0.05)
-        head2 = add_task_layer(DgkdHead(4, 1, 2), rng.normal(scale=50.0, size=(200, 4)), rng)
+        head2 = DgkdHead(4, 1, 2)
+        add_task_layer(head2, rng.normal(scale=50.0, size=(200, 4)), rng)
         assert np.all(head2.layers[0].widths == 2.0)
 
     def test_add_task_layer_empty_features(self, rng):
@@ -250,8 +254,9 @@ class TestDgkdHead:
 
     def test_frozen_layer_immutable_under_training(self, rng):
         feats = rng.normal(size=(40, 5))
-        head = add_task_layer(DgkdHead(5, 1, 2), feats, rng.substream("a"))
-        head = add_task_layer(head, feats + 2.0, rng.substream("b"))
+        head = DgkdHead(5, 1, 2)
+        add_task_layer(head, feats, rng.substream("a"))
+        add_task_layer(head, feats + 2.0, rng.substream("b"))
         frozen_bytes = head.layers[0].param_vector().tobytes()
         opt = AdamState.init(head.active_layer.n_params(), lr=1e-2)
         y = rng.integers(0, 2, 40)
@@ -276,6 +281,50 @@ class TestDgkdHead:
         assert np.abs(with_l2 - without).max() <= bound
 
 
+# Non-finite numbers that once built a layer, with what the error names: the
+# feature sample that places a layer or a projection, or a module's array.
+_NON_FINITE = {
+    "nan-features": (lambda head, rng: add_task_layer(head, np.full((10, 4), np.nan), rng),
+                     "group statistics sample"),
+    "inf-row": (lambda head, rng: add_task_layer(
+        head, np.vstack([rng.normal(size=(9, 4)), np.full((1, 4), np.inf)]), rng),
+                "group statistics sample"),
+    "projection-inf-row": (lambda head, rng: KdcpProjection.init(
+        np.vstack([rng.normal(size=(9, 4)), [0.0, np.inf, 0.0, 0.0]]), 4, target_task=2),
+                           "group statistics sample"),
+    "dglayer-centers": (lambda head, rng: DgLayer(4, 1, 2, W=np.ones((1, 4)),
+                                                  centers=[np.inf, 0.0], widths=[np.nan, 1.0]),
+                        "DgLayer centers"),
+    "dglayer-widths": (lambda head, rng: DgLayer(4, 1, 2, W=np.ones((1, 4)),
+                                                 centers=[0.0, 0.0], widths=[1.0, np.nan]),
+                       "DgLayer widths"),
+    "dglayer-W": (lambda head, rng: DgLayer(4, 1, 2, W=[[0.0, np.nan, 0.0, 0.0]],
+                                            centers=[0.0, 0.0], widths=[1.0, 1.0]),
+                  "DgLayer W"),
+    "extractor-b2": (lambda head, rng: FeatureExtractor(np.ones((3, 2)), np.ones(3),
+                                                        np.ones((1, 3)), [-np.inf]),
+                     "FeatureExtractor b2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE))
+def test_non_finite_numbers_build_no_layer(case, rng):
+    # each was accepted once (all but W): the NaN sample gave a layer whose
+    # every forward was NaN, and the inf row tripped a RuntimeWarning in the
+    # group mean.  A raise leaves the head as it was.
+    head = DgkdHead(4, 1, 2)
+    for k in range(2):
+        add_task_layer(head, rng.normal(loc=k, size=(20, 4)), rng.substream("l", k))
+    layers = list(head.layers)
+    params = [l.param_vector().tobytes() for l in layers]
+    build, names = _NON_FINITE[case]
+    with pytest.raises(ContractViolation, match=f"{names} contains non-finite"):
+        build(head, rng.substream("bad"))
+    assert head.layers == layers and head.active_task == 2
+    assert [l.frozen for l in layers] == [True, False]
+    assert [l.param_vector().tobytes() for l in layers] == params
+
+
 def _layer_loop_reference(layers, X, dY):
     """The head as a loop over its layers: outputs summed from zero, input
     gradients summed from the first layer, parameter gradients of the last."""
@@ -298,8 +347,8 @@ class TestStackedHeadMatchesLayerLoop:
         grown = DgkdHead(16, d_out, 4)
         for T in range(1, 11):
             r = rng.substream("T", T, d_out)
-            grown = add_task_layer(grown, r.normal(loc=T, scale=0.5 + 0.1 * T, size=(40, 16)),
-                                   r.substream("init"))
+            add_task_layer(grown, r.normal(loc=T, scale=0.5 + 0.1 * T, size=(40, 16)),
+                           r.substream("init"))
             # the same layers, unfrozen, handed to the constructor directly
             direct = DgkdHead(16, d_out, 4, [DgLayer(16, d_out, 4, l.W, l.centers, l.widths)
                                               for l in grown.layers])
@@ -317,8 +366,9 @@ class TestStackedHeadMatchesLayerLoop:
 
     def test_exact_bytes_after_active_layer_update(self, rng):
         feats = rng.normal(size=(30, 5))
-        head = add_task_layer(DgkdHead(5, 1, 2), feats, rng.substream("a"))
-        head = add_task_layer(head, feats + 1.0, rng.substream("b"))
+        head = DgkdHead(5, 1, 2)
+        add_task_layer(head, feats, rng.substream("a"))
+        add_task_layer(head, feats + 1.0, rng.substream("b"))
         head.set_param_vector(head.param_vector() + 0.25)
         X = rng.normal(size=(9, 5))
         dY = rng.normal(size=(9, 1))
@@ -526,8 +576,9 @@ def test_dgkd_head_deepcopy_views_its_own_layers(rng):
     # deepcopy and pickling: a copy shares no memory with the original,
     # trains apart from it, and forwards like a head built fresh from its values
     feats = rng.normal(size=(30, 5))
-    head = add_task_layer(DgkdHead(5, 1, 2), feats, rng.substream("a"))
-    head = add_task_layer(head, feats + 1.0, rng.substream("b"))
+    head = DgkdHead(5, 1, 2)
+    add_task_layer(head, feats, rng.substream("a"))
+    add_task_layer(head, feats + 1.0, rng.substream("b"))
     X = rng.normal(size=(7, 5))
     Y = head.forward(X)
     before = head.param_vector()
@@ -627,7 +678,7 @@ class TestBackwardKeepsCache:
     def test_dgkd_head(self, T, N, rng):
         head = DgkdHead(16, 1, 4)
         for k in range(T):
-            head = add_task_layer(head, rng.normal(loc=k, size=(40, 16)), rng.substream("l", k))
+            add_task_layer(head, rng.normal(loc=k, size=(40, 16)), rng.substream("l", k))
         head.set_param_vector(head.param_vector() + rng.normal(scale=0.1, size=head.n_params()))
         assert_backward_keeps_cache(head.forward_cached, head.backward,
                                     rng.normal(loc=1.0, size=(N, 16)), rng.normal(size=(N, 1)))
