@@ -86,13 +86,17 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Raise ConfigError (exit code 2) for an unknown protocol, a value that
-    breaks a ``TrainerConfig.validate`` rule, or a stream the run cannot
-    finish: every split needs both classes, and the memory one row for each
-    of the protocol's 2T domain-classes."""
+    """Raise ConfigError (exit code 2) for a value that breaks a
+    ``TrainerConfig.validate`` rule or the experiment's own: a known protocol,
+    seed >= 0, and a stream the run can build and finish (``d_x`` a multiple
+    of 8, both classes in every split, a memory row per domain-class)."""
     if cfg.protocol not in PROTOCOLS:
         raise ConfigError(f"config field 'protocol': must be one of {PROTOCOLS}, got {cfg.protocol!r}")
     cfg.validate()
+    if cfg.seed < 0:
+        raise ConfigError("config field 'seed': must be >= 0")
+    if cfg.d_x % 8 != 0:
+        raise ConfigError("config field 'd_x': protocol geometry requires a multiple of 8")
     for name in ("train_samples", "eval_samples"):
         if getattr(cfg, name) < 2:
             raise ConfigError(f"config field {name!r}: must be >= 2, so that both classes occur")

@@ -33,15 +33,15 @@ HEADS = ("dgkd", "mlp", "groupkan")
 
 
 class ConfigError(ContractViolation):
-    """A config value breaks one of ``TrainerConfig.validate``'s rules."""
+    """A config value breaks a rule of the trainer or of the experiment."""
 
 
 @dataclass
 class TrainerConfig:
     """Every knob of one training run; the defaults are the reference run.
 
-    ``validate`` holds every rule on the values; ``Trainer`` runs it before it
-    builds anything, and the CLI runs it on a parsed config.
+    ``validate`` holds every rule on these fields; ``Trainer`` runs it before
+    it builds anything, and ``dgkan.cli.validate_config`` before its own.
     """
 
     head: str = "dgkd"                   # dgkd | mlp | groupkan
@@ -67,21 +67,19 @@ class TrainerConfig:
     proj_lr: float = 5e-4
 
     def validate(self) -> None:
-        """Raise ConfigError naming the first field that breaks its rule.
-
-        The type rules cover a subclass's fields too: every float must be
-        finite, a ``seed`` must be >= 0 (numpy seeds take no negative), and
-        every other int counts something, so it must be at least 1.
+        """Raise ConfigError naming the first of ``TrainerConfig``'s own fields
+        that breaks its rule: every float must be finite and every int counts
+        something, so it must be at least 1.  Any ``d_x`` trains; the stream's
+        rules and a subclass's fields are ``dgkan.cli.validate_config``'s.
         """
         if self.head not in HEADS:
             raise ConfigError(f"config field 'head': must be one of {HEADS}, got {self.head!r}")
-        for f in fields(self):
+        for f in fields(TrainerConfig):
             val = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(val):
                 raise ConfigError(f"config field {f.name!r}: must be finite, got {val!r}")
-            least = 0 if f.name == "seed" else 1
-            if f.type == "int" and val < least:
-                raise ConfigError(f"config field {f.name!r}: must be >= {least}")
+            if f.type == "int" and val < 1:
+                raise ConfigError(f"config field {f.name!r}: must be >= 1")
         for name in ("tau", "main_lr", "proj_lr"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"config field {name!r}: must be > 0")
@@ -93,8 +91,6 @@ class TrainerConfig:
         if self.head == "groupkan" and self.mlp_hidden < self.d_f:
             # the hidden groupkan layer splits its mlp_hidden inputs into d_f groups
             raise ConfigError("config field 'mlp_hidden': the groupkan head needs at least d_f")
-        if self.d_x % 8 != 0:
-            raise ConfigError("config field 'd_x': protocol geometry requires a multiple of 8")
 
 
 class Trainer:

@@ -171,12 +171,15 @@ def select_indices(features: np.ndarray, domain_class: np.ndarray, budget: int) 
         raise ContractViolation("select_features requires a non-empty feature matrix")
     if d.shape != (F.shape[0],):
         raise ContractViolation("domain-class labels must align with feature rows")
-    labels, counts = np.unique(d, return_counts=True)
-    if budget < labels.size:
-        raise ContractViolation(f"budget {budget} below number of distinct labels {labels.size}")
-    quotas = label_quotas(dict(zip(labels.tolist(), counts.tolist())), budget)
+    if d.min() < 0:
+        raise ContractViolation("domain-class labels must be >= 0")
+    counts = np.bincount(d)
+    labels = np.flatnonzero(counts).tolist()        # ascending
+    if budget < len(labels):
+        raise ContractViolation(f"budget {budget} below number of distinct labels {len(labels)}")
+    quotas = label_quotas({lbl: int(counts[lbl]) for lbl in labels}, budget)
     picked: list[np.ndarray] = []
-    for lbl in sorted(labels.tolist()):
+    for lbl in labels:
         rows_idx = np.where(d == lbl)[0]
         local = herd_indices(F[rows_idx], quotas[lbl])
         picked.append(rows_idx[local])

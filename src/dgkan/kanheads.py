@@ -481,7 +481,6 @@ class SiluMlp(ParamArrays):
 class MlpHead(SiluMlp):
     """Non-local baseline: one set of global weights, d_in -> hidden -> d_out."""
 
-    kind = "mlp"
     forward, forward_cached, backward = SiluMlp.forward, SiluMlp.forward_cached, SiluMlp.backward
     param_vector, set_param_vector = SiluMlp.param_vector, SiluMlp.set_param_vector
 
@@ -550,7 +549,6 @@ class GrKanHead(ParamArrays):
     and stays 0.  A layer's group count is its number of coefficient rows.
     """
 
-    kind = "groupkan"
     PARAMS = ("W1", "b1", "p1", "q1", "W2", "b2", "p2", "q2")
 
     def __init__(self, W1, b1, p1, q1, W2, b2, p2, q2):

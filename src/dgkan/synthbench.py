@@ -13,8 +13,6 @@ import numpy as np
 
 from .numcore import ContractViolation, RngStream
 
-PROTOCOLS = ("four-task", "ten-task", "two-task-overlap", "two-task-separated")
-
 # reference seeds used by the trend benchmarks and acceptance runs
 REFERENCE_SEEDS = (11, 23, 47)
 
@@ -24,7 +22,8 @@ REFERENCE_SEEDS = (11, 23, 47)
 SIGMA, COMP_OFFSET, FAKE_SCALE, STYLE_SCALE = 0.35, 1.0, 2.0, 0.7
 # protocol -> (domains, step between domain means in units of SIGMA, on the ring)
 LAYOUTS = {"four-task": (4, 0.8, True), "ten-task": (10, 0.8, True),
-            "two-task-separated": (2, 36.0, False), "two-task-overlap": (2, 0.8, False)}
+           "two-task-overlap": (2, 0.8, False), "two-task-separated": (2, 36.0, False)}
+PROTOCOLS = tuple(LAYOUTS)
 
 
 @dataclass

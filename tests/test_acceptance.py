@@ -26,7 +26,7 @@ from dgkan.kanheads import (DgkdHead, FeatureExtractor, MlpHead,
                             DgLayer, make_baseline_head)
 from dgkan.losses import (DomainLabeledBatch, align_loss, bce_loss, kd_loss, supcon_loss)
 from dgkan.numcore import (AdamState, RngStream, finite_diff_grad, max_rel_err)
-from dgkan.synthbench import REFERENCE_SEEDS, dataset, gen_sequence
+from dgkan.synthbench import LAYOUTS, REFERENCE_SEEDS, dataset, gen_sequence
 
 from test_losses import supcon_bruteforce
 from test_fskdcp import herding_oracle
@@ -112,13 +112,13 @@ def bench_run(protocol: str, seed: int, **knobs) -> ScoreMatrix:
 
 
 def mean_final_af(protocol: str, **kw) -> float:
-    T = 10 if protocol == "ten-task" else 4
+    T = LAYOUTS[protocol][0]
     return float(np.mean([average_forgetting(bench_run(protocol, s, **kw), T)
                           for s in REFERENCE_SEEDS]))
 
 
 def mean_final_aa(protocol: str, **kw) -> float:
-    T = 10 if protocol == "ten-task" else 4
+    T = LAYOUTS[protocol][0]
     return float(np.mean([average_accuracy(bench_run(protocol, s, **kw), T)
                           for s in REFERENCE_SEEDS]))
 

@@ -1,8 +1,11 @@
+import math
 import os
+import re
 import subprocess
 import sys
 import types
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from dgkan.cli import ExperimentConfig, validate_config
 from dgkan.continual import (ConfigError, ScoreMatrix, Trainer, TrainerConfig, accuracy, auc,
                              average_accuracy, average_forgetting, run_stream)
 from dgkan.fskdcp import augment_features, domain_class, train_projection_step
+from dgkan.kanheads import GrKanHead, MlpHead
 from dgkan.losses import DomainLabeledBatch, bce_loss, kd_loss, overall_loss, supcon_loss
 from dgkan.numcore import ContractViolation, RngStream, adam_step
 from dgkan.synthbench import dataset, gen_sequence
@@ -265,6 +269,22 @@ class TestTrainer:
         with pytest.raises(ConfigError, match=field):
             Trainer(cfg, 0)
 
+    def test_any_input_width_trains(self):
+        # d_x % 8 is the synthetic stream's rule, which the CLI checks; a
+        # library trainer takes inputs of any width
+        r = RngStream(5)
+        tr = Trainer(TrainerConfig(d_x=12, epochs=2, memory_budget=40), 0)
+        eval_sets = []
+        for t in range(2):
+            y = np.arange(48) % 2
+            X = r.normal(size=(48, 12)) + 1.5 * y[:, None] + t
+            tr.train_task(X, y)
+            eval_sets.append((X[:32], y[:32]))
+            accs, aucs = tr.evaluate_all(eval_sets)
+            assert len(accs) == len(aucs) == t + 1
+            assert np.all(np.isfinite(accs)) and np.all(np.isfinite(aucs))
+        assert tr.task == 2 and tr.memory.features.shape[1] == tr.cfg.d_f
+
     def test_teacher_immutable_during_task(self, monkeypatch):
         # the teacher every step of task t reads is the extractor as task
         # t - 1 left it, and no step of the task changes it
@@ -365,11 +385,11 @@ class TestTrainer:
 
     def test_baseline_head_modes(self):
         stream = tiny_stream()
-        for kind in ("mlp", "groupkan"):
+        for kind, cls in (("mlp", MlpHead), ("groupkan", GrKanHead)):
             cfg = tiny_config(head=kind, epochs=2)
             m, tr = run_stream(stream, cfg)
             assert m.num_steps == 4
-            assert tr.head.kind == kind
+            assert type(tr.head) is cls
 
     def test_groupkan_learns_reversed_tasks(self):
         # four-task fakes are fake_a, fake_b, -fake_a, -fake_b: tasks 3 and 4
@@ -608,7 +628,7 @@ class TestRunLoadsNoModule:
     def test_training_and_evaluation_import_nothing_after_set_up(self):
         # a fresh interpreter, so that no other test's imports hide one.
         # numpy 2's np.unique calls np.ma.is_masked, which loads all of
-        # numpy.ma; fskdcp's np.unique(..., return_counts=True) skips that call
+        # numpy.ma; the run counts labels with np.bincount instead
         src = os.path.dirname(os.path.dirname(continual.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -616,3 +636,13 @@ class TestRunLoadsNoModule:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's "Library example" block, run as written (a reference run)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S)
+    assert block is not None, "README.md has no python block under '## Library example'"
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 1 and math.isfinite(float(printed[0]))

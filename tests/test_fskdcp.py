@@ -192,6 +192,20 @@ class TestSelection:
         with pytest.raises(ContractViolation):
             select_indices(F, np.array([0, 1, 2, 3, 4, 5]), budget=3)
 
+    def test_negative_label_rejected(self, rng):
+        with pytest.raises(ContractViolation, match="labels must be >= 0"):
+            select_indices(rng.normal(size=(4, 2)), np.array([0, -1, 1, 1]), budget=4)
+
+    def test_labels_with_gaps_select_as_unique_did(self, rng):
+        # codes absent between present ones count 0 and get no quota; the
+        # rows are np.unique's ascending labels, each herded in turn
+        F = rng.normal(size=(40, 3))
+        d = np.array([0, 3, 7, 12])[rng.integers(0, 4, 40)]
+        labels, counts = np.unique(d, return_counts=True)
+        quotas = label_quotas(dict(zip(labels.tolist(), counts.tolist())), 9)
+        want = [np.flatnonzero(d == l)[herd_indices(F[d == l], quotas[l])] for l in labels.tolist()]
+        assert select_indices(F, d, budget=9).tolist() == np.concatenate(want).tolist()
+
     def test_label_decoding(self, rng):
         F = rng.normal(size=(8, 2))
         d = np.array([0, 1, 2, 3, 4, 5, 6, 7])

@@ -121,3 +121,9 @@ def test_stream_bytes_are_pinned(protocol):
                         h.update(X.tobytes())
                         h.update(y.tobytes())
     assert h.hexdigest() == STREAM_DIGESTS[protocol]
+
+
+def test_protocols_keep_their_order():
+    # PROTOCOLS is LAYOUTS' keys: --protocol choices, the protocol error
+    # text and these test IDs list them in this order
+    assert PROTOCOLS == tuple(LAYOUTS) == tuple(STREAM_DIGESTS)
