@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dgkan.kanheads import (SIGMA_MIN, DgkdHead, DgLayer, FeatureExtractor, GrKanHead, MlpHead,
-                            ParamArrays, activation_profile, add_task_layer,
+                            ParamArrays, _silu, activation_profile, add_task_layer,
                             group_index_map, make_baseline_head)
 from dgkan.numcore import AdamState, ContractViolation, RngStream, adam_step, finite_diff_grad, max_rel_err
 from dgkan.continual import Trainer, TrainerConfig
@@ -377,6 +377,16 @@ class TestStackedHeadMatchesLayerLoop:
         dX, grads = head.backward(dY, cache)
         assert Y.tobytes() == Y_ref.tobytes() and dX.tobytes() == dX_ref.tobytes()
         assert grads.tobytes() == g_ref.tobytes()
+
+
+def test_silu_matches_three_exp_formula(rng):
+    for scale in (0.1, 1.0, 10.0, 100.0, 800.0):
+        z = np.concatenate([[0.0, -0.0], rng.normal(scale=scale, size=500)])
+        e3 = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
+                      np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+        value, slope = _silu(z)
+        assert value.tobytes() == (z * e3).tobytes()
+        assert slope.tobytes() == (e3 * (1.0 + z * (1.0 - e3))).tobytes()
 
 
 class TestActivationProfile:
