@@ -13,8 +13,11 @@ Layer conventions used throughout:
 * inputs are float64 batches of shape (N, d_in);
 * ``forward`` is read-only and computes values only; ``forward_cached``
   additionally returns the cache consumed by ``backward``.  ``SiluMlp``'s
-  ``forward`` holds at most one (N, hidden) buffer beyond one row block's
-  temporaries, since its silu overwrites the pre-activation in place;
+  ``forward`` streams blocks of ``FORWARD_BLOCK_ROWS`` rows through both
+  gemms and an in-place silu, so it holds its (N, d_out) output plus one
+  block.  Its bytes equal the whole-batch forward's on the pinned OpenBLAS
+  0.3.31 only, which ``test_byte_oracles.py``'s ``test_streamed_forward``
+  checks;
 * ``backward(dY, cache)`` returns ``(dX, grad_vec)`` where ``grad_vec``
   lines up with ``param_vector()`` so one Adam state per module suffices;
 * a layer's parameter vector is its ``PARAMS`` arrays, ravelled and
@@ -379,8 +382,15 @@ def activation_profile(head: DgkdHead, group_index: int, xs) -> np.ndarray:
     return vals
 
 
-# Rows per block of ``SiluMlp.forward``'s in-place silu: its temporaries stay
-# a few hundred rows deep whatever the batch.
+# ``SiluMlp.forward`` streams blocks of FORWARD_BLOCK_ROWS rows and runs the
+# silu over pieces of SILU_BLOCK_ROWS rows inside each, so its hidden
+# activations stay a few hundred rows deep whatever the batch.  A block's
+# pre-activation (256 KiB at the extractor's width of 64) is twice glibc's
+# default mmap threshold: the first whole-task forward maps and frees it, and
+# glibc then raises the threshold above the two 128 KiB contrastive matrices
+# of every training step.  256-row blocks sit at the threshold, and in some
+# heap layouts each step then mapped those matrices anew (up to 68 faults).
+FORWARD_BLOCK_ROWS = 512
 SILU_BLOCK_ROWS = 256
 
 
@@ -410,8 +420,9 @@ def _silu(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class SiluMlp(ParamArrays):
     """affine -> silu -> affine, d_in -> hidden -> d_out.  ``forward`` is
-    value-only and holds at most one (N, hidden) buffer beyond one row
-    block's temporaries."""
+    value-only and streams row blocks: it holds the (N, d_out) output plus
+    one block's hidden activations, never an (N, hidden) buffer once N is
+    two blocks or more."""
 
     PARAMS = ("W1", "b1", "W2", "b2")
 
@@ -432,33 +443,46 @@ class SiluMlp(ParamArrays):
         return cls(rng.uniform(-a1, a1, (hidden, d_in)), np.zeros(hidden),
                    rng.uniform(-a2, a2, (d_out, hidden)), np.zeros(d_out))
 
-    def _hidden(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The checked batch and its pre-activation X W1^T + b1, the bias
-        added in place (as ``_out`` adds b2).  Both helpers are untraced, so
+    def _hidden(self, X: np.ndarray) -> np.ndarray:
+        """The pre-activation X W1^T + b1 of a checked batch, the bias added
+        in place (as ``_out`` adds b2).  The helpers are untraced, so
         ``forward`` and ``forward_cached`` keep separate spans."""
-        X = _as_batch(X, self.d_in, f"{type(self).__name__} input")
         z1 = X @ self.W1.T
         z1 += self.b1
-        return X, z1
+        return z1
 
-    def _out(self, h: np.ndarray) -> np.ndarray:
-        Y = h @ self.W2.T
+    def _out(self, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        Y = np.matmul(h, self.W2.T, out=out)
         Y += self.b2
         return Y
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        """Values only: silu overwrites the pre-activation in place, one block
-        of ``SILU_BLOCK_ROWS`` rows at a time.  Both gemms stay whole-batch,
-        so no byte depends on the block size."""
-        _, z1 = self._hidden(X)
-        for start in range(0, z1.shape[0], SILU_BLOCK_ROWS):
-            block = z1[start:start + SILU_BLOCK_ROWS]
-            block *= _sigmoid(block)[0]
-        return self._out(z1)
+        """Values only, streamed over row blocks: each block runs both gemms,
+        its silu in place ``SILU_BLOCK_ROWS`` rows at a time, then writes its
+        rows of the one (N, d_out) output.  Blocks are
+        ``FORWARD_BLOCK_ROWS`` rows and the last takes in the short tail, so
+        the working set is the output plus one block of fewer than
+        2 * ``FORWARD_BLOCK_ROWS`` rows, and a batch shorter than two blocks
+        is one block.  The bytes equal the whole-batch forward's because
+        OpenBLAS 0.3.31 gives a gemm over >= 256 rows of a batch the bytes of
+        the whole-batch gemm, by no guarantee: ``test_byte_oracles.py``'s
+        ``test_streamed_forward`` is the check."""
+        X = _as_batch(X, self.d_in, f"{type(self).__name__} input")
+        n = X.shape[0]
+        Y = np.empty((n, self.d_out))
+        for start in range(0, max(n - FORWARD_BLOCK_ROWS, 0) + 1, FORWARD_BLOCK_ROWS):
+            rows = slice(start, start + FORWARD_BLOCK_ROWS if n - start >= 2 * FORWARD_BLOCK_ROWS
+                         else n)
+            z1 = self._hidden(X[rows])
+            for piece_start in range(0, z1.shape[0], SILU_BLOCK_ROWS):
+                piece = z1[piece_start:piece_start + SILU_BLOCK_ROWS]
+                piece *= _sigmoid(piece)[0]
+            self._out(z1, out=Y[rows])
+        return Y
 
     def forward_cached(self, X: np.ndarray):
-        X, z1 = self._hidden(X)
-        h, dh = _silu(z1)
+        X = _as_batch(X, self.d_in, f"{type(self).__name__} input")
+        h, dh = _silu(self._hidden(X))
         return self._out(h), (X, h, dh)
 
     def backward(self, dY: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray]:

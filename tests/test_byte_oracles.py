@@ -35,6 +35,11 @@ verbatim in its arithmetic: the library must return the same bytes.
   gradients; ``augment_features``' jitter as ``jitter_scale * scale *
   noise``; and the trainer's contrastive gate on ``np.unique``, which
   ``np.bincount`` replaced (the codes are >= 0).
+* ``SiluMlp.forward`` streams row blocks of ``FORWARD_BLOCK_ROWS`` rows, the
+  last one with the short tail, each through both gemms.  The reference is
+  the whole-batch forward it replaced.  A gemm over >= 256 rows of a batch
+  gives the whole-batch gemm's bytes on OpenBLAS 0.3.31 (64-row blocks do
+  not, at the extractor's d_out = 16), again by no guarantee.
 * ``Trainer``'s task start places the projection's RBFs over the one
   extractor forward of the task inputs that also places the new DG-KD
   layer; the reference pool is the teacher's own forward of those inputs
@@ -52,8 +57,8 @@ import dgkan.losses
 from dgkan.continual import Trainer, TrainerConfig
 from dgkan.fskdcp import FeatureMemory, KdcpProjection, _label_stds, augment_features
 from dgkan.kanheads import (DgkdHead, DgLayer, FeatureExtractor, MlpHead, SiluMlp,
-                            _gaussian_input_grad, _gaussian_param_grad, _gaussians, _silu,
-                            add_task_layer, group_index_map)
+                            _gaussian_input_grad, _gaussian_param_grad, _gaussians, _sigmoid,
+                            _silu, add_task_layer, group_index_map)
 from dgkan.losses import DomainLabeledBatch, align_loss, bce_loss, kd_loss, supcon_loss
 from dgkan.numcore import AdamState, ContractViolation, RngStream, adam_step
 from dgkan.synthbench import dataset, gen_sequence
@@ -456,6 +461,19 @@ def silu_mlp_forward_reference(m, X):
     return h @ m.W2.T + m.b2
 
 
+def silu_mlp_whole_batch_forward_reference(m, X):
+    """``SiluMlp.forward`` before it streamed row blocks: both gemms over the
+    whole batch, the silu in place one 256-row block at a time."""
+    z1 = X @ m.W1.T
+    z1 += m.b1
+    for start in range(0, z1.shape[0], 256):
+        block = z1[start:start + 256]
+        block *= _sigmoid(block)[0]
+    Y = z1 @ m.W2.T
+    Y += m.b2
+    return Y
+
+
 def silu_mlp_forward_cached_reference(m, X):
     z1 = X @ m.W1.T + m.b1
     h, dh = silu_one_exp_reference(z1)
@@ -606,6 +624,23 @@ class TestInPlaceKernelsMatchReference:
             assert (X.tobytes(), m.params.tobytes()) == kept
             assert not any(np.shares_memory(Y, a) for a in (X, m.W1, m.W2))
             _same_bytes(m.backward(dY, cache), silu_mlp_backward_reference(m, dY, cache))
+
+    # row counts on both sides of one, two and many blocks, with and without
+    # a tail; the extractor's shapes and the MLP head's
+    @pytest.mark.parametrize("N", [0, 1, 63, 255, 256, 257, 511, 512, 513, 1023, 1024, 1535,
+                                   1536, 2047, 4096, 4097, 8096])
+    @pytest.mark.parametrize("cls,d_in,hidden,d_out", [
+        (FeatureExtractor, 8, 64, 16), (FeatureExtractor, 32, 64, 16),
+        (FeatureExtractor, 64, 64, 64), (MlpHead, 16, 32, 1)])
+    def test_streamed_forward(self, N, cls, d_in, hidden, d_out):
+        # each block's gemms give the whole-batch gemms' bytes (OpenBLAS 0.3.31)
+        r = RngStream(47).substream("streamed", N, d_in, hidden, d_out)
+        m = cls.init(d_in, d_out, hidden, r.substream("init"))
+        m.set_param_vector(r.normal(scale=0.5, size=m.n_params()))      # nonzero biases
+        X = r.normal(scale=2.0, size=(N, d_in))
+        Y = m.forward(X)
+        assert Y.shape == (N, d_out)
+        _same_bytes(Y, silu_mlp_whole_batch_forward_reference(m, X))
 
     @pytest.mark.parametrize("N", [1, 4, 64, 500, 4000])
     def test_projection(self, N):

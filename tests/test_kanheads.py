@@ -491,13 +491,17 @@ class TestFeatureExtractor:
 
             gradcheck(f, ext.param_vector(), grads)
 
-    def test_forward_holds_one_hidden_buffer(self, rng):
-        # the value-only forward keeps the (N, hidden) pre-activation and one
-        # row block's silu temporaries, never whole-batch sigmoid or slope arrays
-        N, hidden = 4096, 64
-        ext = FeatureExtractor.init(8, 16, hidden, rng.substream("e"))
-        X = rng.normal(size=(N, 8))
-        assert peak_alloc_bytes(ext.forward, X) < 1.5 * N * hidden * 8
+    def test_forward_holds_output_and_one_block(self, rng):
+        # the value-only forward streams row blocks: beyond its (N, d_out)
+        # output it holds one block's pre-activation and one silu piece's
+        # temporaries, whatever N is, never an (N, hidden) buffer.  Blocks are
+        # 512 rows; 8191 rows end in the longest block, 1023 rows.
+        d_out, hidden = 16, 64
+        ext = FeatureExtractor.init(8, d_out, hidden, rng.substream("e"))
+        block = 512 * hidden * 8
+        for N in (8191, 8192):
+            X = rng.normal(size=(N, 8))
+            assert peak_alloc_bytes(ext.forward, X) < N * d_out * 8 + 4 * block
 
     def test_snapshot_is_independent(self, rng):
         ext = FeatureExtractor.init(4, 3, 6, rng)
