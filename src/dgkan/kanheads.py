@@ -38,7 +38,9 @@ Layer conventions used throughout:
   which ``DgLayer`` calls with its own arrays and ``DgkdHead``'s
   ``forward_cached`` and ``backward`` with all its layers stacked.
   ``DgkdHead.forward`` goes layer by layer through ``DgLayer.forward``, so
-  its Gaussians never grow with the number of layers.
+  its Gaussians never grow with the number of layers; both paths add the
+  per-layer terms with one ``sum(axis=0)`` over a (T, ...) stack, so they
+  agree bit for bit.
 """
 from __future__ import annotations
 
@@ -257,12 +259,11 @@ class DgkdHead:
     cache for, stack the vectors into one (T, n_params) array, view it as
     W (T, d_out, d_in), centers and widths (T, groups), evaluate every
     layer's Gaussians with one broadcast exp and every layer with one
-    batched matmul, and add the per-layer outputs and input gradients in
-    layer order, which gives the same bytes as a loop over ``layers``.  The
-    parameter gradient is the active layer's, from the last slice.  The
-    read-only ``forward`` is that loop: one ``DgLayer.forward`` per layer,
-    its output added into the first layer's, so it holds one layer's
-    Gaussians, never the (T, N, d_in) stack.
+    batched matmul, and sum the per-layer outputs and input gradients over
+    the layer axis.  The parameter gradient is the active layer's, from the
+    last slice.  The read-only ``forward`` runs one ``DgLayer.forward`` per
+    layer and sums their stacked (T, N, d_out) outputs the same way, so it
+    holds one layer's Gaussians, never the (T, N, d_in) stack.
     """
 
     def __init__(self, d_in: int, d_out: int, groups: int, layers: list[DgLayer] | None = None):
@@ -290,14 +291,11 @@ class DgkdHead:
         return X
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        """Values only, one layer at a time: each ``DgLayer.forward`` output
-        is added into the first layer's in layer order, so at most one
-        layer's (N, d_in) Gaussians are alive at once."""
+        """Values only, one layer at a time, so at most one layer's (N, d_in)
+        Gaussians are alive at once; the outputs are summed as
+        ``forward_cached`` sums them."""
         X = self._checked(X)
-        Y = self.layers[0].forward(X)
-        for layer in self.layers[1:]:
-            Y += layer.forward(X)
-        return Y
+        return np.array([layer.forward(X) for layer in self.layers]).sum(axis=0)
 
     def forward_cached(self, X: np.ndarray):
         X = self._checked(X)
@@ -307,7 +305,7 @@ class DgkdHead:
         W, centers, widths = self.active_layer._views(stack)
         s = np.take(widths, self.group_of, axis=1)[:, None, :]
         phi, z = _gaussians(X, np.take(centers, self.group_of, axis=1)[:, None, :], s)
-        return _sum_in_layer_order(phi @ W.transpose(0, 2, 1)), (W, phi, z, s)
+        return (phi @ W.transpose(0, 2, 1)).sum(axis=0), (W, phi, z, s)
 
     def backward(self, dY: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray]:
         """Input gradient flows through every layer; parameter gradients are
@@ -315,7 +313,7 @@ class DgkdHead:
         W, phi, z, s = cache
         dY = np.asarray(dY, dtype=np.float64).reshape(phi.shape[1], self.d_out)
         dX, common = _gaussian_input_grad(dY, W, phi, z, s)
-        return _sum_in_layer_order(dX), _gaussian_param_grad(
+        return dX.sum(axis=0), _gaussian_param_grad(
             dY, common[-1], phi[-1], z[-1], s[-1], self.group_of, self.groups)
 
     def n_params(self) -> int:
@@ -334,16 +332,6 @@ class DgkdHead:
 
     def adam_update(self, grads: np.ndarray, opt: AdamState) -> None:
         self._trainable_layer().adam_update(grads, opt)
-
-
-def _sum_in_layer_order(terms: np.ndarray) -> np.ndarray:
-    """terms[0] + ... + terms[-1], added left to right: the order of a loop
-    over the head's layers.  (np.sum may add pairwise, and
-    np.add.accumulate is several times slower.)"""
-    total = terms[0].copy()
-    for term in terms[1:]:
-        total += term
-    return total
 
 
 def add_task_layer(head: DgkdHead, features: np.ndarray, rng: RngStream) -> None:

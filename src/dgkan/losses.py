@@ -76,13 +76,6 @@ def supcon_loss(batch: DomainLabeledBatch, tau: float,
     at negatives, where S <= m, and keeps positives from overflowing
     when 2/tau exceeds exp's range (tau below about 0.0028).  Rows of
     anchors without a positive are zeroed in G and never divide by zero.
-
-    U U^T is a gemm on a contiguous U^T when n is a multiple of 8, several
-    times faster than numpy's syrk path for ``U @ U.T``; on OpenBLAS 0.3.31
-    the two agree bit for bit at those n only, so other n keep syrk.  The
-    gradient rows come from a gemm of at least two rows, which equals the
-    same rows of the full product; a one-row product goes to gemv, whose
-    sums differ.
     """
     if tau <= 0.0:
         raise ContractViolation("tau must be positive")
@@ -105,7 +98,7 @@ def supcon_loss(batch: DomainLabeledBatch, tau: float,
         raise ContractViolation("supcon_loss: zero-norm feature row")
     U = F / norms[:, None]
 
-    S = U @ (np.ascontiguousarray(U.T) if n % 8 == 0 else U.T)
+    S = U @ np.ascontiguousarray(U.T)           # a gemm, several times faster than syrk
     S /= tau
     n_pos = pos.sum(axis=1)
     valid = n_pos > 0                          # with two labels, every row has a negative
@@ -137,8 +130,7 @@ def supcon_loss(batch: DomainLabeledBatch, tau: float,
     if n_valid < n:
         G[~valid] = 0.0
 
-    k = max(r, 2)
-    gU = (np.add(G[:k], G.T[:k], out=S[:k]) @ U)[:r] / tau
+    gU = np.add(G[:r], G.T[:r], out=S[:r]) @ U / tau
     # back through row normalization: (g - (g.u) u) / ||f||
     Ur = U[:r]
     proj = (gU * Ur).sum(axis=1, keepdims=True)

@@ -3,12 +3,10 @@
 Each reference below is a frozen copy of the form the library replaced, kept
 verbatim in its arithmetic: the library must return the same bytes.
 
-* ``supcon_loss`` computes U U^T by gemm instead of numpy's syrk path at
-  row counts that are multiples of 8, runs ``exp`` over clamped finite
-  logits instead of over ``-inf`` fills, and builds gradient rows only for
-  the first ``grad_rows`` rows.  gemm and syrk agree bit for bit at those
-  row counts on OpenBLAS 0.3.31 (and differ at most others), by no
-  guarantee: on another BLAS build this file is the check that fails.
+* ``supcon_loss`` runs ``exp`` over clamped finite logits instead of over
+  ``-inf`` fills, and adds G + G^T only over the first ``grad_rows`` rows;
+  the reference adds it over every row and multiplies the same first rows
+  by U.
 * ``bce_loss`` and ``_silu`` build the sigmoid from one exp(-|z|).
 * ``adam_step`` updates the parameter vector in place.
 * ``DgkdHead.forward_cached`` and ``backward`` run all the head's layers as
@@ -16,10 +14,12 @@ verbatim in its arithmetic: the library must return the same bytes.
   helpers that ``DgLayer`` shares; the reference is the two-path head they
   replaced (the active layer through ``DgLayer``, the frozen layers through
   a stacked copy) and that ``DgLayer``'s own ``_phi`` and ``backward``.
-  ``DgkdHead.forward`` runs one ``DgLayer.forward`` per layer and adds the
-  outputs in layer order; its reference is the stacked forward it replaced,
-  ``_sum_in_layer_order(phi @ W.transpose(0, 2, 1))``, which is
-  ``forward_cached``'s output, and through it the two-path head.
+  The head and its reference sum the per-layer terms over the layer axis
+  of a (T, ...) stack, the reference its frozen terms and then its active
+  one.
+  ``DgkdHead.forward`` runs one ``DgLayer.forward`` per layer and sums their
+  stacked outputs the same way; its reference is ``forward_cached``'s
+  output, and through it the two-path head.
 * The step's elementwise kernels run as in-place chains, each operation in
   the order of the expression it replaced (only operands of a commutative
   operation trade places).  The references are those expressions:
@@ -39,7 +39,8 @@ verbatim in its arithmetic: the library must return the same bytes.
   last one with the short tail, each through both gemms.  The reference is
   the whole-batch forward it replaced.  A gemm over >= 256 rows of a batch
   gives the whole-batch gemm's bytes on OpenBLAS 0.3.31 (64-row blocks do
-  not, at the extractor's d_out = 16), again by no guarantee.
+  not, at the extractor's d_out = 16), by no guarantee: on another BLAS
+  build this is the check that fails.
 * ``Trainer``'s task start places the projection's RBFs over the one
   extractor forward of the task inputs that also places the new DG-KD
   layer; the reference pool is the teacher's own forward of those inputs
@@ -64,18 +65,19 @@ from dgkan.numcore import AdamState, ContractViolation, RngStream, adam_step
 from dgkan.synthbench import dataset, gen_sequence
 
 
-def supcon_reference(batch, tau):
-    """The full-block ``supcon_loss`` with syrk logits, ``-inf`` fills and
-    gradient rows for every row."""
+def supcon_reference(batch, tau, grad_rows=None):
+    """The full-block ``supcon_loss`` with ``-inf`` fills, G + G^T built for
+    every row and its first ``grad_rows`` rows multiplied by U."""
     F = batch.features
     d = batch.domain_class
     n = F.shape[0]
+    r = n if grad_rows is None else grad_rows
     pos = d[:, None] == d[None, :]
     neg = ~pos
     pos.ravel()[::n + 1] = False
     norms = np.sqrt((F * F).sum(axis=1))
     U = F / norms[:, None]
-    S = U @ U.T
+    S = U @ np.ascontiguousarray(U.T)
     S /= tau
     n_pos = pos.sum(axis=1)
     valid = n_pos > 0
@@ -94,9 +96,10 @@ def supcon_reference(batch, tau):
     G /= n_valid
     if n_valid < n:
         G[~valid] = 0.0
-    gU = np.add(G, G.T, out=S) @ U / tau
-    proj = (gU * U).sum(axis=1, keepdims=True)
-    return loss, (gU - proj * U) / norms[:, None]
+    gU = np.add(G, G.T, out=S)[:r] @ U / tau
+    Ur = U[:r]
+    proj = (gU * Ur).sum(axis=1, keepdims=True)
+    return loss, (gU - proj * Ur) / norms[:r, None]
 
 
 def _sigmoid_reference(z):
@@ -131,12 +134,12 @@ def adam_reference(params, grads, state):
 
 def _assert_supcon_bytes(batch, tau, grad_rows):
     loss, grad = supcon_loss(batch, tau, grad_rows=grad_rows)
-    ref_loss, ref_grad = supcon_reference(batch, tau)
+    ref_loss, ref_grad = supcon_reference(batch, tau, grad_rows)
     assert np.isfinite(loss) and np.isfinite(grad).all()
     assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
     r = len(batch.features) if grad_rows is None else grad_rows
     assert grad.shape == (r, batch.features.shape[1])
-    assert grad.tobytes() == ref_grad[:r].tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
 
 
 def _trainer_shaped(r, t, nb=64, d_f=16, scale=1.0):
@@ -310,11 +313,10 @@ def dglayer_reference(layer, X, dY):
     return phi @ layer.W.T, dX, grads
 
 
-def _sum_in_layer_order_reference(frozen_terms, active_term):
-    total = frozen_terms[0].copy()
-    for term in frozen_terms[1:]:
-        total += term
-    return total + active_term
+def _layer_sum_reference(frozen_terms, active_term):
+    """The frozen layers' terms, then the active layer's, summed over the
+    layer axis."""
+    return np.concatenate([frozen_terms, active_term[None]]).sum(axis=0)
 
 
 def dgkd_head_reference(layers, X, dY):
@@ -329,10 +331,10 @@ def dgkd_head_reference(layers, X, dY):
         s = np.stack([l.widths[l.group_of] for l in frozen])[:, None, :]
         z = (X - c) / s
         phi = np.exp(-0.5 * z * z)
-        Y = _sum_in_layer_order_reference(phi @ W.transpose(0, 2, 1), Y)
+        Y = _layer_sum_reference(phi @ W.transpose(0, 2, 1), Y)
         dY = np.asarray(dY, dtype=np.float64).reshape(phi.shape[1], active.d_out)
         common = (dY @ W) * phi
-        dX = _sum_in_layer_order_reference(common * (-z / s), dX)
+        dX = _layer_sum_reference(common * (-z / s), dX)
     return Y, dX, grads
 
 

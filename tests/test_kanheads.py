@@ -326,14 +326,11 @@ def test_non_finite_numbers_build_no_layer(case, rng):
 
 
 def _layer_loop_reference(layers, X, dY):
-    """The head as a loop over its layers: outputs summed from zero, input
-    gradients summed from the first layer, parameter gradients of the last."""
-    Y = np.zeros((X.shape[0], layers[0].d_out))
-    caches = []
-    for layer in layers:
-        y, cache = layer.forward_cached(X)
-        Y += y
-        caches.append(cache)
+    """The head as a loop over its layers: outputs stacked and summed over
+    the layer axis, input gradients summed from the first layer, parameter
+    gradients of the last."""
+    ys, caches = zip(*(layer.forward_cached(X) for layer in layers))
+    Y = np.array(ys).sum(axis=0)
     dX = None
     for layer, cache in zip(layers, caches):
         dx, grads = layer.backward(dY, cache)
@@ -363,6 +360,17 @@ class TestStackedHeadMatchesLayerLoop:
                     assert head.forward(X).tobytes() == Y_ref.tobytes()
                     assert dX.tobytes() == dX_ref.tobytes()
                     assert grads.tobytes() == g_ref.tobytes()
+
+    def test_forward_matches_forward_cached_on_one_element(self, rng):
+        # a 1-row batch of a one-output head at T >= 8 is the one shape where
+        # numpy sums the layer axis pairwise, not left to right: eval and
+        # training agree there only because both paths sum the same way
+        head = DgkdHead(16, 1, 4)
+        for T in range(1, 11):
+            add_task_layer(head, rng.normal(loc=T, size=(40, 16)), rng.substream("init", T))
+        for _ in range(10):
+            X = rng.normal(loc=2.0, scale=3.0, size=(1, 16))
+            assert head.forward(X).tobytes() == head.forward_cached(X)[0].tobytes()
 
     def test_exact_bytes_after_active_layer_update(self, rng):
         feats = rng.normal(size=(30, 5))
