@@ -40,17 +40,21 @@ class ExperimentConfig(TrainerConfig):
     eval_samples: int = 512
 
 
-_BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
+def _parse_bool(raw: str) -> bool:
+    words = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
+    if raw.lower() not in words:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return words[raw.lower()]
 
 
-def _parse_typed(name: str, raw: str, typ):
-    raw = raw.strip()
+# field type name -> (parse a value's text, write a value's text)
+_CODECS = {"bool": (_parse_bool, lambda v: "true" if v else "false"),
+           "int": (int, str), "float": (float, repr), "str": (str, str)}
+
+
+def _parse_typed(name: str, raw: str, typ: str):
     try:
-        if typ is bool:
-            if raw.lower() not in _BOOL_WORDS:
-                raise ValueError(f"not a boolean: {raw!r}")
-            return _BOOL_WORDS[raw.lower()]
-        return typ(raw)
+        return _CODECS[typ][0](raw.strip())
     except ValueError as exc:
         raise ConfigError(f"config field {name!r}: {exc}") from None
 
@@ -59,7 +63,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
     """Parse the flat key = value format, validating against the schema.
     Each field, ``config_version`` included, may be given once."""
     schema = {f.name: f.type for f in fields(ExperimentConfig)}
-    typemap = {"int": int, "float": float, "bool": bool, "str": str}
     cfg = ExperimentConfig()
     seen: dict[str, int] = {}            # field -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -73,12 +76,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"config line {lineno}: field {key!r} repeats line {seen[key]}")
         seen[key] = lineno
         if key == "config_version":
-            if _parse_typed(key, val, int) != CONFIG_FORMAT_VERSION:
+            if _parse_typed(key, val, "int") != CONFIG_FORMAT_VERSION:
                 raise ConfigError(f"unsupported config_version {val}")
             continue
         if key not in schema:
             raise ConfigError(f"config line {lineno}: unknown field {key!r}")
-        setattr(cfg, key, _parse_typed(key, val, typemap[schema[key]]))
+        setattr(cfg, key, _parse_typed(key, val, schema[key]))
     if "config_version" not in seen:
         raise ConfigError("config missing required 'config_version' header")
     validate_config(cfg)
@@ -86,10 +89,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Raise ConfigError (exit code 2) for a value that breaks a
-    ``TrainerConfig.validate`` rule or the experiment's own: a known protocol,
-    seed >= 0, and a stream the run can build and finish (``d_x`` a multiple
-    of 8, both classes in every split, a memory row per domain-class)."""
+    """Raise ConfigError (exit code 2) for a field that breaks a
+    ``TrainerConfig.validate`` rule, which checks every field's type, or a value
+    that breaks the experiment's own: a known protocol, seed >= 0, and a stream
+    the run can build and finish (``d_x`` a multiple of 8, both classes in
+    every split, a memory row per domain-class)."""
     if cfg.protocol not in PROTOCOLS:
         raise ConfigError(f"config field 'protocol': must be one of {PROTOCOLS}, got {cfg.protocol!r}")
     cfg.validate()
@@ -104,16 +108,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def config_lines(cfg: ExperimentConfig) -> list[str]:
-    """Canonical serialization: version header plus every field, sorted."""
-    lines = [f"config_version = {CONFIG_FORMAT_VERSION}"]
-    for f in sorted(fields(ExperimentConfig), key=lambda f: f.name):
-        val = getattr(cfg, f.name)
-        if isinstance(val, bool):
-            val = "true" if val else "false"
-        elif isinstance(val, float):
-            val = repr(val)
-        lines.append(f"{f.name} = {val}")
-    return lines
+    """Canonical text: version header, then each field sorted and written by its declared type."""
+    return [f"config_version = {CONFIG_FORMAT_VERSION}"] + [
+        f"{f.name} = {_CODECS[f.type][1](getattr(cfg, f.name))}"
+        for f in sorted(fields(ExperimentConfig), key=lambda f: f.name)]
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -212,11 +210,13 @@ def _write_manifest(out: Path, manifest: dict, written: list[str]) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> ScoreMatrix:
-    """Train through the configured stream and write all artifacts.
+    """Validate ``cfg``, then train through the configured stream and write
+    all artifacts.  A config that ``validate_config`` rejects writes nothing.
 
     On a mid-run failure the partial artifacts stay on disk next to a
     manifest with status=failed and the error message.
     """
+    validate_config(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
@@ -286,8 +286,8 @@ def dump_embeddings(trainer: Trainer, stream: TaskStream, path) -> int:
     return F.shape[0]
 
 
-def dump_profile(trainer: Trainer, path, group_index: int = 0, x_min: float = -3.0,
-                 x_max: float = 3.0, points: int = 201) -> None:
+def dump_profile(trainer: Trainer, path, group_index: int, x_min: float, x_max: float,
+                 points: int) -> None:
     """Write the composite activation scan of one group as CSV."""
     if not isinstance(trainer.head, DgkdHead):
         raise ContractViolation("activation profiles are defined for the dgkd head only")
@@ -392,12 +392,9 @@ def _load_cfg(args) -> ExperimentConfig:
         cfg = parse_config_text(text)
     else:
         cfg = ExperimentConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.head is not None:
-        cfg.head = args.head
-    if args.protocol is not None:
-        cfg.protocol = args.protocol
+    for name in ("seed", "head", "protocol"):
+        if getattr(args, name) is not None:
+            setattr(cfg, name, getattr(args, name))
     if args.ablate:
         for name in args.ablate.split(","):
             name = name.strip()
@@ -410,8 +407,32 @@ def _load_cfg(args) -> ExperimentConfig:
     return cfg
 
 
-def _check_profile_args(args, cfg: ExperimentConfig) -> None:
-    """Reject a profile request the trained model cannot answer, before training."""
+def _run(args) -> str:
+    cfg = _load_cfg(args)
+    # the nearest existing path up from --out must be a directory
+    found = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
+    if not found.is_dir():
+        raise ConfigError(f"--out: {str(found)!r} exists and is not a directory")
+    run_experiment(cfg, args.out)
+    return f"run complete: artifacts in {args.out}"
+
+
+def _train_for_dump(args, cfg: ExperimentConfig) -> tuple[TaskStream, Trainer]:
+    """Check a dump's --out file, then train the run it dumps."""
+    dest = Path(args.out)
+    if not dest.parent.exists():
+        raise ConfigError(f"--out: directory {str(dest.parent)!r} does not exist")
+    if not dest.parent.is_dir():
+        raise ConfigError(f"--out: {str(dest.parent)!r} is not a directory")
+    if dest.is_dir():
+        raise ConfigError(f"--out: {str(dest)!r} is a directory")
+    stream = build_stream(cfg)
+    return stream, run_stream(stream, trainer_config(cfg))[1]
+
+
+def _dump_profile(args) -> str:
+    cfg = _load_cfg(args)
+    # reject a profile request the trained model cannot answer, before training
     if cfg.head != "dgkd":
         raise ConfigError(f"dump-profile: activation profiles need the dgkd head, got {cfg.head!r}")
     if not 0 <= args.group < cfg.groups:
@@ -421,13 +442,35 @@ def _check_profile_args(args, cfg: ExperimentConfig) -> None:
     for flag, x in (("--x-min", args.x_min), ("--x-max", args.x_max)):
         if not math.isfinite(x):
             raise ConfigError(f"{flag}: must be finite, got {x}")
+    _, trainer = _train_for_dump(args, cfg)
+    dump_profile(trainer, args.out, args.group, args.x_min, args.x_max, args.points)
+    return f"profile written to {args.out}"
+
+
+def _dump_embeddings(args) -> str:
+    cfg = _load_cfg(args)
+    if cfg.d_f < 2:
+        raise ConfigError(f"dump-embeddings: the 2-D PCA dump needs d_f >= 2, got {cfg.d_f}")
+    stream, trainer = _train_for_dump(args, cfg)
+    n = dump_embeddings(trainer, stream, args.out)
+    return f"{n} embedding rows written to {args.out}"
+
+
+def _verify(args) -> str:
+    verify(args.dir)
+    return "verification OK: artifacts reproduce byte-identically"
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dgkan", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p):
+    def verb(name, handler, help, reads_dir=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)      # handler(args) returns the text to print
+        if reads_dir:
+            p.add_argument("--dir", required=True)
+            return p
         p.add_argument("--config", help="path to a flat key = value config file")
         p.add_argument("--seed", type=int)
         p.add_argument("--head", choices=HEADS)
@@ -435,75 +478,35 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ablate", help="comma list from {sc, kd, kdcp} to switch off")
         p.add_argument("--replay-raw", action="store_true", dest="replay_raw")
         p.add_argument("--out", required=True, help="output directory/file")
+        return p
 
-    common(sub.add_parser("run", help="run an experiment and write artifacts"))
-    p_rep = sub.add_parser("report", help="render AA/AF tables from a results directory")
-    p_rep.add_argument("--dir", required=True)
-    common(sub.add_parser("dump-profile", help="write an activation-profile CSV"))
-    sub.choices["dump-profile"].add_argument("--group", type=int, default=0)
-    sub.choices["dump-profile"].add_argument("--x-min", type=float, default=-3.0)
-    sub.choices["dump-profile"].add_argument("--x-max", type=float, default=3.0)
-    sub.choices["dump-profile"].add_argument("--points", type=int, default=201)
-    common(sub.add_parser("dump-embeddings", help="write a 2-D PCA embedding CSV"))
-    p_ver = sub.add_parser("verify", help="re-run a results directory and compare hashes")
-    p_ver.add_argument("--dir", required=True)
+    verb("run", _run, "run an experiment and write artifacts")
+    verb("report", lambda args: report(args.dir), "render AA/AF tables from a results directory",
+         reads_dir=True)
+    p_prof = verb("dump-profile", _dump_profile, "write an activation-profile CSV")
+    p_prof.add_argument("--group", type=int, default=0)
+    p_prof.add_argument("--x-min", type=float, default=-3.0)
+    p_prof.add_argument("--x-max", type=float, default=3.0)
+    p_prof.add_argument("--points", type=int, default=201)
+    verb("dump-embeddings", _dump_embeddings, "write a 2-D PCA embedding CSV")
+    verb("verify", _verify, "re-run a results directory and compare hashes", reads_dir=True)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.verb == "run":
-            cfg = _load_cfg(args)
-            # the nearest existing path up from --out must be a directory
-            found = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
-            if not found.is_dir():
-                raise ConfigError(f"--out: {str(found)!r} exists and is not a directory")
-            run_experiment(cfg, args.out)
-            print(f"run complete: artifacts in {args.out}")
-            return 0
-        if args.verb == "report":
-            print(report(args.dir))
-            return 0
-        if args.verb in ("dump-profile", "dump-embeddings"):
-            cfg = _load_cfg(args)
-            if args.verb == "dump-profile":
-                _check_profile_args(args, cfg)
-            elif cfg.d_f < 2:
-                raise ConfigError(f"dump-embeddings: the 2-D PCA dump needs d_f >= 2, got {cfg.d_f}")
-            dest = Path(args.out)
-            if not dest.parent.exists():
-                raise ConfigError(f"--out: directory {str(dest.parent)!r} does not exist")
-            if not dest.parent.is_dir():
-                raise ConfigError(f"--out: {str(dest.parent)!r} is not a directory")
-            if dest.is_dir():
-                raise ConfigError(f"--out: {str(dest)!r} is a directory")
-            stream = build_stream(cfg)
-            _, trainer = run_stream(stream, trainer_config(cfg))
-        if args.verb == "dump-profile":
-            dump_profile(trainer, args.out, group_index=args.group,
-                         x_min=args.x_min, x_max=args.x_max, points=args.points)
-            print(f"profile written to {args.out}")
-            return 0
-        if args.verb == "dump-embeddings":
-            n = dump_embeddings(trainer, stream, args.out)
-            print(f"{n} embedding rows written to {args.out}")
-            return 0
-        if args.verb == "verify":
-            verify(args.dir)
-            print("verification OK: artifacts reproduce byte-identically")
-            return 0
+        print(args.handler(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    return 2
+    return 0
 
 
 if __name__ == "__main__":

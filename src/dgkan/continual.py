@@ -67,11 +67,18 @@ class TrainerConfig:
     proj_lr: float = 5e-4
 
     def validate(self) -> None:
-        """Raise ConfigError naming the first of ``TrainerConfig``'s own fields
-        that breaks its rule: every float must be finite and every int counts
-        something, so it must be at least 1.  Any ``d_x`` trains; the stream's
-        rules and a subclass's fields are ``dgkan.cli.validate_config``'s.
+        """Raise ConfigError naming the first field that breaks its rule.
+        Every field, a subclass's too, must hold exactly its declared type (an
+        int is not a float, a bool is not an int, a numpy scalar is neither).
+        Then ``TrainerConfig``'s own: every float must be finite and every int
+        counts something, so it must be at least 1.  Any ``d_x`` trains; the
+        stream's rules and a subclass's values are ``dgkan.cli.validate_config``'s.
         """
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if type(val).__name__ != f.type:
+                raise ConfigError(f"config field {f.name!r}: must be of type {f.type}, "
+                                  f"got {type(val).__name__} {val!r}")
         if self.head not in HEADS:
             raise ConfigError(f"config field 'head': must be one of {HEADS}, got {self.head!r}")
         for f in fields(TrainerConfig):

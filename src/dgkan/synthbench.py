@@ -56,13 +56,12 @@ def gen_domain(real_means: np.ndarray, fake_means: np.ndarray, rng: RngStream,
     n_real = (n + 1) // 2
     n_fake = n - n_real
     d_x = real_means.shape[1]
-    std = np.sqrt(np.full(d_x, SIGMA * SIGMA))
     X = np.empty((n, d_x))
     y = np.concatenate([np.zeros(n_real, dtype=np.int64), np.ones(n_fake, dtype=np.int64)])
     comp = rng.integers(0, 2, size=n)
     noise = rng.normal(size=(n, d_x))
-    X[:n_real] = real_means[comp[:n_real]] + noise[:n_real] * std
-    X[n_real:] = fake_means[comp[n_real:]] + noise[n_real:] * std
+    X[:n_real] = real_means[comp[:n_real]] + noise[:n_real] * SIGMA
+    X[n_real:] = fake_means[comp[n_real:]] + noise[n_real:] * SIGMA
     order = rng.permutation(n)
     return X[order], y[order]
 

@@ -13,7 +13,8 @@ from dgkan.cli import (ConfigError, ExperimentConfig, build_stream, config_hash,
                        dump_embeddings, dump_profile, main, parse_config_text, parse_scores_csv,
                        pca_2d, report, run_experiment, summary_text, trainer_config,
                        validate_config, verify)
-from dgkan.continual import ScoreMatrix, TrainerConfig, average_forgetting, run_stream
+from dgkan.continual import (ScoreMatrix, Trainer, TrainerConfig, average_forgetting,
+                            run_stream)
 from dgkan.numcore import ContractViolation
 from dgkan.synthbench import REFERENCE_SEEDS, dataset, gen_sequence
 
@@ -22,6 +23,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # a value other than the default, per field type
 _OTHER = {"bool": lambda v: not v, "int": lambda v: v + 8, "float": lambda v: 3.0 * v,
           "str": lambda v: "groupkan"}
+
+# a value of another type than its field declares; each of these used to pass
+# validation, then fail mid-run or in a later `dgkan verify`
+_MISTYPED = [("epochs", 1.5), ("batch_size", 16.0), ("memory_budget", 40.5), ("use_kd", "no"),
+             ("groups", 2.5), ("seed", 1.5), ("epochs", True), ("lambda_sc", 2),
+             ("tau", np.float64(0.1)), ("seed", np.int64(3))]
 
 TINY = """\
 config_version = 1
@@ -79,6 +86,39 @@ class TestConfig:
         cfg = parse_config_text(TINY)
         again = parse_config_text("\n".join(config_lines(cfg)))
         assert cfg == again
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
+    def test_every_field_round_trips(self, name):
+        # each field in turn at a valid non-default value of its declared type
+        typ = {f.name: f.type for f in fields(ExperimentConfig)}[name]
+        other = _OTHER[typ](getattr(ExperimentConfig(), name))
+        cfg = ExperimentConfig(**{name: "ten-task" if name == "protocol" else other})
+        assert cfg != ExperimentConfig()
+        assert parse_config_text("\n".join(config_lines(cfg))) == cfg
+
+    def test_readme_example_config_parses(self):
+        # the example config in README.md's "## CLI" section, parsed as written
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"\n## CLI\n.*?Example:\n\n```\n(.*?)```", readme, re.S)
+        assert block is not None, "README.md has no example config under '## CLI'"
+        cfg = parse_config_text(block.group(1))
+        assert (cfg.protocol, cfg.seed, cfg.head, cfg.use_kdcp) == ("four-task", 11, "dgkd", False)
+
+    @pytest.mark.parametrize("name,value", _MISTYPED, ids=[f"{n}={v!r}" for n, v in _MISTYPED])
+    def test_field_of_another_type_rejected_before_anything_is_built(self, name, value,
+                                                                     tmp_path, monkeypatch):
+        import dgkan.continual
+        monkeypatch.setattr(dgkan.continual, "FeatureExtractor", None)   # building fails
+        message = f"config field '{name}': must be of type "
+        configs = [ExperimentConfig(**{name: value})]
+        if name in {f.name for f in fields(TrainerConfig)}:
+            configs.append(TrainerConfig(**{name: value}))
+        for cfg in configs:
+            with pytest.raises(ConfigError, match=message):
+                Trainer(cfg, 0)
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(configs[0], tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_field(self):
         with pytest.raises(ConfigError, match="unknown field"):
