@@ -1,6 +1,6 @@
 """Experiment runner: schema-validated flat-text configs, deterministic
-artifacts (score CSV, summary JSON, memory snapshot, hash manifest), result
-reports, activation-profile dumps, and 2-D PCA embedding dumps.
+artifacts (scores, summary, memory snapshot, trained model, hash manifest),
+result reports, and activation-profile and 2-D PCA dumps of a trained model.
 
 Exit codes: 0 success, 2 config error, 3 runtime failure.
 """
@@ -21,12 +21,13 @@ import numpy as np
 from .continual import (HEADS, ConfigError, ScoreMatrix, Trainer, TrainerConfig,
                         average_accuracy, average_forgetting, check_memory_budget, run_stream)
 from .fskdcp import save_memory
-from .kanheads import DgkdHead, activation_profile
-from .numcore import ContractViolation
+from .kanheads import DgkdHead, activation_profile, add_task_layer
+from .numcore import ContractViolation, check_finite
 from .synthbench import LAYOUTS, PROTOCOLS, TaskStream, dataset, gen_sequence
 
 CONFIG_FORMAT_VERSION = 1
 SUMMARY_SCHEMA_VERSION = 1
+MODEL_HEADER = "dgkan_model,version=1"
 
 
 @dataclass
@@ -191,8 +192,9 @@ def _read_utf8(path: Path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ContractViolation(f"{path}: byte {exc.start} ({data[exc.start]:#04x}) "
-                                f"is not UTF-8") from None
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ContractViolation(f"{path}: byte {exc.start} ({data[exc.start]:#04x}) is not "
+                                f"UTF-8, on line {line}") from None
 
 
 def _sha256_file(path: Path) -> str:
@@ -207,6 +209,21 @@ def _write_manifest(out: Path, manifest: dict, written: list[str]) -> None:
     ``out``), then write the manifest next to them."""
     manifest["artifacts"] = {name: _sha256_file(out / name) for name in written}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _model_modules(extractor, head) -> dict:
+    """Each parameter vector's line name and module, in the file's order."""
+    layers = ({f"layer{k}": layer for k, layer in enumerate(head.layers, start=1)}
+              if isinstance(head, DgkdHead) else {"head": head})
+    return {"extractor": extractor, **layers}
+
+
+def model_text(extractor, head) -> str:
+    """The bytes of ``model_final.csv``: the header, then one line per
+    parameter vector, its name and its ``params`` as exact float reprs."""
+    return "\n".join([MODEL_HEADER] + [
+        ",".join([name, *map(repr, module.params.tolist())])
+        for name, module in _model_modules(extractor, head).items()]) + "\n"
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> ScoreMatrix:
@@ -236,6 +253,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ScoreMatrix:
         if trainer.memory is not None:
             save_memory(trainer.memory, out / "memory_final.csv")
             written.append("memory_final.csv")
+        write("model_final.csv", model_text(trainer.extractor, trainer.head))
         manifest["status"] = "complete"
     except Exception as exc:
         manifest["status"] = "failed"
@@ -244,6 +262,35 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ScoreMatrix:
         raise
     _write_manifest(out, manifest, written)
     return matrix
+
+
+def load_model(results_dir):
+    """The trained extractor and head in a run directory's ``model_final.csv``.
+    A fresh ``Trainer`` of the stored config gives their shapes, and a DG-KD
+    head one layer per task, every layer but the last frozen.  ContractViolation
+    names the first line out of place (the header, a vector's name, the end of
+    the file), else the line of the first vector that does not fit its module."""
+    out = Path(results_dir)
+    cfg = _run_config(out, "model_final.csv")
+    trainer = Trainer(trainer_config(cfg), cfg.seed)
+    for _ in range(LAYOUTS[cfg.protocol][0] if cfg.head == "dgkd" else 0):
+        # a placeholder layer per task, each overwritten from the file below
+        add_task_layer(trainer.head, np.zeros((1, cfg.d_f)), trainer.rng)
+    modules = _model_modules(trainer.extractor, trainer.head)
+    path = out / "model_final.csv"
+    lines = _read_utf8(path).removesuffix("\n").split("\n")
+    starts = lines[:1] + [line.partition(",")[0] for line in lines[1:]]
+    for n, (got, want) in enumerate(zip_longest(starts, [MODEL_HEADER, *modules]), start=1):
+        if got != want:
+            show = lambda start: "<end of file>" if start is None else repr(start[:40])
+            raise ContractViolation(f"{path} line {n}: expected {show(want)}, got {show(got)}")
+    for n, (line, (name, module)) in enumerate(zip(lines[1:], modules.items()), start=2):
+        try:   # a ContractViolation is a ValueError too
+            module.set_param_vector(check_finite(
+                np.array([float(v) for v in line.split(",")[1:]]), name))
+        except ValueError as exc:
+            raise ContractViolation(f"{path} line {n}: {exc}") from None
+    return trainer.extractor, trainer.head
 
 
 def pca_2d(features: np.ndarray) -> np.ndarray:
@@ -267,12 +314,12 @@ def pca_2d(features: np.ndarray) -> np.ndarray:
     return centered @ comps.T
 
 
-def dump_embeddings(trainer: Trainer, stream: TaskStream, path) -> int:
-    """Write pooled eval features projected onto their top-2 PCs."""
+def dump_embeddings(extractor, stream: TaskStream, path) -> int:
+    """Write each task's eval features under ``extractor``, projected onto their top-2 PCs."""
     feats, doms, labs = [], [], []
-    for t in range(min(len(stream), trainer.task)):
+    for t in range(len(stream)):
         Xe, ye = dataset(stream, t, "eval")
-        feats.append(trainer.extractor.forward(Xe))
+        feats.append(extractor.forward(Xe))
         doms.append(np.full(len(ye), t))
         labs.append(ye)
     F = np.vstack(feats)
@@ -286,17 +333,16 @@ def dump_embeddings(trainer: Trainer, stream: TaskStream, path) -> int:
     return F.shape[0]
 
 
-def dump_profile(trainer: Trainer, path, group_index: int, x_min: float, x_max: float,
+def dump_profile(head: DgkdHead, path, group_index: int, x_min: float, x_max: float,
                  points: int) -> None:
     """Write the composite activation scan of one group as CSV."""
-    if not isinstance(trainer.head, DgkdHead):
+    if not isinstance(head, DgkdHead):
         raise ContractViolation("activation profiles are defined for the dgkd head only")
     xs = np.linspace(x_min, x_max, points)
-    vals = activation_profile(trainer.head, group_index, xs)
+    vals = activation_profile(head, group_index, xs)
     lines = ["x,value,task_count"]
-    tc = trainer.head.active_task
     for x, v in zip(xs, vals):
-        lines.append(f"{float(x)!r},{float(v)!r},{tc}")
+        lines.append(f"{float(x)!r},{float(v)!r},{head.active_task}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -305,6 +351,12 @@ def _require_artifacts(out: Path, *names: str) -> None:
     missing = [name for name in names if not (out / name).is_file()]
     if missing:
         raise ContractViolation(f"missing artifacts in {out}: {', '.join(missing)}")
+
+
+def _run_config(out: Path, *artifacts: str) -> ExperimentConfig:
+    """The stored config of run directory ``out``, once it and ``artifacts`` are there."""
+    _require_artifacts(out, "config_resolved.txt", *artifacts)
+    return parse_config_text(_read_utf8(out / "config_resolved.txt"))
 
 
 def _require_lines(path: Path, derived: str, source: str) -> None:
@@ -328,8 +380,7 @@ def report(results_dir) -> str:
     artifacts are listed explicitly.
     """
     out = Path(results_dir)
-    _require_artifacts(out, "config_resolved.txt", "scores.csv", "summary.json")
-    cfg = parse_config_text(_read_utf8(out / "config_resolved.txt"))
+    cfg = _run_config(out, "scores.csv", "summary.json")
     matrix = parse_scores_csv(_read_utf8(out / "scores.csv"))
     _require_lines(out / "summary.json", summary_text(matrix, cfg),
                    "scores.csv and config_resolved.txt give")
@@ -354,8 +405,7 @@ def verify(results_dir) -> None:
     that is not UTF-8 text."""
     out = Path(results_dir)
     manifest = out / "manifest.json"
-    _require_artifacts(out, "config_resolved.txt", "manifest.json")
-    cfg = parse_config_text(_read_utf8(out / "config_resolved.txt"))
+    cfg = _run_config(out, "manifest.json")
     try:
         stored = json.loads(_read_utf8(manifest))
     except ValueError as exc:
@@ -417,22 +467,19 @@ def _run(args) -> str:
     return f"run complete: artifacts in {args.out}"
 
 
-def _train_for_dump(args, cfg: ExperimentConfig) -> tuple[TaskStream, Trainer]:
-    """Check a dump's --out file, then train the run it dumps."""
-    dest = Path(args.out)
+def _check_dump_out(dest: Path) -> None:
+    """Reject a dump's --out that is a directory or lies in no directory."""
     if not dest.parent.exists():
         raise ConfigError(f"--out: directory {str(dest.parent)!r} does not exist")
     if not dest.parent.is_dir():
         raise ConfigError(f"--out: {str(dest.parent)!r} is not a directory")
     if dest.is_dir():
         raise ConfigError(f"--out: {str(dest)!r} is a directory")
-    stream = build_stream(cfg)
-    return stream, run_stream(stream, trainer_config(cfg))[1]
 
 
 def _dump_profile(args) -> str:
-    cfg = _load_cfg(args)
-    # reject a profile request the trained model cannot answer, before training
+    cfg = _run_config(Path(args.dir))
+    # reject a profile request the stored model cannot answer, before reading it
     if cfg.head != "dgkd":
         raise ConfigError(f"dump-profile: activation profiles need the dgkd head, got {cfg.head!r}")
     if not 0 <= args.group < cfg.groups:
@@ -442,17 +489,17 @@ def _dump_profile(args) -> str:
     for flag, x in (("--x-min", args.x_min), ("--x-max", args.x_max)):
         if not math.isfinite(x):
             raise ConfigError(f"{flag}: must be finite, got {x}")
-    _, trainer = _train_for_dump(args, cfg)
-    dump_profile(trainer, args.out, args.group, args.x_min, args.x_max, args.points)
+    _check_dump_out(Path(args.out))
+    dump_profile(load_model(args.dir)[1], args.out, args.group, args.x_min, args.x_max, args.points)
     return f"profile written to {args.out}"
 
 
 def _dump_embeddings(args) -> str:
-    cfg = _load_cfg(args)
+    cfg = _run_config(Path(args.dir))
     if cfg.d_f < 2:
         raise ConfigError(f"dump-embeddings: the 2-D PCA dump needs d_f >= 2, got {cfg.d_f}")
-    stream, trainer = _train_for_dump(args, cfg)
-    n = dump_embeddings(trainer, stream, args.out)
+    _check_dump_out(Path(args.out))
+    n = dump_embeddings(load_model(args.dir)[0], build_stream(cfg), args.out)
     return f"{n} embedding rows written to {args.out}"
 
 
@@ -465,31 +512,30 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dgkan", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def verb(name, handler, help, reads_dir=False):
+    def verb(name, handler, help, *required):
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)      # handler(args) returns the text to print
-        if reads_dir:
-            p.add_argument("--dir", required=True)
-            return p
-        p.add_argument("--config", help="path to a flat key = value config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--head", choices=HEADS)
-        p.add_argument("--protocol", choices=list(PROTOCOLS))
-        p.add_argument("--ablate", help="comma list from {sc, kd, kdcp} to switch off")
-        p.add_argument("--replay-raw", action="store_true", dest="replay_raw")
-        p.add_argument("--out", required=True, help="output directory/file")
+        for option in required:
+            p.add_argument(option, required=True)
         return p
 
-    verb("run", _run, "run an experiment and write artifacts")
+    p_run = verb("run", _run, "run an experiment and write artifacts")
+    p_run.add_argument("--config", help="path to a flat key = value config file")
+    p_run.add_argument("--seed", type=int)
+    p_run.add_argument("--head", choices=HEADS)
+    p_run.add_argument("--protocol", choices=list(PROTOCOLS))
+    p_run.add_argument("--ablate", help="comma list from {sc, kd, kdcp} to switch off")
+    p_run.add_argument("--replay-raw", action="store_true", dest="replay_raw")
+    p_run.add_argument("--out", required=True, help="output directory")
     verb("report", lambda args: report(args.dir), "render AA/AF tables from a results directory",
-         reads_dir=True)
-    p_prof = verb("dump-profile", _dump_profile, "write an activation-profile CSV")
+         "--dir")
+    p_prof = verb("dump-profile", _dump_profile, "write an activation-profile CSV", "--dir", "--out")
     p_prof.add_argument("--group", type=int, default=0)
     p_prof.add_argument("--x-min", type=float, default=-3.0)
     p_prof.add_argument("--x-max", type=float, default=3.0)
     p_prof.add_argument("--points", type=int, default=201)
-    verb("dump-embeddings", _dump_embeddings, "write a 2-D PCA embedding CSV")
-    verb("verify", _verify, "re-run a results directory and compare hashes", reads_dir=True)
+    verb("dump-embeddings", _dump_embeddings, "write a 2-D PCA embedding CSV", "--dir", "--out")
+    verb("verify", _verify, "re-run a results directory and compare hashes", "--dir")
     return parser
 
 

@@ -23,7 +23,7 @@ def check_finite(a: np.ndarray, name: str = "array") -> np.ndarray:
     """Validate that every entry of ``a`` is finite; returns ``a``."""
     if not np.isfinite(a).all():
         bad = np.argwhere(~np.isfinite(np.atleast_1d(a)))
-        raise ContractViolation(f"{name} contains non-finite entries (first at index {tuple(bad[0])})")
+        raise ContractViolation(f"{name} contains non-finite entries (first at index {tuple(bad[0].tolist())})")
     return a
 
 

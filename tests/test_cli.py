@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dgkan.cli import (ConfigError, ExperimentConfig, build_stream, config_hash, config_lines,
-                       dump_embeddings, dump_profile, main, parse_config_text, parse_scores_csv,
+                       dump_embeddings, load_model, main, parse_config_text, parse_scores_csv,
                        pca_2d, report, run_experiment, summary_text, trainer_config,
                        validate_config, verify)
 from dgkan.continual import (ScoreMatrix, Trainer, TrainerConfig, average_forgetting,
@@ -185,7 +185,7 @@ class TestRunArtifacts:
     def test_artifacts_exist(self, tiny_run):
         _, out, _ = tiny_run
         for name in ("config_resolved.txt", "scores.csv", "summary.json",
-                     "memory_final.csv", "manifest.json"):
+                     "memory_final.csv", "model_final.csv", "manifest.json"):
             assert (out / name).exists(), name
 
     def test_four_score_rows_af_from_row_two(self, tiny_run):
@@ -427,6 +427,29 @@ class TestCliVerbs:
         assert main(["verify", "--dir", str(out)]) == 3
         assert message in capsys.readouterr().err
 
+    def test_verify_fails_after_model_edit(self, tiny_run, tmp_path, monkeypatch, capsys):
+        # one float of the trained weights changed: the digest names the file
+        import dgkan.cli
+
+        _, out, _ = tiny_run
+        for artifact in out.iterdir():
+            (tmp_path / artifact.name).write_bytes(artifact.read_bytes())
+        model = tmp_path / "model_final.csv"
+        lines = model.read_text().split("\n")
+        name, first, rest = lines[1].split(",", 2)
+        lines[1] = ",".join([name, repr(float(first) + 1.0), rest])
+        model.write_text("\n".join(lines))
+
+        def no_rerun(*args):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr(dgkan.cli, "run_experiment", no_rerun)
+        message = f"{model} does not match its digest in {tmp_path / 'manifest.json'}"
+        with pytest.raises(ContractViolation, match=re.escape(message)):
+            verify(tmp_path)
+        assert main(["verify", "--dir", str(tmp_path)]) == 3
+        assert message in capsys.readouterr().err
+
     def test_manifest_lists_only_this_runs_artifacts(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(TINY)
@@ -437,7 +460,7 @@ class TestCliVerbs:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "complete"
         assert sorted(manifest["artifacts"]) == ["config_resolved.txt", "memory_final.csv",
-                                                 "scores.csv", "summary.json"]
+                                                 "model_final.csv", "scores.csv", "summary.json"]
         assert main(["verify", "--dir", str(out)]) == 0
 
     def test_config_error_exit_code(self, tmp_path):
@@ -625,43 +648,33 @@ class TestCliVerbs:
     def test_report_verb_missing_dir(self, tmp_path):
         assert main(["report", "--dir", str(tmp_path / "nope")]) == 3
 
-    def test_dump_profile_verb(self, tmp_path):
-        cfg_path = tmp_path / "cfg.txt"
-        cfg_path.write_text(TINY)
+    def test_dump_profile_verb(self, tiny_run, tmp_path):
+        _, run, _ = tiny_run
         out = tmp_path / "profile.csv"
-        assert main(["dump-profile", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(["dump-profile", "--dir", str(run), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "x,value,task_count"
         assert all(line.endswith(",4") for line in lines[1:])
 
-    @pytest.mark.parametrize("extra", [["--group", "99"], ["--group", "-1"], ["--points", "-3"],
-                                       ["--points", "0"], ["--head", "mlp"]],
+    @pytest.mark.parametrize("extra,config", [(["--group", "99"], TINY), (["--group", "-1"], TINY),
+                                              (["--points", "-3"], TINY), (["--points", "0"], TINY),
+                                              ([], TINY + "head = mlp\n")],
                              ids=["group-99", "group-neg1", "points-neg3", "points-0", "head-mlp"])
-    def test_dump_profile_bad_arguments_fail_before_training(self, extra, tmp_path, monkeypatch):
-        import dgkan.cli
-        trained = []
-        monkeypatch.setattr(dgkan.cli, "run_stream", lambda *a: trained.append(a))
-        cfg_path = tmp_path / "cfg.txt"
-        cfg_path.write_text(TINY)
+    def test_dump_profile_bad_arguments_fail_before_training(self, extra, config, tmp_path,
+                                                             monkeypatch):
+        # an option error must come before the stored model is read
+        run = _config_only_run(tmp_path, config, monkeypatch)
         out = tmp_path / "profile.csv"
-        assert main(["dump-profile", "--config", str(cfg_path), "--out", str(out)] + extra) == 2
-        assert trained == []
+        assert main(["dump-profile", "--dir", str(run), "--out", str(out)] + extra) == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag", ["--x-min", "--x-max"])
     def test_dump_profile_non_finite_range_fails_before_training(self, flag, value, tmp_path,
                                                                  monkeypatch, capsys):
-        import dgkan.cli
-
-        def no_training(*args):
-            raise AssertionError("run_stream called")
-
-        monkeypatch.setattr(dgkan.cli, "run_stream", no_training)
-        cfg_path = tmp_path / "cfg.txt"
-        cfg_path.write_text(TINY)
+        run = _config_only_run(tmp_path, TINY, monkeypatch)
         out = tmp_path / "profile.csv"
-        assert main(["dump-profile", "--config", str(cfg_path), "--out", str(out),
+        assert main(["dump-profile", "--dir", str(run), "--out", str(out),
                      f"{flag}={value}"]) == 2
         assert f"{flag}: must be finite" in capsys.readouterr().err
         assert not out.exists()
@@ -670,31 +683,42 @@ class TestCliVerbs:
     @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
     def test_unreadable_config_fails_before_anything_is_written(self, verb, case, tmp_path,
                                                                 monkeypatch, capsys):
+        # run reads --config (exit 2); a dump reads its --dir run's
+        # config_resolved.txt, as report and verify do (exit 3)
         import dgkan.cli
 
         def no_training(*args):
-            raise AssertionError("run_stream called")
+            raise AssertionError("run_stream or load_model called")
 
         monkeypatch.setattr(dgkan.cli, "run_stream", no_training)
-        cfg_path = tmp_path / "cfg.txt"
+        monkeypatch.setattr(dgkan.cli, "load_model", no_training)
+        run = tmp_path / "run"
+        if verb == "run":
+            cfg_path, argv, code = tmp_path / "cfg.txt", ["--config", str(tmp_path / "cfg.txt")], 2
+        else:
+            cfg_path, argv, code = run / "config_resolved.txt", ["--dir", str(run)], 3
+            if case != "missing":
+                run.mkdir()
         if case == "directory":
             cfg_path.mkdir()
         elif case == "not-utf8":
             cfg_path.write_bytes(TINY.encode() + b"# \xff\xfe\n")
-        out = tmp_path / "out"
-        assert main([verb, "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "config error: --config: cannot read" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if case == "missing" else ["cfg.txt"])
+        assert main([verb, *argv, "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        if verb == "run":
+            assert "config error: --config: cannot read" in err
+        elif case == "not-utf8":
+            assert f"{cfg_path}: byte {len(TINY) + 2} (0xff) is not UTF-8, on line 8" in err
+        else:
+            assert f"missing artifacts in {run}: config_resolved.txt" in err
+        written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+        assert written == ([] if case == "missing" else
+                           ["cfg.txt"] if verb == "run" else ["run", "run/config_resolved.txt"])
 
     def test_dump_embeddings_one_feature_dim_fails_before_training(self, tmp_path, monkeypatch):
-        import dgkan.cli
-        trained = []
-        monkeypatch.setattr(dgkan.cli, "run_stream", lambda *a: trained.append(a))
-        cfg_path = tmp_path / "cfg.txt"
-        cfg_path.write_text(TINY + "d_f = 1\ngroups = 1\n")
+        run = _config_only_run(tmp_path, TINY + "d_f = 1\ngroups = 1\n", monkeypatch)
         out = tmp_path / "emb.csv"
-        assert main(["dump-embeddings", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert trained == []
+        assert main(["dump-embeddings", "--dir", str(run), "--out", str(out)]) == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("verb,out,message", [
@@ -711,21 +735,116 @@ class TestCliVerbs:
                                                                  tmp_path, monkeypatch, capsys):
         # an existing directory used to train the whole run, then exit 3
         # with IsADirectoryError
-        import dgkan.cli
-
-        def no_training(*args):
-            raise AssertionError("run_stream called")
-
-        monkeypatch.setattr(dgkan.cli, "run_stream", no_training)
-        cfg_path = tmp_path / "cfg.txt"
-        cfg_path.write_text(TINY)
+        run = _config_only_run(tmp_path, TINY, monkeypatch)
         (tmp_path / "taken").mkdir()
         (tmp_path / "afile").write_text("a file\n")
-        assert main([verb, "--config", str(cfg_path), "--out", str(tmp_path / out)]) == 2
+        assert main([verb, "--dir", str(run), "--out", str(tmp_path / out)]) == 2
         assert re.search(f"--out: {message}", capsys.readouterr().err)
         assert not (tmp_path / "missing").exists()
         assert list((tmp_path / "taken").iterdir()) == []
         assert (tmp_path / "afile").read_text() == "a file\n"
+
+
+def _config_only_run(tmp_path, config: str, monkeypatch) -> Path:
+    """A run directory holding only ``config`` as its config_resolved.txt,
+    with ``load_model`` patched to fail: a dump that reads the model fails."""
+    import dgkan.cli
+
+    def no_model(*args):
+        raise AssertionError("load_model called")
+
+    monkeypatch.setattr(dgkan.cli, "load_model", no_model)
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "config_resolved.txt").write_text(config)
+    return run
+
+
+def _lines(edit):
+    """A bytes edit of model_final.csv that applies ``edit`` to its list of lines."""
+    return lambda data: "\n".join(edit(data.decode().split("\n"))).encode()
+
+
+def _line(n: int, edit):
+    """A bytes edit of model_final.csv that applies ``edit`` to its line ``n``."""
+    return _lines(lambda lines: lines[:n - 1] + [edit(lines[n - 1])] + lines[n:])
+
+
+class TestModelFile:
+    """``model_final.csv`` of the four-task dgkd run: the header, the
+    extractor's 1616 numbers, then layer1 ... layer4 of 24 numbers each."""
+
+    @pytest.mark.parametrize("head", ["dgkd", "mlp", "groupkan"])
+    def test_load_model_gives_the_trained_modules(self, head, tmp_path):
+        cfg = parse_config_text(TINY.replace("epochs = 2", "epochs = 1") + f"head = {head}\n")
+        run_experiment(cfg, tmp_path)
+        stream = build_stream(cfg)
+        trained = run_stream(stream, trainer_config(cfg))[1]
+        extractor, loaded = load_model(tmp_path)
+        pairs = [(extractor, trained.extractor)]
+        if head == "dgkd":
+            assert len(loaded.layers) == len(trained.head.layers) == 4
+            assert [layer.frozen for layer in loaded.layers] == [True] * 3 + [False]
+            assert [layer.frozen for layer in trained.head.layers] == [True] * 3 + [False]
+            pairs += list(zip(loaded.layers, trained.head.layers))
+        else:
+            pairs.append((loaded, trained.head))
+        assert type(loaded) is type(trained.head)
+        for got, want in pairs:
+            assert type(got) is type(want)
+            assert got.params.tobytes() == want.params.tobytes()
+        for t in range(len(stream)):
+            Xe, _ = dataset(stream, t, "eval")
+            F = extractor.forward(Xe)
+            assert F.tobytes() == trained.extractor.forward(Xe).tobytes()
+            assert loaded.forward(F).tobytes() == trained.head.forward(F).tobytes()
+
+    @pytest.mark.parametrize("verb", ["dump-profile", "dump-embeddings"])
+    @pytest.mark.parametrize("edit,message", [
+        (None, "missing artifacts in {run}: model_final.csv"),
+        (_line(1, lambda l: "dgkan_memory,version=1"),
+         "{model} line 1: expected 'dgkan_model,version=1', got 'dgkan_memory,version=1'"),
+        (_line(1, lambda l: "dgkan_model,version=2"),
+         "{model} line 1: expected 'dgkan_model,version=1', got 'dgkan_model,version=2'"),
+        (_line(4, lambda l: l.replace("layer2", "layer9")),
+         "{model} line 4: expected 'layer2', got 'layer9'"),
+        (_line(2, lambda l: l.rsplit(",", 1)[0]),
+         "{model} line 2: FeatureExtractor parameter vector has length 1615, expected 1616"),
+        (_line(6, lambda l: l + ",0.5"),
+         "{model} line 6: DgLayer parameter vector has length 25, expected 24"),
+        (_line(3, lambda l: "layer1,abc," + l.split(",", 2)[2]),
+         "{model} line 3: could not convert string to float: 'abc'"),
+        (_line(5, lambda l: "layer3,nan," + l.split(",", 2)[2]),
+         "{model} line 5: layer3 contains non-finite entries (first at index (0,))"),
+        (_line(2, lambda l: l.rsplit(",", 1)[0] + ",inf"),
+         "{model} line 2: extractor contains non-finite entries (first at index (1615,))"),
+        (_lines(lambda lines: lines[:4] + lines[5:]),
+         "{model} line 5: expected 'layer3', got 'layer4'"),
+        (_lines(lambda lines: lines[:5] + lines[6:]),
+         "{model} line 6: expected 'layer4', got <end of file>"),
+        (_lines(lambda lines: lines[:6] + [lines[5].replace("layer4", "layer5")] + lines[6:]),
+         "{model} line 7: expected <end of file>, got 'layer5'"),
+        (lambda data: data + b"\xff", "{model}: byte {size} (0xff) is not UTF-8, on line 7"),
+    ], ids=["missing", "header", "version", "name", "too-few", "too-many", "not-a-number",
+            "nan", "inf", "missing-line", "missing-last-line", "extra-line", "not-utf8"])
+    def test_malformed_model_is_named(self, verb, edit, message, tiny_run, tmp_path, capsys):
+        _, out, _ = tiny_run
+        run = tmp_path / "run"
+        run.mkdir()
+        for artifact in out.iterdir():
+            (run / artifact.name).write_bytes(artifact.read_bytes())
+        model = run / "model_final.csv"
+        if edit is None:
+            model.unlink()
+        else:
+            model.write_bytes(edit(model.read_bytes()))
+        message = message.format(run=run, model=model, size=(out / model.name).stat().st_size)
+        with pytest.raises(ContractViolation, match=re.escape(message)):
+            load_model(run)
+        dest = tmp_path / "dump.csv"
+        assert main([verb, "--dir", str(run), "--out", str(dest)]) == 3
+        assert message in capsys.readouterr().err
+        assert not dest.exists()
 
 
 class TestEmbeddings:
@@ -734,7 +853,7 @@ class TestEmbeddings:
         stream = gen_sequence(cfg.protocol, cfg.seed, train_n=cfg.train_samples,
                               eval_n=cfg.eval_samples)
         matrix, trainer = run_stream(stream, trainer_config(cfg))
-        n = dump_embeddings(trainer, stream, tmp_path / "emb.csv")
+        n = dump_embeddings(trainer.extractor, stream, tmp_path / "emb.csv")
         assert n == 4 * cfg.eval_samples
         lines = (tmp_path / "emb.csv").read_text().splitlines()
         assert len(lines) == n + 1
