@@ -269,7 +269,10 @@ def load_model(results_dir):
     A fresh ``Trainer`` of the stored config gives their shapes, and a DG-KD
     head one layer per task, every layer but the last frozen.  ContractViolation
     names the first line out of place (the header, a vector's name, the end of
-    the file), else the line of the first vector that does not fit its module."""
+    the file), else the line of the first vector that does not fit its module
+    or that the module does not hold bit for bit once loaded (a width below
+    the floor ``DgLayer`` clamps to), else the first of the two files read
+    whose bytes differ from its digest in ``manifest.json``."""
     out = Path(results_dir)
     cfg = _run_config(out, "model_final.csv")
     trainer = Trainer(trainer_config(cfg), cfg.seed)
@@ -286,10 +289,16 @@ def load_model(results_dir):
             raise ContractViolation(f"{path} line {n}: expected {show(want)}, got {show(got)}")
     for n, (line, (name, module)) in enumerate(zip(lines[1:], modules.items()), start=2):
         try:   # a ContractViolation is a ValueError too
-            module.set_param_vector(check_finite(
-                np.array([float(v) for v in line.split(",")[1:]]), name))
+            vec = check_finite(np.array([float(v) for v in line.split(",")[1:]]), name)
+            module.set_param_vector(vec)
+            changed = np.flatnonzero(module.params.view(np.int64) != vec.view(np.int64))
+            if changed.size:
+                i = changed[0]
+                raise ContractViolation(f"{name} entry {i} is {float(vec[i])!r} but loads as "
+                                        f"{float(module.params[i])!r}")
         except ValueError as exc:
             raise ContractViolation(f"{path} line {n}: {exc}") from None
+    _check_digests(out, ("config_resolved.txt", "model_final.csv"))
     return trainer.extractor, trainer.head
 
 
@@ -397,15 +406,14 @@ def report(results_dir) -> str:
     return "\n".join(lines)
 
 
-def verify(results_dir) -> None:
-    """Check each stored artifact against its manifest digest, then re-run
-    from the stored config: the re-run must write the manifest's bytes.
-    ContractViolation names the first artifact whose digest differs (before
-    any re-run), the first manifest line that differs, and a stored file
-    that is not UTF-8 text."""
-    out = Path(results_dir)
+def _check_digests(out: Path, names=None) -> None:
+    """Check files of run directory ``out`` against the digests its
+    ``manifest.json`` lists: ``names``, by default every listed artifact.
+    ContractViolation names a missing or malformed manifest, a listed name
+    that is not a plain file name, a missing file, one the manifest does not
+    list, and the first whose bytes differ from its digest."""
     manifest = out / "manifest.json"
-    cfg = _run_config(out, "manifest.json")
+    _require_artifacts(out, "manifest.json")
     try:
         stored = json.loads(_read_utf8(manifest))
     except ValueError as exc:
@@ -421,13 +429,28 @@ def verify(results_dir) -> None:
     for name in listed:
         if name in ("", "..") or Path(name).name != name:
             raise ContractViolation(f"{manifest} lists {name!r}, which is not a file name in {out}")
-    _require_artifacts(out, *listed)
-    for name, digest in listed.items():
-        if _sha256_file(out / name) != digest:
+    names = list(listed) if names is None else names
+    _require_artifacts(out, *names)
+    for name in names:
+        if name not in listed:
+            raise ContractViolation(f"{manifest} does not list {out / name}")
+        if _sha256_file(out / name) != listed[name]:
             raise ContractViolation(f"{out / name} does not match its digest in {manifest}")
+
+
+def verify(results_dir) -> None:
+    """Check each stored artifact against its manifest digest, then re-run
+    from the stored config: the re-run must write the manifest's bytes.
+    ContractViolation names the first artifact whose digest differs (before
+    any re-run), the first manifest line that differs, and a stored file
+    that is not UTF-8 text."""
+    out = Path(results_dir)
+    cfg = _run_config(out, "manifest.json")
+    _check_digests(out)
     with tempfile.TemporaryDirectory() as tmp:
         run_experiment(cfg, tmp)
-        _require_lines(manifest, (Path(tmp) / "manifest.json").read_text(), "the re-run writes")
+        _require_lines(out / "manifest.json", (Path(tmp) / "manifest.json").read_text(),
+                       "the re-run writes")
 
 
 # -- command line --------------------------------------------------------------

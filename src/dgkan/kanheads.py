@@ -19,7 +19,10 @@ Layer conventions used throughout:
   0.3.31 only, which ``test_byte_oracles.py``'s ``test_streamed_forward``
   checks;
 * ``backward(dY, cache)`` returns ``(dX, grad_vec)`` where ``grad_vec``
-  lines up with ``param_vector()`` so one Adam state per module suffices;
+  lines up with ``param_vector()`` so one Adam state per module suffices.
+  Every backward reads the forward's values only from its cache (besides
+  the module's weights), re-gathering and recomputing none, and sums a
+  group's parameter gradient over its dimensions with ``np.bincount``;
 * a layer's parameter vector is its ``PARAMS`` arrays, ravelled and
   concatenated in that order (``ParamArrays``).  The module stores that
   vector once, as the float64 array ``params``, and each ``PARAMS`` array is
@@ -511,40 +514,33 @@ RATIONAL_SILU_Q = (0.26151672, 0.0)
 # the input dimensions by ``group_of``.
 
 def _rational_affine(X, W, b, pcoef, qcoef, group_of):
-    """The layer's output and the cache (X, P, Q, R) its gradient reads."""
+    """The layer's output and the cache (X, x^2, p, q, P, Q, R) its gradient
+    reads, p and q being the coefficients gathered to the input dimensions."""
     p = pcoef[group_of]                    # (d_in, 4) broadcast per dimension
     q = qcoef[group_of]                    # (d_in, 2)
     x2 = X * X
     P = p[:, 0] + p[:, 1] * X + p[:, 2] * x2 + p[:, 3] * x2 * X
     Q = 1.0 + (q[:, 0] * X) ** 2 + (q[:, 1] * x2) ** 2
     R = P / Q
-    return R @ W.T + b, (X, P, Q, R)
+    return R @ W.T + b, (X, x2, p, q, P, Q, R)
 
 
-def _rational_affine_grad(dY, cache, W, pcoef, qcoef, group_of):
+def _rational_affine_grad(dY, cache, W, group_of, groups):
     """dX and the layer's (dW, db, dpcoef, dqcoef), each raveled; a group's
     coefficient gradients sum over its dimensions."""
-    X, P, Q, R = cache
-    p = pcoef[group_of]
-    q = qcoef[group_of]
-    dW = dY.T @ R
-    db = dY.sum(axis=0)
+    X, x2, p, q, P, Q, R = cache
     dR = dY @ W                            # (N, d_in)
-    x2 = X * X
-    # dR/dp_m = x^m / Q, accumulated into the dimension's group
-    dp_dim = np.stack([dR / Q, dR * X / Q, dR * x2 / Q, dR * x2 * X / Q], axis=-1).sum(axis=0)
-    # dR/dq = -P/Q^2 * dQ/dq
     ratio = dR * (-P / (Q * Q))
-    dq_dim = np.stack([(ratio * 2.0 * q[:, 0] * x2).sum(axis=0),
-                       (ratio * 2.0 * q[:, 1] * x2 * x2).sum(axis=0)], axis=-1)
-    dpcoef = np.zeros_like(pcoef)
-    dqcoef = np.zeros_like(qcoef)
-    np.add.at(dpcoef, group_of, dp_dim)
-    np.add.at(dqcoef, group_of, dq_dim)
+    # dR/dp_m = x^m / Q and dR/dq = -P/Q^2 * dQ/dq, summed over rows, then over each
+    # group's dimensions; order="F" ravels the (terms, groups) sums as (groups, terms)
+    group_sums = lambda terms: np.ravel([np.bincount(group_of, weights=t.sum(axis=0),
+                                                     minlength=groups) for t in terms], order="F")
+    dpcoef = group_sums([dR / Q, dR * X / Q, dR * x2 / Q, dR * x2 * X / Q])
+    dqcoef = group_sums([ratio * 2.0 * q[:, 0] * x2, ratio * 2.0 * q[:, 1] * x2 * x2])
     Pprime = p[:, 1] + 2.0 * p[:, 2] * X + 3.0 * p[:, 3] * x2
     Qprime = 2.0 * q[:, 0] ** 2 * X + 4.0 * q[:, 1] ** 2 * x2 * X
     dX = dR * (Pprime * Q - P * Qprime) / (Q * Q)
-    return dX, [dW.ravel(), db, dpcoef.ravel(), dqcoef.ravel()]
+    return dX, [(dY.T @ R).ravel(), dY.sum(axis=0), dpcoef, dqcoef]
 
 
 class GrKanHead(ParamArrays):
@@ -597,8 +593,8 @@ class GrKanHead(ParamArrays):
     def backward(self, dY: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray]:
         cache1, cache2 = cache
         dY = np.asarray(dY, dtype=np.float64).reshape(cache2[0].shape[0], self.d_out)
-        dH, grads2 = _rational_affine_grad(dY, cache2, self.W2, self.p2, self.q2, self.group_of2)
-        dX, grads1 = _rational_affine_grad(dH, cache1, self.W1, self.p1, self.q1, self.group_of1)
+        dH, grads2 = _rational_affine_grad(dY, cache2, self.W2, self.group_of2, len(self.p2))
+        dX, grads1 = _rational_affine_grad(dH, cache1, self.W1, self.group_of1, len(self.p1))
         return dX, np.concatenate(grads1 + grads2)
 
 

@@ -25,6 +25,8 @@ class DomainLabeledBatch:
         self.domain_class = np.asarray(self.domain_class, dtype=np.int64)
         if self.domain_class.shape != (self.features.shape[0],):
             raise ContractViolation("batch domain_class must align with feature rows")
+        if (self.domain_class < 0).any():
+            raise ContractViolation("batch domain-class codes must be >= 0")
 
 
 def bce_loss(logits, labels) -> tuple[float, np.ndarray]:
@@ -65,10 +67,12 @@ def supcon_loss(batch: DomainLabeledBatch, tau: float,
     first ``grad_rows`` rows (all rows by default); rows past them are
     constants to the caller, so their gradient is never built.
 
-    Computed on the full n x n block under masks, with two float n x n
-    arrays per call.  One domain-class equality matrix gives the negatives
-    (its negation) and, with its diagonal cleared, the positives.  The
-    logits S = U U^T / tau are reused for the positives' logits, the
+    The label counts ``np.bincount(d)`` give the single-label check and
+    each anchor's number of positives; the rest runs on the full n x n
+    block, two float n x n arrays per call, where the masks only select.
+    One domain-class equality matrix gives the negatives (its negation)
+    and, with its diagonal cleared, the positives.  The logits
+    S = U U^T / tau are reused for the positives' logits, the
     positive term of dL/dS and finally G + G^T; a second buffer holds the
     masked logits, then exp(min(S - m, 0)) times the negatives mask (m the
     row maxima over negatives), the softmax and G = dL/dS.  exp runs on
@@ -87,10 +91,12 @@ def supcon_loss(batch: DomainLabeledBatch, tau: float,
     r = n if grad_rows is None else int(grad_rows)
     if not 1 <= r <= n:
         raise ContractViolation(f"supcon_loss: grad_rows must be in [1, {n}], got {grad_rows}")
+    counts = np.bincount(d)
+    if counts.max() == n:
+        raise ContractViolation("supcon_loss: no negatives (single domain label in batch)")
+    n_pos = counts[d] - 1
     pos = d[:, None] == d[None, :]
     neg = ~pos
-    if not neg.any():
-        raise ContractViolation("supcon_loss: no negatives (single domain label in batch)")
     pos.ravel()[::n + 1] = False                # clear the diagonal
 
     norms = np.sqrt((F * F).sum(axis=1))         # the sums np.linalg.norm(F, axis=1) takes
@@ -100,7 +106,6 @@ def supcon_loss(batch: DomainLabeledBatch, tau: float,
 
     S = U @ np.ascontiguousarray(U.T)           # a gemm, several times faster than syrk
     S /= tau
-    n_pos = pos.sum(axis=1)
     valid = n_pos > 0                          # with two labels, every row has a negative
     n_valid = int(np.count_nonzero(valid))
     if n_valid == 0:

@@ -41,6 +41,10 @@ verbatim in its arithmetic: the library must return the same bytes.
   gives the whole-batch gemm's bytes on OpenBLAS 0.3.31 (64-row blocks do
   not, at the extractor's d_out = 16), by no guarantee: on another BLAS
   build this is the check that fails.
+* ``GrKanHead.backward`` reads x^2 and the gathered rational coefficients
+  from its forward's cache and sums each group with ``np.bincount``; the
+  reference re-gathers the coefficients, recomputes x^2 and sums the
+  groups with ``np.stack`` and ``np.add.at``.
 * ``Trainer``'s task start places the projection's RBFs over the one
   extractor forward of the task inputs that also places the new DG-KD
   layer; the reference pool is the teacher's own forward of those inputs
@@ -57,7 +61,7 @@ import dgkan.kanheads
 import dgkan.losses
 from dgkan.continual import Trainer, TrainerConfig
 from dgkan.fskdcp import FeatureMemory, KdcpProjection, _label_stds, augment_features
-from dgkan.kanheads import (DgkdHead, DgLayer, FeatureExtractor, MlpHead, SiluMlp,
+from dgkan.kanheads import (DgkdHead, DgLayer, FeatureExtractor, GrKanHead, MlpHead, SiluMlp,
                             _gaussian_input_grad, _gaussian_param_grad, _gaussians, _sigmoid,
                             _silu, add_task_layer, group_index_map)
 from dgkan.losses import DomainLabeledBatch, align_loss, bce_loss, kd_loss, supcon_loss
@@ -818,3 +822,50 @@ class TestTaskStartMatchesReference:
                 assert built[-1] == [a.tobytes() for a in (pool, ref.layer.centers,
                                                             ref.layer.widths)]
             trainer.evaluate_all([dataset(stream, k, "eval") for k in range(t)])
+
+
+# -- the group-rational backward ----------------------------------------------
+
+def rational_affine_grad_reference(dY, X, P, Q, R, W, pcoef, qcoef, group_of):
+    p = pcoef[group_of]
+    q = qcoef[group_of]
+    dW = dY.T @ R
+    db = dY.sum(axis=0)
+    dR = dY @ W
+    x2 = X * X
+    dp_dim = np.stack([dR / Q, dR * X / Q, dR * x2 / Q, dR * x2 * X / Q], axis=-1).sum(axis=0)
+    ratio = dR * (-P / (Q * Q))
+    dq_dim = np.stack([(ratio * 2.0 * q[:, 0] * x2).sum(axis=0),
+                       (ratio * 2.0 * q[:, 1] * x2 * x2).sum(axis=0)], axis=-1)
+    dpcoef = np.zeros_like(pcoef)
+    dqcoef = np.zeros_like(qcoef)
+    np.add.at(dpcoef, group_of, dp_dim)
+    np.add.at(dqcoef, group_of, dq_dim)
+    Pprime = p[:, 1] + 2.0 * p[:, 2] * X + 3.0 * p[:, 3] * x2
+    Qprime = 2.0 * q[:, 0] ** 2 * X + 4.0 * q[:, 1] ** 2 * x2 * X
+    dX = dR * (Pprime * Q - P * Qprime) / (Q * Q)
+    return dX, [dW.ravel(), db, dpcoef.ravel(), dqcoef.ravel()]
+
+
+def grkan_backward_reference(head, dY, cache):
+    (X, _, _, _, P1, Q1, R1), (H, _, _, _, P2, Q2, R2) = cache
+    dH, grads2 = rational_affine_grad_reference(dY, H, P2, Q2, R2, head.W2, head.p2, head.q2,
+                                                head.group_of2)
+    dX, grads1 = rational_affine_grad_reference(dH, X, P1, Q1, R1, head.W1, head.p1, head.q1,
+                                                head.group_of1)
+    return dX, np.concatenate(grads1 + grads2)
+
+
+@pytest.mark.parametrize("N,d_in,hidden,d_out,groups", [
+    (1, 16, 32, 1, 4), (64, 16, 32, 1, 4), (128, 16, 32, 1, 4), (500, 16, 32, 1, 4),
+    (13, 5, 7, 3, 2)])
+def test_group_rational_backward(N, d_in, hidden, d_out, groups):
+    r = RngStream(59).substream("grkan", N, d_in, hidden, d_out, groups)
+    head = GrKanHead.init(d_in, d_out, hidden, groups, r.substream("init"))
+    for trial in range(3):
+        # every coefficient nonzero, the q rows included, so every term counts
+        head.set_param_vector(r.normal(scale=0.5, size=head.n_params()))
+        X = r.normal(scale=2.0, size=(N, d_in))
+        dY = r.normal(size=(N, d_out))
+        cache = head.forward_cached(X)[1]
+        _same_bytes(head.backward(dY, cache), grkan_backward_reference(head, dY, cache))

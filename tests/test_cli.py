@@ -825,8 +825,12 @@ class TestModelFile:
         (_lines(lambda lines: lines[:6] + [lines[5].replace("layer4", "layer5")] + lines[6:]),
          "{model} line 7: expected <end of file>, got 'layer5'"),
         (lambda data: data + b"\xff", "{model}: byte {size} (0xff) is not UTF-8, on line 7"),
+        # DgLayer clamps widths to 1e-3, so this one used to load as 0.001
+        (_line(3, lambda l: l.rsplit(",", 1)[0] + ",1e-05"),
+         "{model} line 3: layer1 entry 23 is 1e-05 but loads as 0.001"),
     ], ids=["missing", "header", "version", "name", "too-few", "too-many", "not-a-number",
-            "nan", "inf", "missing-line", "missing-last-line", "extra-line", "not-utf8"])
+            "nan", "inf", "missing-line", "missing-last-line", "extra-line", "not-utf8",
+            "width-below-floor"])
     def test_malformed_model_is_named(self, verb, edit, message, tiny_run, tmp_path, capsys):
         _, out, _ = tiny_run
         run = tmp_path / "run"
@@ -839,6 +843,42 @@ class TestModelFile:
         else:
             model.write_bytes(edit(model.read_bytes()))
         message = message.format(run=run, model=model, size=(out / model.name).stat().st_size)
+        with pytest.raises(ContractViolation, match=re.escape(message)):
+            load_model(run)
+        dest = tmp_path / "dump.csv"
+        assert main([verb, "--dir", str(run), "--out", str(dest)]) == 3
+        assert message in capsys.readouterr().err
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("verb", ["dump-profile", "dump-embeddings"])
+    @pytest.mark.parametrize("case", ["edited-seed", "edited-model", "no-manifest",
+                                      "model-not-listed"])
+    def test_dump_checks_the_manifest_digests(self, verb, case, tiny_run, tmp_path, capsys):
+        # a copy of the run with `seed = 12` in its config used to dump with
+        # exit 0, from a model trained at seed 11
+        _, out, _ = tiny_run
+        run = tmp_path / "run"
+        run.mkdir()
+        for artifact in out.iterdir():
+            (run / artifact.name).write_bytes(artifact.read_bytes())
+        manifest = run / "manifest.json"
+        if case == "edited-seed":
+            config = run / "config_resolved.txt"
+            config.write_text(config.read_text().replace("seed = 11", "seed = 12"))
+            message = f"{config} does not match its digest in {manifest}"
+        elif case == "edited-model":
+            model = run / "model_final.csv"
+            # a '+' in front of the extractor's first number: it loads as the same value
+            model.write_bytes(_line(2, lambda l: l.replace(",", ",+", 1))(model.read_bytes()))
+            message = f"{model} does not match its digest in {manifest}"
+        elif case == "no-manifest":
+            manifest.unlink()
+            message = f"missing artifacts in {run}: manifest.json"
+        else:
+            stored = json.loads(manifest.read_text())
+            del stored["artifacts"]["model_final.csv"]
+            manifest.write_text(_canonical(stored))
+            message = f"{manifest} does not list {run / 'model_final.csv'}"
         with pytest.raises(ContractViolation, match=re.escape(message)):
             load_model(run)
         dest = tmp_path / "dump.csv"

@@ -128,6 +128,12 @@ class TestSupcon:
         with pytest.raises(ContractViolation, match="no negatives"):
             supcon_loss(_batch([[1.0, 0.0], [1.0, 0.0]], [0, 0]), 0.1)
 
+    def test_negative_domain_class_code_rejected(self):
+        # supcon_loss counts the codes with np.bincount, which raises an
+        # unnamed ValueError on a negative one
+        with pytest.raises(ContractViolation, match="domain-class codes must be >= 0"):
+            _batch([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0, -1, 0])
+
     def test_hand_value(self):
         F = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
         loss, _ = supcon_loss(_batch(F, [0, 0, 1, 1]), 0.1)
