@@ -372,8 +372,7 @@ def _require_lines(path: Path, derived: str, source: str) -> None:
     """Raise ContractViolation at the first line where the file ``path``
     differs from the text ``derived``, naming the stored line and the one
     ``source`` (a subject and its verb) gives."""
-    # a byte that is not UTF-8 decodes to U+FFFD, which the ASCII artifacts never hold
-    stored = path.read_bytes().decode(errors="replace").split("\n")
+    stored = _read_utf8(path).split("\n")
     for n, (got, want) in enumerate(zip_longest(stored, derived.split("\n")), start=1):
         if got != want:
             show = lambda line: "<end of file>" if line is None else repr(line)

@@ -308,12 +308,11 @@ def accuracy(logits, labels) -> float:
 
 
 def auc(scores, labels) -> float:
-    """Mann-Whitney statistic via rank summation, as a percentage.
-
-    Ties get the average rank, which credits half a win per tied pair;
-    requires both classes present.
-    """
-    s = np.asarray(scores, dtype=np.float64).ravel()
+    """The Mann-Whitney U as a percentage of the n_pos * n_neg pairs: each
+    positive wins over the negatives scored below it and half-wins over the
+    negatives tied with it.  Requires finite scores, 0/1 labels and both
+    classes present."""
+    s = check_finite(np.asarray(scores, dtype=np.float64).ravel(), "auc scores")
     y = np.asarray(labels, dtype=np.int64).ravel()
     if s.shape != y.shape:
         raise ContractViolation("auc length mismatch")
@@ -321,15 +320,12 @@ def auc(scores, labels) -> float:
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ContractViolation("auc requires both classes present")
-    order = np.argsort(s, kind="stable")
-    sorted_s = s[order]
-    # runs of equal scores span sorted positions [start, end); their 1-based
-    # ranks start + 1 .. end average to (start + end + 1) / 2, exact in float64
-    bounds = np.concatenate(([0], np.flatnonzero(sorted_s[1:] != sorted_s[:-1]) + 1, [s.size]))
-    ranks = np.empty(s.size, dtype=np.float64)
-    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0, np.diff(bounds))
-    r_pos = ranks[y == 1].sum()
-    u = r_pos - n_pos * (n_pos + 1) / 2.0
+    if n_pos + n_neg != y.size:
+        raise ContractViolation("auc labels must be 0 or 1")
+    # left + right counts each lower negative twice and each tied one once;
+    # the counts are integers, so U is exact in float64
+    neg, pos = np.sort(s[y == 0]), s[y == 1]
+    u = (np.searchsorted(neg, pos, "left").sum() + np.searchsorted(neg, pos, "right").sum()) / 2.0
     return float(u / (n_pos * n_neg) * 100.0)
 
 

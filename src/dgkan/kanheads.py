@@ -599,7 +599,7 @@ class GrKanHead(ParamArrays):
 
 
 def make_baseline_head(kind: str, d_in: int, d_out: int, rng: RngStream,
-                       hidden: int = 32, groups: int = 4) -> MlpHead | GrKanHead:
+                       hidden: int, groups: int) -> MlpHead | GrKanHead:
     """Baseline head d_in -> hidden -> d_out: "mlp" (affine -> silu -> affine)
     or "groupkan" (two-layer GR-KAN with ``groups`` rational groups in each
     layer, initialized as the "mlp" head drawn from the same ``rng``)."""

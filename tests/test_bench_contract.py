@@ -164,9 +164,10 @@ def test_traced_data_free_run_projects_the_memory_outside_augment(traced_dgkd_ru
 
 
 def test_traced_dgkd_head_spans_are_flat_and_counted(traced_dgkd_run):
-    # the head's forward and forward_cached share an untraced body: a forward
-    # that called forward_cached would nest a span and add every eval call
-    # to the training-step head timing (kanheads.head_fwd_us)
+    # no traced head method calls another: forward runs the untraced
+    # DgLayer.forward per layer and forward_cached its own stacked body, so an
+    # eval forward adds nothing to the training-step head timing
+    # (kanheads.head_fwd_us)
     spans, _, steps_per_task = traced_dgkd_run
     names = {span[0]: span[2] for span in spans}
     nested = [(names[parent], name) for _, parent, name, *_ in spans

@@ -45,6 +45,9 @@ verbatim in its arithmetic: the library must return the same bytes.
   from its forward's cache and sums each group with ``np.bincount``; the
   reference re-gathers the coefficients, recomputes x^2 and sums the
   groups with ``np.stack`` and ``np.add.at``.
+* ``GrKanHead.forward_cached`` has no replaced form; its reference is the
+  group-rational layer written out one input dimension at a time, each with
+  its group's scalar coefficients, then the same affine gemm.
 * ``Trainer``'s task start places the projection's RBFs over the one
   extractor forward of the task inputs that also places the new DG-KD
   layer; the reference pool is the teacher's own forward of those inputs
@@ -856,9 +859,42 @@ def grkan_backward_reference(head, dY, cache):
     return dX, np.concatenate(grads1 + grads2)
 
 
-@pytest.mark.parametrize("N,d_in,hidden,d_out,groups", [
-    (1, 16, 32, 1, 4), (64, 16, 32, 1, 4), (128, 16, 32, 1, 4), (500, 16, 32, 1, 4),
-    (13, 5, 7, 3, 2)])
+def rational_affine_reference(X, W, b, pcoef, qcoef, group_of):
+    """One input dimension at a time, with its group's p and q rows:
+    r(x) = P(x) / Q(x), then the affine map of the (N, d_in) r values."""
+    P = np.empty_like(X)
+    Q = np.empty_like(X)
+    for j, g in enumerate(group_of):
+        x = X[:, j]
+        p0, p1, p2, p3 = pcoef[g]
+        q0, q1 = qcoef[g]
+        P[:, j] = p0 + p1 * x + p2 * (x * x) + p3 * (x * x) * x
+        Q[:, j] = 1.0 + (q0 * x) ** 2 + (q1 * (x * x)) ** 2
+    R = P / Q
+    return R @ W.T + b, (P, Q, R)
+
+
+GRKAN_SHAPES = [(1, 16, 32, 1, 4), (64, 16, 32, 1, 4), (128, 16, 32, 1, 4), (500, 16, 32, 1, 4),
+                (13, 5, 7, 3, 2)]
+
+
+@pytest.mark.parametrize("N,d_in,hidden,d_out,groups", GRKAN_SHAPES)
+def test_group_rational_forward(N, d_in, hidden, d_out, groups):
+    r = RngStream(61).substream("grkan-forward", N, d_in, hidden, d_out, groups)
+    head = GrKanHead.init(d_in, d_out, hidden, groups, r.substream("init"))
+    for trial in range(3):
+        head.set_param_vector(r.normal(scale=0.5, size=head.n_params()))
+        X = r.normal(scale=2.0, size=(N, d_in))
+        H, cache1 = rational_affine_reference(X, head.W1, head.b1, head.p1, head.q1,
+                                              head.group_of1)
+        Y, cache2 = rational_affine_reference(H, head.W2, head.b2, head.p2, head.q2,
+                                              head.group_of2)
+        got, (got1, got2) = head.forward_cached(X)
+        _same_bytes((got, got1[4:], got2[0], got2[4:]), (Y, cache1, H, cache2))
+        _same_bytes(head.forward(X), Y)
+
+
+@pytest.mark.parametrize("N,d_in,hidden,d_out,groups", GRKAN_SHAPES)
 def test_group_rational_backward(N, d_in, hidden, d_out, groups):
     r = RngStream(59).substream("grkan", N, d_in, hidden, d_out, groups)
     head = GrKanHead.init(d_in, d_out, hidden, groups, r.substream("init"))

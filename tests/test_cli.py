@@ -585,11 +585,12 @@ class TestCliVerbs:
         assert main(["verify", "--dir", str(out)]) == 3
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["config_resolved.txt", "scores.csv"])
+    @pytest.mark.parametrize("name", ["config_resolved.txt", "scores.csv", "summary.json"])
     @pytest.mark.parametrize("verb", ["report", "verify"])
     def test_non_utf8_byte_is_named(self, verb, name, tiny_run, tmp_path, monkeypatch, capsys):
-        # a bare UnicodeDecodeError naming no file, or for verify's scores.csv
-        # "hashes differ", used to be the only message
+        # a bare UnicodeDecodeError naming no file, for verify's scores.csv
+        # "hashes differ", or for report's summary.json a line holding U+FFFD
+        # used to be the only message
         import dgkan.cli
 
         def no_rerun(*args):

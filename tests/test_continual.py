@@ -52,6 +52,23 @@ def auc_pair_oracle(scores, labels):
     return wins / (len(pos) * len(neg)) * 100.0
 
 
+def auc_rank_sum_reference(scores, labels):
+    """The rank-sum form ``auc`` replaced: the positives' averaged ranks
+    minus n_pos (n_pos + 1) / 2, kept verbatim in its arithmetic."""
+    s = np.asarray(scores, dtype=np.float64).ravel()
+    y = np.asarray(labels, dtype=np.int64).ravel()
+    n_pos = int((y == 1).sum())
+    n_neg = int((y == 0).sum())
+    order = np.argsort(s, kind="stable")
+    sorted_s = s[order]
+    bounds = np.concatenate(([0], np.flatnonzero(sorted_s[1:] != sorted_s[:-1]) + 1, [s.size]))
+    ranks = np.empty(s.size, dtype=np.float64)
+    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0, np.diff(bounds))
+    r_pos = ranks[y == 1].sum()
+    u = r_pos - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg) * 100.0)
+
+
 class TestAuc:
     def test_perfect_ranking(self):
         assert auc([0.9, 0.8], [1, 0]) == 100.0
@@ -74,6 +91,39 @@ class TestAuc:
         if labels.min() == labels.max():
             return
         assert auc(scores, labels) == auc_pair_oracle(scores.tolist(), labels.tolist())
+
+    @pytest.mark.parametrize("kind", ["random", "tied", "saturated"])
+    def test_matches_rank_sum_form_bytes(self, kind):
+        # the win count and the rank sum both reach U exactly, so their bytes agree
+        r = RngStream(83).substream("auc", kind)
+        saturated = 0
+        for trial in range(300):
+            n = int(r.integers(2, 600))
+            if kind == "random":
+                scores = r.uniform(0, 1, n)
+            elif kind == "tied":
+                scores = np.round(r.uniform(0, 1, n), int(r.integers(0, 3)))
+            else:   # the eval sigmoid, saturated at exactly 0 and 1
+                with np.errstate(over="ignore"):
+                    scores = 1.0 / (1.0 + np.exp(-r.normal(scale=400.0, size=n)))
+            labels = r.integers(0, 2, n)
+            if labels.min() == labels.max():
+                continue
+            got, ref = auc(scores, labels), auc_rank_sum_reference(scores, labels)
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+            saturated += bool((scores == 0.0).any() and (scores == 1.0).any())
+        # the sigmoid sets do reach the exact limits 0 and 1
+        assert kind != "saturated" or saturated > 200
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(ContractViolation, match="auc scores contains non-finite"):
+            auc([0.2, bad, 0.7], [0, 1, 1])
+
+    def test_label_outside_zero_one_rejected(self):
+        # the rank sum would rank a label-2 row among the others; the count ignores it
+        with pytest.raises(ContractViolation, match="auc labels must be 0 or 1"):
+            auc([0.2, 0.5, 0.7], [0, 2, 1])
 
 
 class TestAverageForgetting:

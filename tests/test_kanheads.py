@@ -470,7 +470,7 @@ class TestBaselineHeads:
 
     def test_unknown_kind(self, rng):
         with pytest.raises(ContractViolation):
-            make_baseline_head("spline", 4, 1, rng)
+            make_baseline_head("spline", 4, 1, rng, hidden=5, groups=2)
 
 
 class TestFeatureExtractor:
