@@ -458,8 +458,8 @@ def verify(results_dir) -> None:
 def _load_cfg(args) -> ExperimentConfig:
     if args.config:
         try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
+            text = _read_utf8(Path(args.config))
+        except (OSError, ContractViolation) as exc:
             raise ConfigError(f"--config: cannot read {args.config!r}: {exc}") from None
         cfg = parse_config_text(text)
     else:

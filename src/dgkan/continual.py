@@ -265,17 +265,17 @@ class Trainer:
 
     # -- evaluation ----------------------------------------------------------
 
-    def scores(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Probability scores and logits for one eval set, a finite (N, d_x)
-        array; other inputs raise ContractViolation before any forward."""
+    def scores(self, X: np.ndarray) -> np.ndarray:
+        """The (N,) logits of one eval set, a finite (N, d_x) array; other
+        inputs raise ContractViolation before any forward."""
         F = self.extractor.forward(self._inputs(X, "eval inputs"))
-        logits = self.head.forward(F).ravel()
-        with np.errstate(over="ignore"):   # exp overflow below -709 gives the exact limit 0
-            probs = 1.0 / (1.0 + np.exp(-logits))
-        return probs, logits
+        return self.head.forward(F).ravel()
 
     def evaluate_all(self, eval_sets: list[tuple[np.ndarray, np.ndarray]]) -> tuple[list[float], list[float]]:
-        """Deterministic (acc, auc) per seen task, in task order.
+        """Deterministic (acc, auc) per seen task, in task order, both read
+        from the logits: accuracy at logit 0, and AUC over the logits
+        themselves (a sigmoid keeps their order, but rounds every logit
+        above about 36.7 to 1.0 and so ties them).
 
         Each set is a finite (N, d_x) array and N labels, each 0 or 1, with
         both present; a bad set raises ContractViolation before any forward.
@@ -286,9 +286,9 @@ class Trainer:
             checked.append((Xe, check_labels(ye, Xe.shape[0], "eval labels")))
         accs, aucs = [], []
         for Xe, ye in checked:
-            probs, logits = self.scores(Xe)
+            logits = self.scores(Xe)
             accs.append(accuracy(logits, ye))
-            aucs.append(auc(probs, ye))
+            aucs.append(auc(logits, ye))
         return accs, aucs
 
 

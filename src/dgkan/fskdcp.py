@@ -27,10 +27,11 @@ def domain_class(task, label):
 
 
 @dataclass
-class FeatureMemory:
-    """Stored representative features with their 2T domain-class codes
-    (each >= 0) and, with raw replay, the ``inputs`` they were extracted
-    from.  The codes stay fixed: a changed memory is a new object.
+class FeatureMemory(DomainLabeledBatch):
+    """Stored representative features with their 2T domain-class codes, as
+    a ``DomainLabeledBatch`` checks them, at most ``budget`` rows and, with
+    raw replay, the ``inputs`` they were extracted from.  The codes stay
+    fixed: a changed memory is a new object.
 
     ``space_task`` t >= 1 says every row lives in task t's feature space;
     ``project_memory`` advances it and refuses to run twice for the same
@@ -39,20 +40,13 @@ class FeatureMemory:
     a stored row).  ``label`` and ``source_task`` are decoded from the code.
     """
 
-    features: np.ndarray
-    domain_class: np.ndarray
     budget: int
     space_task: int
     inputs: np.ndarray | None = None
 
     def __post_init__(self):
-        self.features = check_finite(np.asarray(self.features, dtype=np.float64), "memory features")
-        self.domain_class = np.asarray(self.domain_class, dtype=np.int64)
+        super().__post_init__()
         m = self.features.shape[0]
-        if self.domain_class.shape != (m,):
-            raise ContractViolation("memory domain_class must align with feature rows")
-        if (self.domain_class < 0).any():
-            raise ContractViolation("memory domain-class codes must be >= 0")
         if self.inputs is not None and np.shape(self.inputs)[:1] != (m,):
             raise ContractViolation("memory inputs must align with feature rows")
         if m > self.budget:

@@ -345,12 +345,9 @@ def add_task_layer(head: DgkdHead, features: np.ndarray, rng: RngStream) -> None
     The new layer is built before anything changes, so a raise leaves the
     head as it was.
     """
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] == 0:
-        raise ContractViolation("add_task_layer requires a non-empty feature sample")
-    if feats.shape[1] != head.d_in:
-        raise ContractViolation(f"feature dim {feats.shape[1]} != head d_in {head.d_in}")
-    new = DgLayer.from_features(feats, head.d_out, head.groups, rng)
+    new = DgLayer.from_features(features, head.d_out, head.groups, rng)
+    if new.d_in != head.d_in:
+        raise ContractViolation(f"feature dim {new.d_in} != head d_in {head.d_in}")
     for layer in head.layers:
         layer.frozen = True
     head.layers.append(new)

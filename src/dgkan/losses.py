@@ -15,18 +15,23 @@ from .numcore import ContractViolation, check_finite
 
 @dataclass
 class DomainLabeledBatch:
-    """Features with per-sample domain-class labels (2T coding)."""
+    """Finite (N, d) features with per-row domain-class labels (2T coding,
+    each >= 0), checked on construction; an error names the class
+    (``FeatureMemory`` for a memory)."""
 
     features: np.ndarray
     domain_class: np.ndarray
 
     def __post_init__(self):
-        self.features = check_finite(np.asarray(self.features, dtype=np.float64), "batch features")
+        what = type(self).__name__
+        self.features = check_finite(np.asarray(self.features, dtype=np.float64), f"{what} features")
+        if self.features.ndim != 2:
+            raise ContractViolation(f"{what} features must be 2-D, got shape {self.features.shape}")
         self.domain_class = np.asarray(self.domain_class, dtype=np.int64)
         if self.domain_class.shape != (self.features.shape[0],):
-            raise ContractViolation("batch domain_class must align with feature rows")
+            raise ContractViolation(f"{what} domain_class must align with feature rows")
         if (self.domain_class < 0).any():
-            raise ContractViolation("batch domain-class codes must be >= 0")
+            raise ContractViolation(f"{what} domain-class codes must be >= 0")
 
 
 def bce_loss(logits, labels) -> tuple[float, np.ndarray]:

@@ -77,32 +77,25 @@ def dataset(stream: TaskStream, task_index: int, split: str) -> tuple[np.ndarray
     return gen_domain(stream.real_means[task_index], stream.fake_means[task_index], rng, n)
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+# Six rows of the 8 x 8 Walsh-Hadamard matrix: pairwise orthogonal, and so
+# still orthogonal when each is tiled to any multiple of 8.
+WALSH_ROWS = {
+    "shift": [1, 1, 1, 1, 1, 1, 1, 1],
+    "comp": [1, -1, 1, -1, 1, -1, 1, -1],
+    "style_a": [1, 1, 1, 1, -1, -1, -1, -1],
+    "style_b": [1, -1, 1, -1, -1, 1, -1, 1],
+    "fake_a": [1, 1, -1, -1, 1, 1, -1, -1],
+    "fake_b": [1, -1, -1, 1, 1, -1, -1, 1],
+}
 
 
 def _protocol_geometry(d_x: int) -> dict[str, np.ndarray]:
-    """Fixed orthonormal directions used to lay out domains (d_x % 8 == 0)."""
+    """The orthonormal directions that lay out domains (d_x % 8 == 0): each
+    ``WALSH_ROWS`` pattern tiled to d_x and divided by its norm sqrt(d_x)."""
     if d_x % 8 != 0:
         raise ContractViolation("protocol construction requires d_x divisible by 8")
-    raw = {
-        "shift": np.ones(d_x),
-        "comp": np.tile([1.0, -1.0], d_x // 2),
-        "style_a": np.tile([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0], d_x // 8),
-        "style_b": np.tile([1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0], d_x // 8),
-        "fake_a": np.tile([1.0, 1.0, -1.0, -1.0], d_x // 4),
-        "fake_b": np.tile([1.0, -1.0, -1.0, 1.0], d_x // 4),
-    }
-    geom: dict[str, np.ndarray] = {}
-    basis: list[np.ndarray] = []
-    for name, vec in raw.items():
-        v = vec.astype(np.float64)
-        for b in basis:
-            v = v - (v @ b) * b
-        v = _unit(v)
-        basis.append(v)
-        geom[name] = v
-    return geom
+    return {name: np.tile(np.array(row, dtype=np.float64), d_x // 8) / np.sqrt(d_x)
+            for name, row in WALSH_ROWS.items()}
 
 
 def gen_sequence(protocol: str, seed: int, d_x: int = 8, train_n: int = 1024,

@@ -708,9 +708,9 @@ class TestCliVerbs:
         err = capsys.readouterr().err
         if verb == "run":
             assert "config error: --config: cannot read" in err
-        elif case == "not-utf8":
+        if case == "not-utf8":
             assert f"{cfg_path}: byte {len(TINY) + 2} (0xff) is not UTF-8, on line 8" in err
-        else:
+        elif verb != "run":
             assert f"missing artifacts in {run}: config_resolved.txt" in err
         written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
         assert written == ([] if case == "missing" else

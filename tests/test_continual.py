@@ -103,7 +103,7 @@ class TestAuc:
                 scores = r.uniform(0, 1, n)
             elif kind == "tied":
                 scores = np.round(r.uniform(0, 1, n), int(r.integers(0, 3)))
-            else:   # the eval sigmoid, saturated at exactly 0 and 1
+            else:   # sigmoid scores, saturated at exactly 0 and 1
                 with np.errstate(over="ignore"):
                     scores = 1.0 / (1.0 + np.exp(-r.normal(scale=400.0, size=n)))
             labels = r.integers(0, 2, n)
@@ -412,9 +412,19 @@ class TestTrainer:
         tr.train_task(X, y)
         Xe, ye = dataset(stream, 0, "eval")
         accs, aucs = tr.evaluate_all([(Xe, ye)])
-        probs, logits = tr.scores(Xe)
+        logits = tr.scores(Xe)
         assert accs[0] == accuracy(logits, ye)
-        assert aucs[0] == auc(probs, ye)
+        assert aucs[0] == auc(logits, ye)
+
+    def test_auc_ranks_saturated_logits(self, monkeypatch):
+        # sigmoid(40) and sigmoid(41) both round to 1.0, so an AUC over
+        # probabilities reads this perfect ranking as 50
+        stream = tiny_stream()
+        tr = Trainer(tiny_config(), 11)
+        tr.train_task(*dataset(stream, 0, "train"))
+        Xe, ye = dataset(stream, 0, "eval")
+        monkeypatch.setattr(tr.head, "forward", lambda F: np.where(ye == 1, 41.0, 40.0)[:, None])
+        assert tr.evaluate_all([(Xe, ye)])[1] == [100.0]
 
     def test_run_stream_determinism(self):
         stream = tiny_stream()

@@ -11,6 +11,7 @@ from dgkan.fskdcp import (FeatureMemory, KdcpProjection, augment_features, herd_
 from dgkan import fskdcp
 from dgkan.continual import Trainer, TrainerConfig
 from dgkan.kanheads import FeatureExtractor
+from dgkan.losses import DomainLabeledBatch
 from dgkan.numcore import AdamState, ContractViolation, RngStream, finite_diff_grad, max_rel_err
 from dgkan.synthbench import dataset, gen_sequence
 
@@ -389,6 +390,15 @@ class TestAugmentMatchesPerLabelStd:
         with pytest.raises(ContractViolation, match="domain-class"):
             FeatureMemory(features=rng.normal(size=(3, 4)), domain_class=dc, budget=3,
                           space_task=1)
+
+    @pytest.mark.parametrize("shape", [(6,), (3, 2, 2)], ids=["1d", "3d"])
+    @pytest.mark.parametrize("cls", [DomainLabeledBatch, FeatureMemory])
+    def test_features_must_be_2d(self, cls, shape):
+        # every other rule holds here; unchecked, supcon_loss, augment_features
+        # and save_memory each failed later with a bare numpy or Python error
+        extra = {"budget": 6, "space_task": 1} if cls is FeatureMemory else {}
+        with pytest.raises(ContractViolation, match=f"{cls.__name__} features must be 2-D"):
+            cls(features=np.ones(shape), domain_class=np.arange(shape[0]) % 2, **extra)
 
     def test_layout_built_once_serves_every_view(self, rng):
         # a trainer hands every step the one memory plus its rows moved by the

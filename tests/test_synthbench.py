@@ -3,8 +3,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from dgkan import synthbench
 from dgkan.numcore import ContractViolation, RngStream
-from dgkan.synthbench import LAYOUTS, PROTOCOLS, SIGMA, dataset, gen_domain, gen_sequence
+from dgkan.synthbench import (LAYOUTS, PROTOCOLS, SIGMA, WALSH_ROWS, dataset, gen_domain,
+                              gen_sequence)
 
 
 class TestGenDomain:
@@ -127,3 +129,57 @@ def test_protocols_keep_their_order():
     # PROTOCOLS is LAYOUTS' keys: --protocol choices, the protocol error
     # text and these test IDs list them in this order
     assert PROTOCOLS == tuple(LAYOUTS) == tuple(STREAM_DIGESTS)
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v)
+
+
+def _gram_schmidt_geometry(d_x: int) -> dict[str, np.ndarray]:
+    """The directions as Gram-Schmidt built them from the ±1 patterns, kept
+    verbatim as the reference for the Walsh table."""
+    if d_x % 8 != 0:
+        raise ContractViolation("protocol construction requires d_x divisible by 8")
+    raw = {
+        "shift": np.ones(d_x),
+        "comp": np.tile([1.0, -1.0], d_x // 2),
+        "style_a": np.tile([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0], d_x // 8),
+        "style_b": np.tile([1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0], d_x // 8),
+        "fake_a": np.tile([1.0, 1.0, -1.0, -1.0], d_x // 4),
+        "fake_b": np.tile([1.0, -1.0, -1.0, 1.0], d_x // 4),
+    }
+    geom: dict[str, np.ndarray] = {}
+    basis: list[np.ndarray] = []
+    for name, vec in raw.items():
+        v = vec.astype(np.float64)
+        for b in basis:
+            v = v - (v @ b) * b
+        v = _unit(v)
+        basis.append(v)
+        geom[name] = v
+    return geom
+
+
+def test_walsh_rows_are_orthogonal():
+    # integer dot products, so exactly 0 off the diagonal
+    rows = np.array(list(WALSH_ROWS.values()))
+    assert np.array_equal(rows @ rows.T, 8 * np.eye(len(rows), dtype=rows.dtype))
+
+
+@pytest.mark.parametrize("d_x", [8, 16, 24, 32, 64, 128, 1024])
+def test_walsh_directions_keep_the_gram_schmidt_bytes(d_x):
+    got, ref = synthbench._protocol_geometry(d_x), _gram_schmidt_geometry(d_x)
+    assert list(got) == list(ref)
+    for name in ref:
+        assert got[name].tobytes() == ref[name].tobytes(), name
+
+
+@pytest.mark.parametrize("d_x", [24, 32, 64, 128])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_stream_means_keep_their_bytes_beyond_the_digests(protocol, d_x, monkeypatch):
+    # STREAM_DIGESTS covers d_x 8 and 16 only
+    got = gen_sequence(protocol, 11, d_x=d_x)
+    monkeypatch.setattr(synthbench, "_protocol_geometry", _gram_schmidt_geometry)
+    ref = gen_sequence(protocol, 11, d_x=d_x)
+    assert got.real_means.tobytes() == ref.real_means.tobytes()
+    assert got.fake_means.tobytes() == ref.fake_means.tobytes()
