@@ -24,7 +24,7 @@ import numpy as np
 
 from .fskdcp import (FeatureMemory, KdcpProjection, augment_features, domain_class,
                      project_memory, select_features, train_projection_step)
-from .kanheads import (DgkdHead, FeatureExtractor, add_task_layer, make_baseline_head)
+from .kanheads import DgkdHead, FeatureExtractor, add_task_layer, as_batch, make_baseline_head
 from .losses import (DomainLabeledBatch, bce_loss, kd_loss, overall_loss, supcon_loss)
 from .numcore import AdamState, ContractViolation, RngStream, check_finite
 from .synthbench import TaskStream, dataset
@@ -119,12 +119,9 @@ class Trainer:
         self.task = 0
 
     def _inputs(self, X: np.ndarray, what: str) -> np.ndarray:
-        """``X`` as a float64 array, which must be finite and (N, d_x);
-        ContractViolation names ``what`` otherwise."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.cfg.d_x:
-            raise ContractViolation(f"{what} must have shape (N, {self.cfg.d_x}), got {X.shape}")
-        return check_finite(X, what)
+        """``X`` as a finite float64 (N, d_x) batch, by ``as_batch`` and
+        ``check_finite``; ContractViolation names ``what`` otherwise."""
+        return check_finite(as_batch(X, self.cfg.d_x, what), what)
 
     # -- training ------------------------------------------------------------
 
@@ -296,32 +293,23 @@ class Trainer:
 
 
 def accuracy(logits, labels) -> float:
-    """Percentage of correct decisions at probability 0.5 (logit 0)."""
-    z = np.asarray(logits, dtype=np.float64).ravel()
-    y = np.asarray(labels, dtype=np.int64).ravel()
-    if z.size == 0:
-        raise ContractViolation("accuracy on empty input")
-    if z.shape != y.shape:
-        raise ContractViolation("accuracy length mismatch")
-    pred = (z > 0.0).astype(np.int64)
-    return float((pred == y).mean() * 100.0)
+    """Percentage of correct decisions at probability 0.5 (logit 0).
+    Requires finite logits (``check_finite``) and one label per logit, each
+    0 or 1, with both present (``check_labels``)."""
+    z = check_finite(np.asarray(logits, dtype=np.float64).ravel(), "accuracy logits")
+    y = check_labels(labels, z.size, "accuracy labels")
+    return float(((z > 0.0) == y).mean() * 100.0)
 
 
 def auc(scores, labels) -> float:
     """The Mann-Whitney U as a percentage of the n_pos * n_neg pairs: each
     positive wins over the negatives scored below it and half-wins over the
-    negatives tied with it.  Requires finite scores, 0/1 labels and both
-    classes present."""
+    negatives tied with it.  Requires finite scores (``check_finite``) and
+    one label per score, each 0 or 1, with both present (``check_labels``)."""
     s = check_finite(np.asarray(scores, dtype=np.float64).ravel(), "auc scores")
-    y = np.asarray(labels, dtype=np.int64).ravel()
-    if s.shape != y.shape:
-        raise ContractViolation("auc length mismatch")
-    n_pos = int((y == 1).sum())
-    n_neg = int((y == 0).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise ContractViolation("auc requires both classes present")
-    if n_pos + n_neg != y.size:
-        raise ContractViolation("auc labels must be 0 or 1")
+    y = check_labels(labels, s.size, "auc labels")
+    n_pos = int(y.sum())
+    n_neg = y.size - n_pos
     # left + right counts each lower negative twice and each tied one once;
     # the counts are integers, so U is exact in float64
     neg, pos = np.sort(s[y == 0]), s[y == 1]

@@ -158,15 +158,13 @@ def herd_indices(features: np.ndarray, quota: int) -> np.ndarray:
 
 
 def select_indices(features: np.ndarray, domain_class: np.ndarray, budget: int) -> np.ndarray:
-    """Herding-based selection of at most ``budget`` rows, per-label quotas."""
-    F = np.asarray(features, dtype=np.float64)
-    d = np.asarray(domain_class, dtype=np.int64)
-    if F.ndim != 2 or F.shape[0] == 0:
+    """Herding-based selection of at most ``budget`` rows, per-label quotas,
+    from a non-empty ``DomainLabeledBatch`` of the two arrays; the budget
+    must keep a row of every code present."""
+    batch = DomainLabeledBatch(features, domain_class)
+    F, d = batch.features, batch.domain_class
+    if d.size == 0:
         raise ContractViolation("select_features requires a non-empty feature matrix")
-    if d.shape != (F.shape[0],):
-        raise ContractViolation("domain-class labels must align with feature rows")
-    if d.min() < 0:
-        raise ContractViolation("domain-class labels must be >= 0")
     counts = np.bincount(d)
     labels = np.flatnonzero(counts).tolist()        # ascending
     if budget < len(labels):
@@ -189,8 +187,7 @@ def select_features(features: np.ndarray, domain_class: np.ndarray, budget: int,
         if np.shape(inputs)[:1] != np.shape(features)[:1]:
             raise ContractViolation("select_features: inputs must align with feature rows")
         inputs = np.asarray(inputs, dtype=np.float64)[idx]
-    return FeatureMemory(features=np.asarray(features, dtype=np.float64)[idx],
-                         domain_class=np.asarray(domain_class, dtype=np.int64)[idx],
+    return FeatureMemory(features=np.asarray(features)[idx], domain_class=np.asarray(domain_class)[idx],
                          budget=budget, space_task=space_task, inputs=inputs)
 
 
@@ -248,13 +245,11 @@ def train_projection_step(proj: KdcpProjection, f_teacher: np.ndarray, f_student
 
     Teacher and student features must come from the same raw inputs; only the
     projection layer is updated (the student features are a fixed target).
+    The layer's forward checks the teacher batch and ``align_loss`` the
+    student's shape against it, both before the backward and the step.
     """
-    t = np.asarray(f_teacher, dtype=np.float64)
-    s = np.asarray(f_student, dtype=np.float64)
-    if t.shape != s.shape:
-        raise ContractViolation(f"projection step shape mismatch: {t.shape} vs {s.shape}")
-    projected, cache = proj.apply_cached(t)
-    loss, dP = align_loss(projected, s)
+    projected, cache = proj.apply_cached(f_teacher)
+    loss, dP = align_loss(projected, f_student)
     _, grads = proj.layer.backward(dP, cache)
     proj.layer.adam_update(grads, opt)
     return loss

@@ -189,13 +189,13 @@ class DgLayer(ParamArrays):
     # -- forward / backward -------------------------------------------------
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        X = _as_batch(X, self.d_in, "DgLayer input")
+        X = as_batch(X, self.d_in, "DgLayer input")
         # z is dropped before the matmul: a projection's forward runs over
         # the whole replay memory
         return _gaussians(X, self.centers[self.group_of], self.widths[self.group_of])[0] @ self.W.T
 
     def forward_cached(self, X: np.ndarray):
-        X = _as_batch(X, self.d_in, "DgLayer input")
+        X = as_batch(X, self.d_in, "DgLayer input")
         s = self.widths[self.group_of]
         phi, z = _gaussians(X, self.centers[self.group_of], s)
         return phi @ self.W.T, (phi, z, s)
@@ -288,7 +288,7 @@ class DgkdHead:
         return self.layers[-1]
 
     def _checked(self, X: np.ndarray) -> np.ndarray:
-        X = _as_batch(X, self.d_in, "DgkdHead input")
+        X = as_batch(X, self.d_in, "DgkdHead input")
         if not self.layers:
             raise ContractViolation("head has no layers; add a task layer first")
         return X
@@ -455,7 +455,7 @@ class SiluMlp(ParamArrays):
         OpenBLAS 0.3.31 gives a gemm over >= 256 rows of a batch the bytes of
         the whole-batch gemm, by no guarantee: ``test_byte_oracles.py``'s
         ``test_streamed_forward`` is the check."""
-        X = _as_batch(X, self.d_in, f"{type(self).__name__} input")
+        X = as_batch(X, self.d_in, f"{type(self).__name__} input")
         n = X.shape[0]
         Y = np.empty((n, self.d_out))
         for start in range(0, max(n - FORWARD_BLOCK_ROWS, 0) + 1, FORWARD_BLOCK_ROWS):
@@ -469,7 +469,7 @@ class SiluMlp(ParamArrays):
         return Y
 
     def forward_cached(self, X: np.ndarray):
-        X = _as_batch(X, self.d_in, f"{type(self).__name__} input")
+        X = as_batch(X, self.d_in, f"{type(self).__name__} input")
         h, dh = _silu(self._hidden(X))
         return self._out(h), (X, h, dh)
 
@@ -582,7 +582,7 @@ class GrKanHead(ParamArrays):
         return self.forward_cached(X)[0]
 
     def forward_cached(self, X: np.ndarray):
-        X = _as_batch(X, self.d_in, "GrKanHead input")
+        X = as_batch(X, self.d_in, "GrKanHead input")
         H, cache1 = _rational_affine(X, self.W1, self.b1, self.p1, self.q1, self.group_of1)
         Y, cache2 = _rational_affine(H, self.W2, self.b2, self.p2, self.q2, self.group_of2)
         return Y, (cache1, cache2)
@@ -620,7 +620,9 @@ class FeatureExtractor(SiluMlp):
         return FeatureExtractor(self.W1, self.b1, self.W2, self.b2)
 
 
-def _as_batch(X: np.ndarray, dim: int, what: str) -> np.ndarray:
+def as_batch(X: np.ndarray, dim: int, what: str) -> np.ndarray:
+    """``X`` as a float64 (N, ``dim``) batch; ContractViolation names
+    ``what`` otherwise.  Every layer, head and the trainer check with it."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != dim:
         raise ContractViolation(f"{what} must be an (N, {dim}) batch, got shape {X.shape}")

@@ -15,9 +15,9 @@ from .numcore import ContractViolation, check_finite
 
 @dataclass
 class DomainLabeledBatch:
-    """Finite (N, d) features with per-row domain-class labels (2T coding,
-    each >= 0), checked on construction; an error names the class
-    (``FeatureMemory`` for a memory)."""
+    """Finite (N, d) features with per-row domain-class codes (2T coding),
+    an integer array of values >= 0, checked on construction; an error
+    names the class (``FeatureMemory`` for a memory, herding builds one)."""
 
     features: np.ndarray
     domain_class: np.ndarray
@@ -27,9 +27,12 @@ class DomainLabeledBatch:
         self.features = check_finite(np.asarray(self.features, dtype=np.float64), f"{what} features")
         if self.features.ndim != 2:
             raise ContractViolation(f"{what} features must be 2-D, got shape {self.features.shape}")
-        self.domain_class = np.asarray(self.domain_class, dtype=np.int64)
-        if self.domain_class.shape != (self.features.shape[0],):
+        codes = np.asarray(self.domain_class)
+        if codes.shape != (self.features.shape[0],):
             raise ContractViolation(f"{what} domain_class must align with feature rows")
+        if not np.issubdtype(codes.dtype, np.integer):      # a cast would truncate 0.5 to 0
+            raise ContractViolation(f"{what} domain-class codes must be integers, got {codes.dtype}")
+        self.domain_class = codes.astype(np.int64, copy=False)
         if (self.domain_class < 0).any():
             raise ContractViolation(f"{what} domain-class codes must be >= 0")
 
@@ -86,8 +89,8 @@ def supcon_loss(batch: DomainLabeledBatch, tau: float,
     when 2/tau exceeds exp's range (tau below about 0.0028).  Rows of
     anchors without a positive are zeroed in G and never divide by zero.
     """
-    if tau <= 0.0:
-        raise ContractViolation("tau must be positive")
+    if not 0.0 < tau < np.inf:                 # NaN fails both comparisons
+        raise ContractViolation(f"tau must be finite and positive, got {tau!r}")
     F = batch.features
     d = batch.domain_class
     n = F.shape[0]

@@ -46,8 +46,8 @@ class AdamState:
         self.v = np.array(self.v, dtype=np.float64)
         if self.m.shape != self.v.shape:
             raise ContractViolation("Adam moment vectors must have equal length")
-        if self.lr <= 0.0:
-            raise ContractViolation("Adam lr must be positive")
+        if not 0.0 < self.lr < np.inf:                  # NaN fails both comparisons
+            raise ContractViolation(f"Adam lr must be finite and positive, got {self.lr!r}")
         if self.step_count < 0:
             raise ContractViolation("Adam step count must be >= 0")
 
@@ -72,9 +72,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.nda
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ContractViolation(
             f"adam_step length mismatch: params {params.shape}, grads {grads.shape}, moments {state.m.shape}")
-    if not np.isfinite(grads).all():
-        bad = int(np.argwhere(~np.isfinite(grads))[0][0])
-        raise ContractViolation(f"adam_step rejected non-finite gradient at index {bad}")
+    check_finite(grads, "adam_step gradient")
     state.step_count += 1
     t = state.step_count
     tmp = np.multiply(grads, 1.0 - BETA1)
@@ -135,16 +133,24 @@ def _key_part(part) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
+def check_seed(seed) -> int:
+    """``seed`` as a Python int; ContractViolation unless it is an integer
+    >= 0, Python's or numpy's (a bool is not a seed)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ContractViolation(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
+
+
 class RngStream:
     """Counter-based random stream (Philox) keyed by (seed, path).
 
     Substreams are derived from the key alone, never from draw position, so
     the sequence seen by any consumer is independent of evaluation order.
-    Identical seeds produce identical draws on every platform.
+    Identical seeds (``check_seed``) produce identical draws on every platform.
     """
 
     def __init__(self, seed: int, path: tuple = ()):
-        self.seed = int(seed)
+        self.seed = check_seed(seed)
         self.path = tuple(_key_part(p) for p in path)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
         self._gen = np.random.Generator(np.random.Philox(ss))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import ContractViolation, RngStream
+from .numcore import ContractViolation, RngStream, check_seed
 
 # reference seeds used by the trend benchmarks and acceptance runs
 REFERENCE_SEEDS = (11, 23, 47)
@@ -108,7 +108,9 @@ def gen_sequence(protocol: str, seed: int, d_x: int = 8, train_n: int = 1024,
     domain-specific direction.  four-task / ten-task chain
     partially-overlapping domains; the two-task variants place the pair of
     domain means >= 10 sigma apart (separated) or <= 1 sigma apart (overlap).
+    ``seed`` must pass ``check_seed``, as every ``dataset`` draw's will.
     """
+    seed = check_seed(seed)
     if protocol not in LAYOUTS:
         raise ContractViolation(f"unknown protocol {protocol!r}")
     num_tasks, step, styled = LAYOUTS[protocol]
@@ -124,4 +126,4 @@ def gen_sequence(protocol: str, seed: int, d_x: int = 8, train_n: int = 1024,
             mu = mu + STYLE_SCALE * (cos * geom["style_a"] + sin * geom["style_b"])
         real[t] = mu + COMP_OFFSET * geom["comp"], mu - COMP_OFFSET * geom["comp"]
         fake[t] = real[t] + FAKE_SCALE * (cos * geom["fake_a"] + sin * geom["fake_b"])
-    return TaskStream(int(seed), real, fake, train_n, eval_n)
+    return TaskStream(seed, real, fake, train_n, eval_n)

@@ -44,6 +44,18 @@ class TestAccuracy:
         with pytest.raises(ContractViolation):
             accuracy([], [])
 
+    @pytest.mark.parametrize("bad", [0.5, 2])
+    def test_label_outside_zero_one_rejected(self, bad):
+        # a cast truncated 0.5 to 0, and a label 2 counted as a miss
+        with pytest.raises(ContractViolation, match="accuracy labels must be 0 or 1"):
+            accuracy([2.0, -3.0, 1.0], [1, 0, bad])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_logit_rejected(self, bad):
+        # a NaN logit is not > 0, so it counted as a "real" prediction
+        with pytest.raises(ContractViolation, match="accuracy logits contains non-finite"):
+            accuracy([2.0, bad, 1.0], [1, 0, 1])
+
 
 def auc_pair_oracle(scores, labels):
     pos = [s for s, l in zip(scores, labels) if l == 1]
@@ -124,6 +136,13 @@ class TestAuc:
         # the rank sum would rank a label-2 row among the others; the count ignores it
         with pytest.raises(ContractViolation, match="auc labels must be 0 or 1"):
             auc([0.2, 0.5, 0.7], [0, 2, 1])
+
+    @pytest.mark.parametrize("bad", [0.5, 1.7, math.nan])
+    def test_non_integer_label_rejected(self, bad):
+        # a cast to int made 0.5 a negative and 1.7 a positive (75.0 and
+        # 100.0 here), and NaN failed in numpy with a bare ValueError
+        with pytest.raises(ContractViolation, match="auc labels must be 0 or 1"):
+            auc([0.1, 0.9, 0.5, 0.2], [0, 1, bad, 1])
 
 
 class TestAverageForgetting:
@@ -266,7 +285,7 @@ class TestTrainer:
 
     @pytest.mark.parametrize("bad,message", [
         ("nan", "non-finite"), ("inf", "non-finite"),
-        ("columns", r"shape \(N, 8\)"), ("inputs-1d", r"shape \(N, 8\)"),
+        ("columns", r"must be an \(N, 8\) batch"), ("inputs-1d", r"must be an \(N, 8\) batch"),
         ("labels-0-2", "0 or 1"), ("label-0.5", "0 or 1"), ("label-nan", "0 or 1"),
         ("labels-one-class", "0 or 1"), ("labels-length", r"shape \(64,\)")])
     def test_bad_eval_inputs_rejected_before_any_forward(self, bad, message, monkeypatch):

@@ -194,7 +194,7 @@ class TestSelection:
             select_indices(F, np.array([0, 1, 2, 3, 4, 5]), budget=3)
 
     def test_negative_label_rejected(self, rng):
-        with pytest.raises(ContractViolation, match="labels must be >= 0"):
+        with pytest.raises(ContractViolation, match="domain-class codes must be >= 0"):
             select_indices(rng.normal(size=(4, 2)), np.array([0, -1, 1, 1]), budget=4)
 
     def test_labels_with_gaps_select_as_unique_did(self, rng):
@@ -276,9 +276,14 @@ class TestProjection:
                                     rng.normal(size=(N, 16)), rng.normal(size=(N, 16)))
 
     def test_shape_mismatch(self, rng):
+        # a column or a row count mismatch raises before any backward pass or Adam step
         proj, feats = _projection(rng)
-        with pytest.raises(ContractViolation):
-            train_projection_step(proj, feats, feats[:, :3], AdamState.init(proj.layer.n_params(), lr=5e-4))
+        opt = AdamState.init(proj.layer.n_params(), lr=5e-4)
+        before = proj.layer.param_vector().tobytes()
+        for student in (feats[:, :3], feats[:-1]):
+            with pytest.raises(ContractViolation, match="align_loss shape mismatch"):
+                train_projection_step(proj, feats, student, opt)
+        assert proj.layer.param_vector().tobytes() == before and opt.step_count == 0
 
 
 class TestProjectMemory:
@@ -390,6 +395,18 @@ class TestAugmentMatchesPerLabelStd:
         with pytest.raises(ContractViolation, match="domain-class"):
             FeatureMemory(features=rng.normal(size=(3, 4)), domain_class=dc, budget=3,
                           space_task=1)
+
+    @pytest.mark.parametrize("build", ["batch", "memory", "herding"])
+    def test_float_domain_class_rejected(self, rng, build):
+        # a cast to int64 truncated the codes to [0, 1, 2]
+        F, dc = rng.normal(size=(3, 4)), np.array([0.5, 1.5, 2.9])
+        with pytest.raises(ContractViolation, match="domain-class codes must be integers"):
+            if build == "batch":
+                DomainLabeledBatch(features=F, domain_class=dc)
+            elif build == "memory":
+                FeatureMemory(features=F, domain_class=dc, budget=3, space_task=1)
+            else:
+                select_indices(F, dc, budget=3)
 
     @pytest.mark.parametrize("shape", [(6,), (3, 2, 2)], ids=["1d", "3d"])
     @pytest.mark.parametrize("cls", [DomainLabeledBatch, FeatureMemory])

@@ -134,6 +134,12 @@ class TestSupcon:
         with pytest.raises(ContractViolation, match="domain-class codes must be >= 0"):
             _batch([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0, -1, 0])
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -0.1])
+    def test_tau_must_be_finite_and_positive(self, tau):
+        # NaN passed "tau <= 0" and gave a NaN loss and gradient
+        with pytest.raises(ContractViolation, match="tau must be finite and positive"):
+            supcon_loss(_batch([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0], [0.1, 1.0]], [0, 0, 1, 1]), tau)
+
     def test_hand_value(self):
         F = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
         loss, _ = supcon_loss(_batch(F, [0, 0, 1, 1]), 0.1)

@@ -54,6 +54,12 @@ class TestAdam:
         with pytest.raises(ContractViolation):
             AdamState(m=np.zeros(1), v=np.zeros(1), lr=-1.0)
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf])
+    def test_non_finite_lr_rejected(self, lr):
+        # NaN passed "lr <= 0" and turned every parameter into NaN on the first step
+        with pytest.raises(ContractViolation, match="Adam lr must be finite and positive"):
+            AdamState.init(3, lr=lr)
+
     @pytest.mark.parametrize("lr", [1e-3, 2e-4, 5e-4, 1e-2])
     def test_bitwise_equal_to_functional_update(self, lr):
         r = RngStream(3).substream("adam", lr)
@@ -139,6 +145,14 @@ class TestRngStream:
         root = RngStream(7)
         assert not np.array_equal(root.substream("a").uniform(size=10),
                                   root.substream("b").uniform(size=10))
+
+    def test_seed_is_an_integer_at_least_zero(self):
+        # a numpy integer keeps its draws; -1 failed in numpy's SeedSequence,
+        # and 1.5 drew seed 1's numbers
+        assert np.array_equal(RngStream(np.int64(5)).uniform(size=8), RngStream(5).uniform(size=8))
+        for seed in (-1, 1.5, True, "3"):
+            with pytest.raises(ContractViolation, match="seed must be an integer >= 0"):
+                RngStream(seed)
 
     def test_string_and_int_path_parts(self):
         s = RngStream(3).substream("task", 2, "batches")

@@ -61,6 +61,18 @@ class TestSequences:
         with pytest.raises(ContractViolation):
             gen_sequence("five-task", 7)
 
+    def test_seed_is_an_integer_at_least_zero(self):
+        # a numpy integer keeps the bytes; 1.5 gave seed 1's bytes, and -1
+        # failed only at the first dataset call, in numpy
+        a, b = gen_sequence("four-task", np.int64(3)), gen_sequence("four-task", 3)
+        assert type(a.seed) is int and a.seed == 3
+        for split in ("train", "eval"):
+            for got, want in zip(dataset(a, 2, split), dataset(b, 2, split)):
+                assert got.tobytes() == want.tobytes()
+        for seed in (1.5, -1, True):
+            with pytest.raises(ContractViolation, match="seed must be an integer >= 0"):
+                gen_sequence("four-task", seed)
+
     def test_shift_monotonicity(self):
         # along the unit ones-vector, consecutive real-class means march by
         # exactly the protocol's step; the ring offsets are orthogonal to it
