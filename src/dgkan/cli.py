@@ -1,6 +1,6 @@
 """Experiment runner: schema-validated flat-text configs, deterministic
 artifacts (scores, summary, memory snapshot, trained model, hash manifest),
-result reports, and activation-profile and 2-D PCA dumps of a trained model.
+result reports, and the final-state diagnostics of a finished run.
 
 Exit codes: 0 success, 2 config error, 3 runtime failure.
 """
@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import tempfile
 from dataclasses import dataclass, fields
@@ -21,9 +20,9 @@ import numpy as np
 from .continual import (HEADS, ConfigError, ScoreMatrix, Trainer, TrainerConfig,
                         average_accuracy, average_forgetting, check_memory_budget, run_stream)
 from .fskdcp import save_memory
-from .kanheads import DgkdHead, activation_profile, add_task_layer
-from .numcore import ContractViolation, check_finite
-from .synthbench import LAYOUTS, PROTOCOLS, TaskStream, dataset, gen_sequence
+from .kanheads import DgkdHead, add_task_layer
+from .numcore import ContractViolation, check_finite, check_int
+from .synthbench import LAYOUTS, MIN_SPLIT_ROWS, PROTOCOLS, TaskStream, gen_sequence
 
 CONFIG_FORMAT_VERSION = 1
 SUMMARY_SCHEMA_VERSION = 1
@@ -103,8 +102,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.d_x % 8 != 0:
         raise ConfigError("config field 'd_x': protocol geometry requires a multiple of 8")
     for name in ("train_samples", "eval_samples"):
-        if getattr(cfg, name) < 2:
-            raise ConfigError(f"config field {name!r}: must be >= 2, so that both classes occur")
+        try:
+            check_int(getattr(cfg, name), name, MIN_SPLIT_ROWS)
+        except ContractViolation as exc:
+            raise ConfigError(f"config field {name!r}: {exc}") from None
     check_memory_budget(cfg.memory_budget, LAYOUTS[cfg.protocol][0])
 
 
@@ -302,59 +303,6 @@ def load_model(results_dir):
     return trainer.extractor, trainer.head
 
 
-def pca_2d(features: np.ndarray) -> np.ndarray:
-    """The rows projected onto their top-2 principal directions, signs fixed.
-
-    Each component is flipped so its largest-magnitude loading is positive,
-    making the projection deterministic across platforms.
-    """
-    F = np.asarray(features, dtype=np.float64)
-    if F.shape[1] < 2:
-        raise ContractViolation("PCA dump needs at least 2 feature dimensions")
-    centered = F - F.mean(axis=0)
-    cov = centered.T @ centered / max(F.shape[0] - 1, 1)
-    evals, evecs = np.linalg.eigh(cov)
-    order = np.argsort(evals)[::-1][:2]
-    comps = evecs[:, order].T
-    for k in range(2):
-        j = int(np.argmax(np.abs(comps[k])))
-        if comps[k, j] < 0:
-            comps[k] = -comps[k]
-    return centered @ comps.T
-
-
-def dump_embeddings(extractor, stream: TaskStream, path) -> int:
-    """Write each task's eval features under ``extractor``, projected onto their top-2 PCs."""
-    feats, doms, labs = [], [], []
-    for t in range(len(stream)):
-        Xe, ye = dataset(stream, t, "eval")
-        feats.append(extractor.forward(Xe))
-        doms.append(np.full(len(ye), t))
-        labs.append(ye)
-    F = np.vstack(feats)
-    proj = pca_2d(F)
-    dom = np.concatenate(doms)
-    lab = np.concatenate(labs)
-    lines = ["pc1,pc2,domain,label,split"]
-    for i in range(F.shape[0]):
-        lines.append(f"{float(proj[i, 0])!r},{float(proj[i, 1])!r},{int(dom[i])},{int(lab[i])},eval")
-    Path(path).write_text("\n".join(lines) + "\n")
-    return F.shape[0]
-
-
-def dump_profile(head: DgkdHead, path, group_index: int, x_min: float, x_max: float,
-                 points: int) -> None:
-    """Write the composite activation scan of one group as CSV."""
-    if not isinstance(head, DgkdHead):
-        raise ContractViolation("activation profiles are defined for the dgkd head only")
-    xs = np.linspace(x_min, x_max, points)
-    vals = activation_profile(head, group_index, xs)
-    lines = ["x,value,task_count"]
-    for x, v in zip(xs, vals):
-        lines.append(f"{float(x)!r},{float(v)!r},{head.active_task}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def _require_artifacts(out: Path, *names: str) -> None:
     """Raise ContractViolation listing each of ``names`` that is not a file in ``out``."""
     missing = [name for name in names if not (out / name).is_file()]
@@ -489,40 +437,9 @@ def _run(args) -> str:
     return f"run complete: artifacts in {args.out}"
 
 
-def _check_dump_out(dest: Path) -> None:
-    """Reject a dump's --out that is a directory or lies in no directory."""
-    if not dest.parent.exists():
-        raise ConfigError(f"--out: directory {str(dest.parent)!r} does not exist")
-    if not dest.parent.is_dir():
-        raise ConfigError(f"--out: {str(dest.parent)!r} is not a directory")
-    if dest.is_dir():
-        raise ConfigError(f"--out: {str(dest)!r} is a directory")
-
-
-def _dump_profile(args) -> str:
-    cfg = _run_config(Path(args.dir))
-    # reject a profile request the stored model cannot answer, before reading it
-    if cfg.head != "dgkd":
-        raise ConfigError(f"dump-profile: activation profiles need the dgkd head, got {cfg.head!r}")
-    if not 0 <= args.group < cfg.groups:
-        raise ConfigError(f"--group: must be in [0, {cfg.groups}), got {args.group}")
-    if args.points < 1:
-        raise ConfigError(f"--points: must be at least 1, got {args.points}")
-    for flag, x in (("--x-min", args.x_min), ("--x-max", args.x_max)):
-        if not math.isfinite(x):
-            raise ConfigError(f"{flag}: must be finite, got {x}")
-    _check_dump_out(Path(args.out))
-    dump_profile(load_model(args.dir)[1], args.out, args.group, args.x_min, args.x_max, args.points)
-    return f"profile written to {args.out}"
-
-
-def _dump_embeddings(args) -> str:
-    cfg = _run_config(Path(args.dir))
-    if cfg.d_f < 2:
-        raise ConfigError(f"dump-embeddings: the 2-D PCA dump needs d_f >= 2, got {cfg.d_f}")
-    _check_dump_out(Path(args.out))
-    n = dump_embeddings(load_model(args.dir)[0], build_stream(cfg), args.out)
-    return f"{n} embedding rows written to {args.out}"
+def _probe(args) -> str:
+    from .probes import probe_run     # imported here, so that a run never compiles it
+    return json.dumps(probe_run(args.dir), indent=2, sort_keys=True)
 
 
 def _verify(args) -> str:
@@ -551,12 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="output directory")
     verb("report", lambda args: report(args.dir), "render AA/AF tables from a results directory",
          "--dir")
-    p_prof = verb("dump-profile", _dump_profile, "write an activation-profile CSV", "--dir", "--out")
-    p_prof.add_argument("--group", type=int, default=0)
-    p_prof.add_argument("--x-min", type=float, default=-3.0)
-    p_prof.add_argument("--x-max", type=float, default=3.0)
-    p_prof.add_argument("--points", type=int, default=201)
-    verb("dump-embeddings", _dump_embeddings, "write a 2-D PCA embedding CSV", "--dir", "--out")
+    verb("probe", _probe, "print the final-state diagnostics of a results directory", "--dir")
     verb("verify", _verify, "re-run a results directory and compare hashes", "--dir")
     return parser
 

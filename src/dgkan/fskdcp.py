@@ -15,7 +15,7 @@ import numpy as np
 
 from .kanheads import DgLayer, group_stats
 from .losses import DomainLabeledBatch, align_loss
-from .numcore import AdamState, ContractViolation, RngStream, check_finite
+from .numcore import AdamState, ContractViolation, RngStream, check_finite, check_int
 
 MEMORY_FORMAT_VERSION = 1
 
@@ -302,7 +302,11 @@ def augment_features(mem: FeatureMemory, jitter_scale: float, rng: RngStream,
     The rows are ``mem.features``, or ``features`` when given: the memory's
     rows moved to another space (a trainer passes them through its live
     projection), which must be finite and of the memory's shape.
+    ``jitter_scale`` must be finite and >= 0, ``n_samples`` an integer >= 1.
     """
+    if not math.isfinite(jitter_scale) or jitter_scale < 0.0:
+        raise ContractViolation(f"jitter_scale must be finite and >= 0, got {jitter_scale!r}")
+    check_int(n_samples, "n_samples", 1)
     m = len(mem)
     if m == 0:
         raise ContractViolation("augment_features on empty memory")

@@ -280,10 +280,6 @@ class DgkdHead:
                 raise ContractViolation("all head layers must share (d_in, d_out, groups)")
 
     @property
-    def active_task(self) -> int:
-        return len(self.layers)
-
-    @property
     def active_layer(self) -> DgLayer:
         return self.layers[-1]
 
@@ -351,23 +347,6 @@ def add_task_layer(head: DgkdHead, features: np.ndarray, rng: RngStream) -> None
     for layer in head.layers:
         layer.frozen = True
     head.layers.append(new)
-
-
-def activation_profile(head: DgkdHead, group_index: int, xs) -> np.ndarray:
-    """Composite activation of one group across the scan points ``xs``.
-
-    Each layer contributes mean(W over the group's columns) * phi_k(x); the
-    row-mean weighting is a plotting convention, not a training quantity.
-    """
-    if group_index < 0 or group_index >= head.groups:
-        raise ContractViolation(f"group index {group_index} out of range [0, {head.groups})")
-    xs = np.asarray(xs, dtype=np.float64)
-    vals = np.zeros_like(xs)
-    for layer in head.layers:
-        w_bar = layer.W[:, layer.group_of == group_index].mean()
-        phi, _ = _gaussians(xs, layer.centers[group_index], layer.widths[group_index])
-        vals += w_bar * phi
-    return vals
 
 
 # ``SiluMlp.forward`` streams blocks of FORWARD_BLOCK_ROWS rows and runs the

@@ -133,12 +133,12 @@ def _key_part(part) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
-def check_seed(seed) -> int:
-    """``seed`` as a Python int; ContractViolation unless it is an integer
-    >= 0, Python's or numpy's (a bool is not a seed)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ContractViolation(f"seed must be an integer >= 0, got {seed!r}")
-    return int(seed)
+def check_int(value, name: str, least: int) -> int:
+    """``value`` as a Python int; ContractViolation naming ``name`` unless it
+    is an integer >= ``least``, Python's or numpy's (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ContractViolation(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 class RngStream:
@@ -146,11 +146,11 @@ class RngStream:
 
     Substreams are derived from the key alone, never from draw position, so
     the sequence seen by any consumer is independent of evaluation order.
-    Identical seeds (``check_seed``) produce identical draws on every platform.
+    Identical seeds (integers >= 0) produce identical draws on every platform.
     """
 
     def __init__(self, seed: int, path: tuple = ()):
-        self.seed = check_seed(seed)
+        self.seed = check_int(seed, "seed", 0)
         self.path = tuple(_key_part(p) for p in path)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
         self._gen = np.random.Generator(np.random.Philox(ss))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import ContractViolation, RngStream, check_seed
+from .numcore import ContractViolation, RngStream, check_int
 
 # reference seeds used by the trend benchmarks and acceptance runs
 REFERENCE_SEEDS = (11, 23, 47)
@@ -24,6 +24,7 @@ SIGMA, COMP_OFFSET, FAKE_SCALE, STYLE_SCALE = 0.35, 1.0, 2.0, 0.7
 LAYOUTS = {"four-task": (4, 0.8, True), "ten-task": (10, 0.8, True),
            "two-task-overlap": (2, 0.8, False), "two-task-separated": (2, 36.0, False)}
 PROTOCOLS = tuple(LAYOUTS)
+MIN_SPLIT_ROWS = 2     # the fewest rows of a split that hold both classes
 
 
 @dataclass
@@ -108,9 +109,11 @@ def gen_sequence(protocol: str, seed: int, d_x: int = 8, train_n: int = 1024,
     domain-specific direction.  four-task / ten-task chain
     partially-overlapping domains; the two-task variants place the pair of
     domain means >= 10 sigma apart (separated) or <= 1 sigma apart (overlap).
-    ``seed`` must pass ``check_seed``, as every ``dataset`` draw's will.
+    ``seed`` must be an integer >= 0 and each size one >= ``MIN_SPLIT_ROWS``.
     """
-    seed = check_seed(seed)
+    seed = check_int(seed, "seed", 0)
+    train_n, eval_n = (check_int(n, name, MIN_SPLIT_ROWS) for n, name in
+                       ((train_n, "train_n"), (eval_n, "eval_n")))
     if protocol not in LAYOUTS:
         raise ContractViolation(f"unknown protocol {protocol!r}")
     num_tasks, step, styled = LAYOUTS[protocol]

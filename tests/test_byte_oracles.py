@@ -607,13 +607,6 @@ class TestInPlaceKernelsMatchReference:
             for a, k in zip((X, c, s, W, dY), kept):
                 assert a.tobytes() == k.tobytes()
 
-    def test_gaussians_of_scan_points(self):
-        # activation_profile passes 1-D scan points and one group's scalars
-        xs = np.linspace(-3.0, 3.0, 201)
-        for c, s in ((0.0, 1.0), (0.37, 0.05), (-2.5, 2.0)):
-            _same_bytes(_gaussians(xs, np.float64(c), np.float64(s)),
-                        gaussians_reference(xs, np.float64(c), np.float64(s)))
-
     # row counts on both sides of forward's silu blocks (SILU_BLOCK_ROWS = 256)
     @pytest.mark.parametrize("N,d_in,hidden,d_out", [
         (N, *shape) for N in (1, 2, 4, 64, 128, 255, 256, 257, 1000, 4096)

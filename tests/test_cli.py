@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -10,13 +11,13 @@ import numpy as np
 import pytest
 
 from dgkan.cli import (ConfigError, ExperimentConfig, build_stream, config_hash, config_lines,
-                       dump_embeddings, load_model, main, parse_config_text, parse_scores_csv,
-                       pca_2d, report, run_experiment, summary_text, trainer_config,
-                       validate_config, verify)
+                       load_model, main, parse_config_text, parse_scores_csv, report,
+                       run_experiment, summary_text, trainer_config, validate_config, verify)
 from dgkan.continual import (ScoreMatrix, Trainer, TrainerConfig, average_forgetting,
                             run_stream)
 from dgkan.numcore import ContractViolation
-from dgkan.synthbench import REFERENCE_SEEDS, dataset, gen_sequence
+from dgkan.probes import probe_run
+from dgkan.synthbench import REFERENCE_SEEDS, dataset
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -480,16 +481,23 @@ class TestCliVerbs:
 
     @pytest.mark.parametrize("bad", ["memory_budget = 7\n",
                                      "protocol = ten-task\nmemory_budget = 19\n",
-                                     "train_samples = 1\n", "eval_samples = 1\n"],
+                                     "train_samples = 1\n", "eval_samples = 1\n",
+                                     "train_samples = 0\n", "eval_samples = -4\n"],
                              ids=["budget-7-four-task", "budget-19-ten-task", "train_samples-1",
-                                  "eval_samples-1"])
-    def test_unfinishable_stream_rejected_at_parse(self, bad, tmp_path):
+                                  "eval_samples-1", "train_samples-0", "eval_samples-neg4"])
+    def test_unfinishable_stream_rejected_at_parse(self, bad, tmp_path, capsys):
         # each of these trained and then failed (exit 3) with a config file
-        # and a failed manifest already written
+        # and a failed manifest already written.  Each line replaces TINY's
+        # line of its field: appended, it was rejected as a repeated field
+        text = TINY.replace("epochs = 2", "epochs = 1")
+        for line in bad.splitlines():
+            text = re.sub(rf"^{line.split(' =')[0]} = .*$", line, text, flags=re.M)
         cfg_path = tmp_path / "bad.txt"
-        cfg_path.write_text(TINY.replace("epochs = 2", "epochs = 1") + bad)
+        cfg_path.write_text(text)
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
+        field = bad.splitlines()[-1].split(" =")[0]
+        assert f"config field {field!r}" in capsys.readouterr().err
 
     def test_repeated_field_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.txt"
@@ -585,12 +593,15 @@ class TestCliVerbs:
         assert main(["verify", "--dir", str(out)]) == 3
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["config_resolved.txt", "scores.csv", "summary.json"])
-    @pytest.mark.parametrize("verb", ["report", "verify"])
+    @pytest.mark.parametrize("verb,name", [
+        (verb, name) for verb in ("report", "verify")
+        for name in ("config_resolved.txt", "scores.csv", "summary.json")
+    ] + [("probe", name) for name in ("config_resolved.txt", "scores.csv", "memory_final.csv")],
+        ids=lambda v: v)
     def test_non_utf8_byte_is_named(self, verb, name, tiny_run, tmp_path, monkeypatch, capsys):
         # a bare UnicodeDecodeError naming no file, for verify's scores.csv
         # "hashes differ", or for report's summary.json a line holding U+FFFD
-        # used to be the only message
+        # used to be the only message; probe reads no summary.json
         import dgkan.cli
 
         def no_rerun(*args):
@@ -605,7 +616,7 @@ class TestCliVerbs:
             f.write(b"\xff")
         message = f"{tmp_path / name}: byte {offset} (0xff) is not UTF-8"
         with pytest.raises(ContractViolation, match=re.escape(message)):
-            getattr(dgkan.cli, verb)(tmp_path)
+            (probe_run if verb == "probe" else getattr(dgkan.cli, verb))(tmp_path)
         assert main([verb, "--dir", str(tmp_path)]) == 3
         assert message in capsys.readouterr().err
 
@@ -649,42 +660,11 @@ class TestCliVerbs:
     def test_report_verb_missing_dir(self, tmp_path):
         assert main(["report", "--dir", str(tmp_path / "nope")]) == 3
 
-    def test_dump_profile_verb(self, tiny_run, tmp_path):
-        _, run, _ = tiny_run
-        out = tmp_path / "profile.csv"
-        assert main(["dump-profile", "--dir", str(run), "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "x,value,task_count"
-        assert all(line.endswith(",4") for line in lines[1:])
-
-    @pytest.mark.parametrize("extra,config", [(["--group", "99"], TINY), (["--group", "-1"], TINY),
-                                              (["--points", "-3"], TINY), (["--points", "0"], TINY),
-                                              ([], TINY + "head = mlp\n")],
-                             ids=["group-99", "group-neg1", "points-neg3", "points-0", "head-mlp"])
-    def test_dump_profile_bad_arguments_fail_before_training(self, extra, config, tmp_path,
-                                                             monkeypatch):
-        # an option error must come before the stored model is read
-        run = _config_only_run(tmp_path, config, monkeypatch)
-        out = tmp_path / "profile.csv"
-        assert main(["dump-profile", "--dir", str(run), "--out", str(out)] + extra) == 2
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("flag", ["--x-min", "--x-max"])
-    def test_dump_profile_non_finite_range_fails_before_training(self, flag, value, tmp_path,
-                                                                 monkeypatch, capsys):
-        run = _config_only_run(tmp_path, TINY, monkeypatch)
-        out = tmp_path / "profile.csv"
-        assert main(["dump-profile", "--dir", str(run), "--out", str(out),
-                     f"{flag}={value}"]) == 2
-        assert f"{flag}: must be finite" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("verb", ["run", "dump-profile", "dump-embeddings"])
+    @pytest.mark.parametrize("verb", ["run", "probe"])
     @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
     def test_unreadable_config_fails_before_anything_is_written(self, verb, case, tmp_path,
                                                                 monkeypatch, capsys):
-        # run reads --config (exit 2); a dump reads its --dir run's
+        # run reads --config (exit 2); probe reads its --dir run's
         # config_resolved.txt, as report and verify do (exit 3)
         import dgkan.cli
 
@@ -695,7 +675,8 @@ class TestCliVerbs:
         monkeypatch.setattr(dgkan.cli, "load_model", no_training)
         run = tmp_path / "run"
         if verb == "run":
-            cfg_path, argv, code = tmp_path / "cfg.txt", ["--config", str(tmp_path / "cfg.txt")], 2
+            cfg_path, code = tmp_path / "cfg.txt", 2
+            argv = ["--config", str(cfg_path), "--out", str(tmp_path / "out")]
         else:
             cfg_path, argv, code = run / "config_resolved.txt", ["--dir", str(run)], 3
             if case != "missing":
@@ -704,8 +685,9 @@ class TestCliVerbs:
             cfg_path.mkdir()
         elif case == "not-utf8":
             cfg_path.write_bytes(TINY.encode() + b"# \xff\xfe\n")
-        assert main([verb, *argv, "--out", str(tmp_path / "out")]) == code
-        err = capsys.readouterr().err
+        assert main([verb, *argv]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
         if verb == "run":
             assert "config error: --config: cannot read" in err
         if case == "not-utf8":
@@ -715,51 +697,6 @@ class TestCliVerbs:
         written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
         assert written == ([] if case == "missing" else
                            ["cfg.txt"] if verb == "run" else ["run", "run/config_resolved.txt"])
-
-    def test_dump_embeddings_one_feature_dim_fails_before_training(self, tmp_path, monkeypatch):
-        run = _config_only_run(tmp_path, TINY + "d_f = 1\ngroups = 1\n", monkeypatch)
-        out = tmp_path / "emb.csv"
-        assert main(["dump-embeddings", "--dir", str(run), "--out", str(out)]) == 2
-        assert not out.exists()
-
-    @pytest.mark.parametrize("verb,out,message", [
-        ("dump-profile", "missing/out.csv", "directory '.*missing' does not exist"),
-        ("dump-embeddings", "missing/out.csv", "directory '.*missing' does not exist"),
-        ("dump-profile", "taken", "'.*taken' is a directory"),
-        ("dump-embeddings", "taken", "'.*taken' is a directory"),
-        ("dump-profile", "afile/out.csv", "'.*afile' is not a directory"),
-        ("dump-embeddings", "afile/out.csv", "'.*afile' is not a directory"),
-    ], ids=["dump-profile", "dump-embeddings", "dump-profile-out-is-directory",
-            "dump-embeddings-out-is-directory", "dump-profile-under-file",
-            "dump-embeddings-under-file"])
-    def test_dump_out_in_missing_directory_fails_before_training(self, verb, out, message,
-                                                                 tmp_path, monkeypatch, capsys):
-        # an existing directory used to train the whole run, then exit 3
-        # with IsADirectoryError
-        run = _config_only_run(tmp_path, TINY, monkeypatch)
-        (tmp_path / "taken").mkdir()
-        (tmp_path / "afile").write_text("a file\n")
-        assert main([verb, "--dir", str(run), "--out", str(tmp_path / out)]) == 2
-        assert re.search(f"--out: {message}", capsys.readouterr().err)
-        assert not (tmp_path / "missing").exists()
-        assert list((tmp_path / "taken").iterdir()) == []
-        assert (tmp_path / "afile").read_text() == "a file\n"
-
-
-def _config_only_run(tmp_path, config: str, monkeypatch) -> Path:
-    """A run directory holding only ``config`` as its config_resolved.txt,
-    with ``load_model`` patched to fail: a dump that reads the model fails."""
-    import dgkan.cli
-
-    def no_model(*args):
-        raise AssertionError("load_model called")
-
-    monkeypatch.setattr(dgkan.cli, "load_model", no_model)
-    run = tmp_path / "run"
-    run.mkdir()
-    (run / "config_resolved.txt").write_text(config)
-    return run
-
 
 def _lines(edit):
     """A bytes edit of model_final.csv that applies ``edit`` to its list of lines."""
@@ -800,7 +737,6 @@ class TestModelFile:
             assert F.tobytes() == trained.extractor.forward(Xe).tobytes()
             assert loaded.forward(F).tobytes() == trained.head.forward(F).tobytes()
 
-    @pytest.mark.parametrize("verb", ["dump-profile", "dump-embeddings"])
     @pytest.mark.parametrize("edit,message", [
         (None, "missing artifacts in {run}: model_final.csv"),
         (_line(1, lambda l: "dgkan_memory,version=1"),
@@ -832,7 +768,7 @@ class TestModelFile:
     ], ids=["missing", "header", "version", "name", "too-few", "too-many", "not-a-number",
             "nan", "inf", "missing-line", "missing-last-line", "extra-line", "not-utf8",
             "width-below-floor"])
-    def test_malformed_model_is_named(self, verb, edit, message, tiny_run, tmp_path, capsys):
+    def test_malformed_model_is_named(self, edit, message, tiny_run, tmp_path, capsys):
         _, out, _ = tiny_run
         run = tmp_path / "run"
         run.mkdir()
@@ -846,17 +782,17 @@ class TestModelFile:
         message = message.format(run=run, model=model, size=(out / model.name).stat().st_size)
         with pytest.raises(ContractViolation, match=re.escape(message)):
             load_model(run)
-        dest = tmp_path / "dump.csv"
-        assert main([verb, "--dir", str(run), "--out", str(dest)]) == 3
-        assert message in capsys.readouterr().err
-        assert not dest.exists()
+        assert main(["probe", "--dir", str(run)]) == 3
+        out, err = capsys.readouterr()
+        assert message in err and out == ""
 
-    @pytest.mark.parametrize("verb", ["dump-profile", "dump-embeddings"])
     @pytest.mark.parametrize("case", ["edited-seed", "edited-model", "no-manifest",
-                                      "model-not-listed"])
-    def test_dump_checks_the_manifest_digests(self, verb, case, tiny_run, tmp_path, capsys):
-        # a copy of the run with `seed = 12` in its config used to dump with
-        # exit 0, from a model trained at seed 11
+                                      "model-not-listed", "edited-scores", "edited-memory",
+                                      "rehashed-scores", "no-scores", "no-memory",
+                                      "memory-not-listed", "rehashed-seed", "rehashed-model"])
+    def test_probe_checks_the_manifest_digests(self, case, tiny_run, tmp_path, capsys):
+        # a copy of the run with `seed = 12` in its config used to be read
+        # with exit 0, from a model trained at seed 11
         _, out, _ = tiny_run
         run = tmp_path / "run"
         run.mkdir()
@@ -875,41 +811,52 @@ class TestModelFile:
         elif case == "no-manifest":
             manifest.unlink()
             message = f"missing artifacts in {run}: manifest.json"
-        else:
+        elif case == "model-not-listed":
             stored = json.loads(manifest.read_text())
             del stored["artifacts"]["model_final.csv"]
             manifest.write_text(_canonical(stored))
             message = f"{manifest} does not list {run / 'model_final.csv'}"
+        elif case in ("edited-scores", "edited-memory"):
+            edited = run / ("scores.csv" if case == "edited-scores" else "memory_final.csv")
+            edited.write_text(edited.read_text() + "\n")
+            message = f"{edited} does not match its digest in {manifest}"
+        elif case in ("no-scores", "no-memory"):
+            name = "scores.csv" if case == "no-scores" else "memory_final.csv"
+            (run / name).unlink()
+            message = f"missing artifacts in {run}: {name}"
+        elif case == "memory-not-listed":
+            stored = json.loads(manifest.read_text())
+            del stored["artifacts"]["memory_final.csv"]
+            manifest.write_text(_canonical(stored))
+            message = f"{manifest} does not list {run / 'memory_final.csv'}"
+        elif case in ("rehashed-seed", "rehashed-model"):
+            # a config or model that still loads, re-hashed to match: the
+            # eval sets of seed 12, or an extractor with every number doubled
+            if case == "rehashed-seed":
+                edited = run / "config_resolved.txt"
+                edited.write_text(edited.read_text().replace("seed = 11", "seed = 12"))
+            else:
+                edited = run / "model_final.csv"
+                edited.write_bytes(_line(2, lambda l: ",".join(
+                    ["extractor"] + [repr(2.0 * float(v)) for v in l.split(",")[1:]]))(
+                    edited.read_bytes()))
+            stored = json.loads(manifest.read_text())
+            stored["artifacts"][edited.name] = hashlib.sha256(edited.read_bytes()).hexdigest()
+            manifest.write_text(_canonical(stored))
+            message = f"the model in {run} does not recompute the last row of scores.csv"
+        else:
+            # the last cell's accuracy moved, and the manifest re-hashed to match
+            scores = run / "scores.csv"
+            lines = scores.read_text().split("\n")
+            i, j, acc, rest = lines[-2].split(",", 3)
+            lines[-2] = ",".join([i, j, repr(float(acc) + 1.0), rest])
+            scores.write_text("\n".join(lines))
+            stored = json.loads(manifest.read_text())
+            stored["artifacts"]["scores.csv"] = hashlib.sha256(scores.read_bytes()).hexdigest()
+            manifest.write_text(_canonical(stored))
+            message = f"the model in {run} does not recompute the last row of scores.csv"
         with pytest.raises(ContractViolation, match=re.escape(message)):
-            load_model(run)
-        dest = tmp_path / "dump.csv"
-        assert main([verb, "--dir", str(run), "--out", str(dest)]) == 3
-        assert message in capsys.readouterr().err
-        assert not dest.exists()
-
-
-class TestEmbeddings:
-    def test_row_count_matches_pooled_eval(self, tmp_path):
-        cfg = parse_config_text(TINY)
-        stream = gen_sequence(cfg.protocol, cfg.seed, train_n=cfg.train_samples,
-                              eval_n=cfg.eval_samples)
-        matrix, trainer = run_stream(stream, trainer_config(cfg))
-        n = dump_embeddings(trainer.extractor, stream, tmp_path / "emb.csv")
-        assert n == 4 * cfg.eval_samples
-        lines = (tmp_path / "emb.csv").read_text().splitlines()
-        assert len(lines) == n + 1
-
-    def test_pca_duplicated_rows(self, rng):
-        F = rng.normal(size=(40, 5))
-        proj = pca_2d(np.vstack([F, F]))
-        assert np.allclose(proj[:40], proj[40:], atol=1e-12)
-
-    def test_pca_needs_two_dims(self):
-        with pytest.raises(ContractViolation):
-            pca_2d(np.zeros((10, 1)))
-
-    def test_pca_sign_convention(self, rng):
-        F = rng.normal(size=(100, 4)) * np.array([3.0, 1.0, 0.5, 0.1])
-        proj1 = pca_2d(F)
-        proj2 = pca_2d(F.copy())
-        assert np.array_equal(proj1, proj2)
+            probe_run(run)
+        assert main(["probe", "--dir", str(run)]) == 3
+        out, err = capsys.readouterr()
+        assert message in err and out == ""

@@ -219,7 +219,7 @@ class TestTrainer:
         tr = Trainer(tiny_config(), 11)
         X, y = dataset(stream, 0, "train")
         tr.train_task(X, y)
-        assert tr.head.active_task == 1
+        assert len(tr.head.layers) == 1
         assert not tr.head.layers[0].frozen
         assert len(tr.memory) <= 60
         assert set(np.unique(tr.memory.domain_class)) == {0, 1}
@@ -231,7 +231,7 @@ class TestTrainer:
         for t in range(3):
             X, y = dataset(stream, t, "train")
             tr.train_task(X, y)
-        assert tr.head.active_task == 3
+        assert len(tr.head.layers) == 3
         assert [l.frozen for l in tr.head.layers] == [True, True, False]
         assert set(np.unique(tr.memory.domain_class)) <= set(range(6))
         assert tr.memory.space_task == 3

@@ -362,6 +362,21 @@ class TestAugment:
         b = augment_features(mem, 0.5, RngStream(5), n_samples=16)
         assert np.array_equal(a.features, b.features)
 
+    @pytest.mark.parametrize("scale,n,message", [
+        (math.nan, 4, "jitter_scale must be finite and >= 0"),
+        (math.inf, 4, "jitter_scale must be finite and >= 0"),
+        (-0.5, 4, "jitter_scale must be finite and >= 0"),
+        (0.5, -1, "n_samples must be an integer >= 1"),
+        (0.5, 0, "n_samples must be an integer >= 1"),
+        (0.5, 2.5, "n_samples must be an integer >= 1"),
+        (0.5, True, "n_samples must be an integer >= 1"),
+    ], ids=["scale-nan", "scale-inf", "scale-negative", "n-negative", "n-zero", "n-float",
+            "n-bool"])
+    def test_bad_arguments_rejected(self, scale, n, message, rng):
+        # a NaN scale replayed the rows unjittered, and n = -1 failed in numpy
+        with pytest.raises(ContractViolation, match=message):
+            augment_features(self._memory(rng), scale, rng.substream("bad"), n_samples=n)
+
 
 def _augment_reference(mem, jitter_scale, rng, n_samples):
     """augment_features with one np.std call per label and a per-row stack."""
@@ -446,7 +461,8 @@ class TestAugmentMatchesPerLabelStd:
 
 class TestMemorySnapshot:
     def test_round_trip(self, rng, tmp_path):
-        # no dgkan code reads a snapshot back; this parse checks what it holds
+        # dgkan.probes reads a snapshot back with np.loadtxt; this parse
+        # checks what the file holds
         F = rng.normal(size=(9, 5))
         d = np.array([0, 0, 1, 1, 2, 2, 3, 3, 3])
         mem = FeatureMemory(features=F, domain_class=d, budget=20, space_task=2)

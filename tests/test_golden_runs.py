@@ -1,9 +1,9 @@
 """Golden-run byte guard: two short data-free dgkd runs at the reference
 batch shapes must write ``scores.csv`` and ``memory_final.csv`` with the
 SHA-256 digests recorded at commit 5d6c041, and ``model_final.csv`` with the
-digests recorded when the run began to write it.  The two dumps of the
-four-task run, read from its directory, must write the bytes that commit
-1090e72 wrote when each dump still retrained the run from its config.
+digests recorded when the run began to write it.  ``dgkan probe`` over the
+four-task run's directory must print the bytes recorded when the verb was
+added, on every call.
 
 Each run trains 128 rows per task in 64-row batches, so every contrastive
 batch holds the reference 128 rows, scores 64 eval rows per task, and keeps
@@ -67,12 +67,8 @@ OFF_PATH_DIGESTS = {
     }),
 }
 
-# the four-task run's dumps, as `dgkan <verb> --config` wrote them at 1090e72
-GOLDEN_DUMP_DIGESTS = {
-    ("dump-profile", "--group", "0"):
-        "1c279a756c7e3da1fc4c64bd8b96425eccaaab1db369bc6c2cf21c9dac09b5c0",
-    ("dump-embeddings",): "24f8529a16f5cf537e0a9e7184f7308416564833fb12024bc169f5ffda97a172",
-}
+# the SHA-256 of what `dgkan probe` prints for the four-task run
+GOLDEN_PROBE_DIGEST = "164e3827f49a29780904b03c41c6d8d2c3b03e8ca7a8ea38b48dc162103b5b20"
 
 
 def _short_run(protocol: str, out, **overrides) -> None:
@@ -99,9 +95,9 @@ def test_short_off_path_run_keeps_its_bytes(case, tmp_path):
     assert {name: _digest(tmp_path / name) for name in golden} == golden
 
 
-def test_dumps_of_the_short_four_task_run_keep_their_bytes(tmp_path):
-    _short_run("four-task", tmp_path / "run")
-    for (verb, *options), digest in GOLDEN_DUMP_DIGESTS.items():
-        out = tmp_path / f"{verb}.csv"
-        assert main([verb, "--dir", str(tmp_path / "run"), "--out", str(out), *options]) == 0
-        assert _digest(out) == digest, verb
+def test_probe_of_the_short_four_task_run_keeps_its_bytes(tmp_path, capsys):
+    _short_run("four-task", tmp_path)
+    for _ in range(2):
+        assert main(["probe", "--dir", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PROBE_DIGEST and err == ""

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dgkan.kanheads import (SIGMA_MIN, DgkdHead, DgLayer, FeatureExtractor, GrKanHead, MlpHead,
-                            ParamArrays, _silu, activation_profile, add_task_layer,
+                            ParamArrays, _silu, add_task_layer,
                             group_index_map, make_baseline_head)
 from dgkan.numcore import AdamState, ContractViolation, RngStream, adam_step, finite_diff_grad, max_rel_err
 from dgkan.continual import Trainer, TrainerConfig
@@ -204,10 +204,10 @@ class TestDgkdHead:
         head = DgkdHead(5, 1, 2)
         feats = rng.normal(size=(30, 5))
         add_task_layer(head, feats, rng.substream("l1"))
-        assert head.active_task == 1 and not head.layers[0].frozen
+        assert len(head.layers) == 1 and not head.layers[0].frozen
         first = head.layers[0]
         add_task_layer(head, feats + 3.0, rng.substream("l2"))
-        assert head.active_task == 2 and head.layers[0] is first
+        assert len(head.layers) == 2 and head.layers[0] is first
         assert head.layers[0].frozen and not head.layers[1].frozen
 
     def test_stale_head_cannot_train_after_add_task_layer(self, rng):
@@ -220,7 +220,7 @@ class TestDgkdHead:
         first = head.layers[0]
         vec = head.param_vector()
         assert add_task_layer(head, feats + 1.0, rng.substream("b")) is None
-        assert head.active_task == 2 and head.layers[0] is first and first.frozen
+        assert len(head.layers) == 2 and head.layers[0] is first and first.frozen
         assert not head.layers[1].frozen
         assert first.param_vector().tobytes() == vec.tobytes()
         layers = list(head.layers)
@@ -320,7 +320,7 @@ def test_non_finite_numbers_build_no_layer(case, rng):
     build, names = _NON_FINITE[case]
     with pytest.raises(ContractViolation, match=f"{names} contains non-finite"):
         build(head, rng.substream("bad"))
-    assert head.layers == layers and head.active_task == 2
+    assert head.layers == layers and len(head.layers) == 2
     assert [l.frozen for l in layers] == [True, False]
     assert [l.param_vector().tobytes() for l in layers] == params
 
@@ -395,35 +395,6 @@ def test_silu_matches_three_exp_formula(rng):
         value, slope = _silu(z)
         assert value.tobytes() == (z * e3).tobytes()
         assert slope.tobytes() == (e3 * (1.0 + z * (1.0 - e3))).tobytes()
-
-
-class TestActivationProfile:
-    def test_single_layer_peak(self, rng):
-        layer = DgLayer(4, 2, 2, W=rng.normal(size=(2, 4)), centers=[0.3, -1.0], widths=[1.0, 1.0])
-        head = DgkdHead(4, 2, 2, [layer])
-        vals = activation_profile(head, 0, [0.3])
-        w_bar = layer.W[:, layer.group_of == 0].mean()
-        assert vals[0] == pytest.approx(w_bar, rel=1e-12)
-
-    def test_far_tail(self, rng):
-        layer = DgLayer(4, 1, 2, W=rng.normal(size=(1, 4)), centers=[0.0, 0.0], widths=[1.0, 1.0])
-        head = DgkdHead(4, 1, 2, [layer])
-        w_bar = abs(layer.W[:, layer.group_of == 0].mean())
-        assert abs(activation_profile(head, 0, [11.0])[0]) < 2e-22 * max(w_bar, 1e-30) + 1e-300
-
-    def test_two_layers_sum(self, rng):
-        l1 = _random_layer(rng.substream(1), d_in=4, d_out=2, groups=2)
-        l2 = _random_layer(rng.substream(2), d_in=4, d_out=2, groups=2)
-        xs = np.linspace(-3, 3, 11)
-        combined = activation_profile(DgkdHead(4, 2, 2, [l1, l2]), 1, xs)
-        a = activation_profile(DgkdHead(4, 2, 2, [l1]), 1, xs)
-        b = activation_profile(DgkdHead(4, 2, 2, [l2]), 1, xs)
-        assert np.allclose(combined, a + b, atol=1e-12)
-
-    def test_bad_group_index(self, rng):
-        head = DgkdHead(4, 1, 2, [_random_layer(rng, d_in=4, d_out=1, groups=2)])
-        with pytest.raises(ContractViolation):
-            activation_profile(head, 2, [0.0])
 
 
 class TestBaselineHeads:

@@ -73,6 +73,16 @@ class TestSequences:
             with pytest.raises(ContractViolation, match="seed must be an integer >= 0"):
                 gen_sequence("four-task", seed)
 
+    def test_split_sizes_are_integers_at_least_two(self):
+        # -4 built a stream whose first dataset call failed in numpy, and
+        # 2.5 failed there with a bare TypeError
+        a = gen_sequence("four-task", 1, train_n=np.int64(64), eval_n=np.int64(32))
+        assert (type(a.train_n), type(a.eval_n)) == (int, int)
+        for name in ("train_n", "eval_n"):
+            for n in (-4, 0, 1, 2.5, True):
+                with pytest.raises(ContractViolation, match=f"{name} must be an integer >= 2"):
+                    gen_sequence("four-task", 1, **{name: n})
+
     def test_shift_monotonicity(self):
         # along the unit ones-vector, consecutive real-class means march by
         # exactly the protocol's step; the ring offsets are orthogonal to it
